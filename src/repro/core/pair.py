@@ -137,9 +137,15 @@ class LogicalPair:
         #: execution reports 0, so this must never be folded into
         #: :class:`Stats`.
         self.mirror_cycles = 0
-        #: Gate partial-interval timeout (mirror hot path; must match
-        #: CheckGate.maybe_timeout_close).
-        self._interval_timeout = max(8, self.redundancy.fingerprint_interval // 2)
+
+        #: Per-pair skip cache for the event kernel: every cycle strictly
+        #: before this one is a proven no-op for :meth:`step` (it caches
+        #: :meth:`next_event`).  Everything else the pair acts on changes
+        #: only when one of its cores steps, so the kernel re-arms it (0)
+        #: whenever the vocal or the mute steps; ``CMPSystem.run`` and
+        #: ``run_until_idle`` reset it for external mutations between
+        #: runs.  The naive kernel never reads it.
+        self._skip_until = 0
 
         self.state = PairState.NORMAL
         self.phase = 0  # 1 or 2 while recovering
@@ -291,7 +297,7 @@ class LogicalPair:
         # workloads is nearly every cycle of the simulation.
         if (
             vocal_gate._count
-            and now - vocal_gate._last_offer > self._interval_timeout
+            and now - vocal_gate._last_offer > vocal_gate._timeout_limit
         ):
             vocal_gate._close(now)
         closed = vocal_gate._closed
@@ -369,30 +375,42 @@ class LogicalPair:
     def next_event(self, now: int) -> int:
         """Conservative wake-up horizon for the cycle-skipping kernel.
 
-        The pair's own events: beginning a scheduled recovery, comparing
-        fingerprints once both sides have closed an interval, servicing a
-        synchronizing request once both cores have parked one, the
-        divergence watchdog, and leaving single-step mode.  Gate
-        interval-timeout closes are performed by :meth:`step` but their
-        horizons are reported by each gate's ``next_release`` (through
-        the cores), so they are not repeated here.
+        Covers everything :meth:`step` does on its own: the
+        interval-timeout closes of the paired gates, beginning a
+        scheduled recovery, comparing fingerprints once both sides have
+        closed an interval, servicing a synchronizing request once both
+        cores have parked one, the divergence watchdog, and leaving
+        single-step mode.  The kernel steps the pair only at this
+        horizon or after one of its cores stepped (see ``_skip_until``),
+        so nothing ``step`` does may be left to the cores' horizons.
         """
         if self.failed:
             return NEVER
+        vocal_gate: CheckGate = self.vocal.gate  # type: ignore[assignment]
+        wake = NEVER
+        if vocal_gate._count:
+            # step() force-closes a lingering partial interval one cycle
+            # past the gate's timeout limit.
+            wake = vocal_gate._last_offer + vocal_gate._timeout_limit + 1
         if self._mirror_active:
-            # The only in-window pair events are exit triggers and the
-            # auto-compare of a closed vocal interval; interval-timeout
-            # closes and cleared-interval releases are reported by the
-            # vocal gate's ``next_release`` through the vocal core.
-            if self._mirror_must_exit() or self.vocal.gate.peek_closed() is not None:
+            # The in-window pair events are exit triggers, the vocal
+            # gate's timeout close and the auto-compare of a closed vocal
+            # interval; the mute is a virtual copy with no gate activity.
+            if self._mirror_must_exit() or vocal_gate._closed:
                 return now
-            return NEVER
+            return wake if wake > now else now
+        mute_gate: CheckGate = self.mute.gate  # type: ignore[assignment]
+        if mute_gate._count:
+            at = mute_gate._last_offer + mute_gate._timeout_limit + 1
+            if at < wake:
+                wake = at
+        if wake <= now:
+            return now
         if self.state is PairState.WAIT_RECOVERY:
             at = self._recovery_at
-            return at if at > now else now
-        wake = NEVER
-        vocal_gate: CheckGate = self.vocal.gate  # type: ignore[assignment]
-        mute_gate: CheckGate = self.mute.gate  # type: ignore[assignment]
+            if at <= now:
+                return now
+            return at if at < wake else wake
         a = vocal_gate.peek_closed()
         b = mute_gate.peek_closed()
         if a is not None and b is not None:

@@ -252,7 +252,18 @@ class SqliteBackend(CacheBackend):
                     pass
             self.root.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
-            conn.execute("PRAGMA journal_mode=WAL")
+            # Two processes opening one new store race to switch it to
+            # WAL, and sqlite reports the loser's lock at once instead of
+            # waiting out busy_timeout: retry for as long.
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(

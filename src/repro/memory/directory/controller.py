@@ -40,7 +40,6 @@ from repro.memory.directory.interconnect import MUTE, VOCAL, Interconnect
 from repro.memory.l2_controller import Reply, _GARBAGE_MULT, _GARBAGE_XOR
 from repro.memory.main_memory import MainMemory
 from repro.memory.mshr import MSHRFile
-from repro.pipeline.gates import NEVER
 from repro.sim.config import BusConfig, PhantomStrength
 from repro.sim.stats import Stats
 
@@ -78,14 +77,6 @@ class DirectoryBackend:
         """
         l1, _ = self._l1s[core_id]
         self._l1s[core_id] = (l1, is_mute)
-
-    # -- event horizon (cycle-skipping kernel) ------------------------------
-    def next_event(self, now: int) -> int:
-        """No autonomous events: all directory and arbiter state changes
-        happen inside request calls, and completion cycles travel back to
-        the requesting core inside each :class:`Reply` — the conservative
-        horizon is therefore unbounded."""
-        return NEVER
 
     # -- home lookup --------------------------------------------------------
     def _entry(self, line_addr: int) -> DirectoryEntry:

@@ -28,7 +28,6 @@ from repro.memory.cache import Cache, LineState
 from repro.memory.coherence import Directory
 from repro.memory.main_memory import MainMemory
 from repro.memory.mshr import MSHRFile
-from repro.pipeline.gates import NEVER
 from repro.sim.config import L2Config, PhantomStrength
 from repro.sim.stats import Stats
 
@@ -73,17 +72,6 @@ class SharedL2Controller:
 
     def _l1(self, core_id: int) -> Cache:
         return self._l1s[core_id][0]
-
-    # -- event horizon (cycle-skipping kernel) -----------------------------
-    def next_event(self, now: int) -> int:
-        """The controller generates no autonomous events.
-
-        All of its state (bank free times, MSHR release times, directory
-        transitions) changes synchronously inside core-initiated request
-        calls; the completion times are returned to the requesting core,
-        which folds them into its own completion-heap horizon.
-        """
-        return NEVER
 
     def set_role(self, core_id: int, is_mute: bool) -> None:
         """Change a core's vocal/mute role (dual-use reconfiguration).

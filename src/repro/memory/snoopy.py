@@ -30,7 +30,6 @@ from repro.memory.coherence import GETM, GETS, MSIState, transition
 from repro.memory.l2_controller import Reply, _GARBAGE_MULT, _GARBAGE_XOR
 from repro.memory.main_memory import MainMemory
 from repro.memory.mshr import MSHRFile
-from repro.pipeline.gates import NEVER
 from repro.sim.config import BusConfig, PhantomStrength
 from repro.sim.stats import Stats
 
@@ -59,11 +58,6 @@ class SnoopyBus:
     def set_role(self, core_id: int, is_mute: bool) -> None:
         l1, _ = self._l1s[core_id]
         self._l1s[core_id] = (l1, is_mute)
-
-    # -- event horizon (cycle-skipping kernel) ---------------------------------
-    def next_event(self, now: int) -> int:
-        """No autonomous events: bus state only changes inside requests."""
-        return NEVER
 
     # -- bus arbitration -------------------------------------------------------
     def _arbitrate(self, now: int) -> int:

@@ -29,7 +29,7 @@ from repro.memory.directory import DirectoryBackend
 from repro.memory.l2_controller import SharedL2Controller
 from repro.memory.port import CoreMemPort
 from repro.memory.snoopy import SnoopyBus
-from repro.pipeline.gates import NEVER, ImmediateGate
+from repro.pipeline.gates import ImmediateGate
 from repro.pipeline.ooo_core import OoOCore
 from repro.sim.config import (
     CacheStyle,
@@ -281,7 +281,7 @@ class CMPSystem:
         self.now = now + 1
 
     def _step_event(self) -> None:
-        """One cycle of the event kernel, with per-core skip caches.
+        """One cycle of the event kernel, with per-core and per-pair skip caches.
 
         :meth:`step` is the reference per-cycle loop; this one skips any
         core whose cached ``next_event`` horizon proves the cycle is a
@@ -292,6 +292,12 @@ class CMPSystem:
         ``OoOCore._skip_until``), so a stale horizon can never hide
         work.  Unlike :meth:`_advance`, this skips *per core*: one busy
         core no longer forces every stalled core through a no-op step.
+
+        Pairs are skipped the same way (``LogicalPair._skip_until``): a
+        core that steps re-arms its pair, since the pair acts on what its
+        cores just did.  A pair's horizon is recomputed after its step
+        only when neither core is due next cycle; otherwise that core's
+        step would re-arm the pair and waste the horizon.
         """
         self.steps += 1
         now = self.now
@@ -303,19 +309,34 @@ class CMPSystem:
                 continue
             core.step(now)
             core._skip_until = core.next_event(now + 1)
+            pair = core.pair
+            if pair is not None:
+                pair._skip_until = 0
+        following = now + 1
         for pair in self.pairs:
+            if pair._skip_until > now:
+                continue
             pair.step(now)
-        self.now = now + 1
+            mute = pair.mute
+            if pair.vocal._skip_until > following and (
+                mute.mirror_passive or mute._skip_until > following
+            ):
+                pair._skip_until = pair.next_event(following)
+        self.now = following
 
     def _advance(self, limit: int) -> None:
         """Skip directly to the next cycle at which any component can act.
 
         Computes the minimum conservative ``next_event`` horizon over all
-        cores, pairs and the memory controller, clamps it to ``limit``,
-        and jumps ``now`` there without stepping anything.  Skipped cycles
-        are by construction no-ops, so the only bookkeeping is each
-        core's per-cycle counter (``step`` increments it unconditionally).
-        Leaves ``now`` unchanged when the very next cycle is active.
+        cores and pairs, clamps it to ``limit``, and jumps ``now`` there
+        without stepping anything.  Expired skip caches are recomputed
+        and refreshed, so :meth:`_step_event` benefits too.  Memory
+        controllers are not polled: their state changes only inside
+        core-initiated calls.  Skipped cycles are by construction no-ops,
+        so the only bookkeeping is the per-cycle counter of every core
+        :meth:`step` would have stepped (never a parked or mirrored
+        mute).  Leaves ``now`` unchanged when the very next cycle is
+        active.
         """
         now = self.now
         horizon = limit
@@ -335,22 +356,32 @@ class CMPSystem:
             if t < horizon:
                 horizon = t
         for pair in self.pairs:
-            t = pair.next_event(now)
+            t = pair._skip_until
             if t <= now:
-                return
+                t = pair.next_event(now)
+                if t <= now:
+                    return
+                pair._skip_until = t
             if t < horizon:
                 horizon = t
-        t = self.controller.next_event(now)
-        if t <= now:
-            return
-        if t < horizon:
-            horizon = t
         delta = horizon - now
         if delta <= 0:
             return
         for core in self.cores:
-            core.cycles += delta
+            if not core.mirror_passive:
+                core.cycles += delta
         self.now = horizon
+
+    def _reset_skip_caches(self) -> None:
+        """Start the event kernel from fresh horizons.
+
+        External callers may have mutated cores or pairs between runs
+        (armed hooks, posted interrupts, re-coupled pairs).
+        """
+        for core in self.cores:
+            core._skip_until = 0
+        for pair in self.pairs:
+            pair._skip_until = 0
 
     def _observe_step(self) -> None:
         """Post-step telemetry bookkeeping (armed runs only).
@@ -375,11 +406,7 @@ class CMPSystem:
                 if observing:
                     self._observe_step()
         else:
-            # External callers may have mutated cores between runs
-            # (armed hooks, posted interrupts): start from fresh
-            # horizons.
-            for core in self.cores:
-                core._skip_until = 0
+            self._reset_skip_caches()
             while self.now < end:
                 self._advance(end)
                 if self.now >= end:
@@ -401,8 +428,7 @@ class CMPSystem:
         skipping = self.kernel == "event"
         observing = self.obs is not None
         if skipping:
-            for core in self.cores:
-                core._skip_until = 0
+            self._reset_skip_caches()
         while not self.idle:
             if self.now >= max_cycles:
                 raise RuntimeError(f"system did not halt within {max_cycles} cycles")

@@ -14,9 +14,11 @@ import pytest
 
 from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
+from repro.core.pair import LogicalPair
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import Mode, PhantomStrength
+from repro.sim.config import Mode, PhantomStrength, manycore_config, parse_policy
+from repro.sim.options import SimOptions
 from repro.workloads.micro import PointerChase
 from tests.core.helpers import SMALL
 
@@ -137,6 +139,65 @@ class TestWindowedRunEquivalence:
 
         naive, event, _, _ = _run_both(scenario)
         assert naive == event
+
+
+@pytest.mark.parametrize(
+    "policy",
+    # Low dynamic thresholds, so off-windows open on this light backlog.
+    ["full", "little-mute:2", "interval-sampled:0.5", "dynamic:2,1,4", "unprotected"],
+)
+def test_memory_bound_pairs_per_policy(policy):
+    """Skipped pairs and skipped cycles on a many-pair directory system.
+
+    The pair-level schedule state (dynamic off-windows, sampled
+    intervals) runs inside pairs the kernel skips, and an
+    ``unprotected`` pair's parked mute must not gain the skipped cycles
+    naive stepping never ticks.
+    """
+
+    def scenario(kernel):
+        config = manycore_config(3).with_protection(parse_policy(policy))
+        system = CMPSystem(
+            config,
+            PointerChase(nodes=512).programs(3, seed=0),
+            options=SimOptions.from_env(kernel=kernel),
+        )
+        system.run(1_500)
+        system.run(3_000)
+        return system
+
+    naive, event, _, skipping = _run_both(scenario)
+    assert naive == event
+    assert skipping.steps < skipping.now
+
+
+def test_pairs_step_only_when_due(monkeypatch):
+    """A pair steps when one of its cores stepped or its horizon is due."""
+    pair_steps = 0
+    original = LogicalPair.step
+
+    def counted(self, now):
+        nonlocal pair_steps
+        pair_steps += 1
+        original(self, now)
+
+    def scenario(kernel):
+        config = manycore_config(8)
+        system = CMPSystem(
+            config,
+            PointerChase(nodes=512).programs(config.n_logical, seed=0),
+            options=SimOptions.from_env(kernel=kernel),
+        )
+        system.run(2_000)
+        return system
+
+    naive = _observe(scenario("naive"))
+    monkeypatch.setattr(LogicalPair, "step", counted)
+    system = scenario("event")
+    assert _observe(system) == naive
+    assert system.steps < system.now
+    # Stepping every pair on every stepped cycle would make it 8 here.
+    assert pair_steps < 2 * system.steps
 
 
 class TestFaultInjectionEquivalence:
