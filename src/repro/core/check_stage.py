@@ -45,6 +45,12 @@ _WORD_MASK_64 = (1 << 64) - 1
 #: (``Instruction.is_store``: plain stores *and* atomics).
 _F_STORE_STREAM = F_STORE | F_ATOMIC
 
+#: ``CheckGate._retire_time`` size at which an interval close sweeps out
+#: the entries no pending instruction can read again.  One entry is
+#: written per closed interval, so without the sweep a gate's host
+#: memory grows with run length.
+RETIRE_TIME_SWEEP_AT = 4_096
+
 
 class IntervalRecord(NamedTuple):
     """A closed fingerprint interval, ready for comparison.
@@ -184,6 +190,11 @@ class CheckGate:
         #: interval closes are emitted only at the ``full`` level.
         self.obs = None
         self.obs_source = ""
+        #: While this is a mirrored vocal's gate with telemetry armed: the
+        #: ``(kind, cycle, args)`` of every close event it emitted that
+        #: the virtual mute has not yet re-emitted (``LogicalPair.
+        #: echo_mute``).  None otherwise.
+        self.echo: list | None = None
 
     # -- pipeline side ------------------------------------------------------
     def offer(self, entry: DynInstr, now: int) -> None:
@@ -317,7 +328,36 @@ class CheckGate:
         if self._count and now - self._last_offer > self._timeout_limit:
             self._close(now)
 
+    def _emit(self, kind: str, now: int, **args) -> None:
+        """Emit one close event, buffering it for a mirrored mute's echo."""
+        self.obs.emit(kind, now, self.obs_source, **args)
+        if self.echo is not None:
+            self.echo.append((kind, now, args))
+
+    def _sweep_retire_time(self) -> None:
+        """Drop the retire times no pending instruction can read again.
+
+        Pending interval indices never decrease, so every key below the
+        oldest one still pending (the open interval's when nothing is)
+        belongs to an interval whose instructions have all left the
+        gate.  Keys are closed intervals, so the live ones lie below
+        ``_index``.
+        """
+        floor = self._index
+        for _, index, _ in self._pending:
+            if index is not None:
+                floor = index
+                break
+        retire_time = self._retire_time
+        self._retire_time = {
+            index: retire_time[index]
+            for index in range(floor, self._index)
+            if index in retire_time
+        }
+
     def _close(self, now: int) -> None:
+        if len(self._retire_time) >= RETIRE_TIME_SWEEP_AT:
+            self._sweep_retire_time()
         if (
             not self._check_all
             and not self.single_step
@@ -368,10 +408,9 @@ class CheckGate:
         )
         obs = self.obs
         if obs is not None and obs.full:
-            obs.emit(
+            self._emit(
                 "fingerprint.close",
                 now,
-                self.obs_source,
                 index=self._index,
                 count=self._count,
                 fingerprint=self._closed[-1].fingerprint,
@@ -396,15 +435,8 @@ class CheckGate:
         """
         self._words.clear()
         self._retire_time[self._index] = now
-        obs = self.obs
-        if obs is not None:
-            obs.emit(
-                "fingerprint.skip",
-                now,
-                self.obs_source,
-                index=self._index,
-                count=self._count,
-            )
+        if self.obs is not None:
+            self._emit("fingerprint.skip", now, index=self._index, count=self._count)
         self._count = 0
         self._has_sync = False
         self._has_halt = False

@@ -93,8 +93,8 @@ def sync_counters(vocal: OoOCore, mute: OoOCore) -> None:
     vocal_gate = vocal.gate
     mute_gate.intervals_closed = vocal_gate.intervals_closed
     mute_gate.fingerprints_compared = vocal_gate.fingerprints_compared
-    # Always 0 in-window (only full-policy pairs mirror, and full gates
-    # never skip), copied for completeness.
+    # Nonzero in-window for interval-sampled and dynamic pairs: the
+    # vocal's gate skip-closes the intervals the mute's would.
     mute_gate.intervals_unchecked = vocal_gate.intervals_unchecked
     # The interrupt offer-boundary counter: a mirrored mute advanced in
     # lockstep with the vocal, so the cumulative offer count matches.

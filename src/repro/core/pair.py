@@ -188,13 +188,16 @@ class LogicalPair:
 
         Only armed from pristine state (the symmetry induction base)
         with no observers attached; otherwise the pair simply runs dual.
-        Only ``full`` pairs ever mirror: a little mute is a *different*
-        automaton from the vocal (narrower issue), and partial modes
-        keep the dual path so their skip schedules drive real gates.
+        Every pair whose mute is the same automaton as its vocal mirrors:
+        ``full``, ``interval-sampled`` and ``dynamic`` (both gates read
+        one shared :class:`ProtectionState`, and the vocal's gate makes
+        every skip decision the mute's would).  A little mute is a
+        *different* automaton (narrower issue), and an ``unprotected``
+        mute is parked already.
         """
-        if self.replay_enabled or self.policy.mode != "full":
-            return
         vocal, mute = self.vocal, self.mute
+        if self.replay_enabled or mute.mirror_passive:
+            return
         if not (
             vocal.cycles == 0
             and mute.cycles == 0
@@ -203,6 +206,7 @@ class LogicalPair:
             and vocal.user_retired == 0
             and mute.user_retired == 0
             and vocal.program is mute.program
+            and vocal.issue_width == mute.issue_width
             and vocal.fault_hook is None
             and mute.fault_hook is None
             and vocal.retire_hook is None
@@ -217,6 +221,7 @@ class LogicalPair:
         vocal.mirror_trigger = False
         mute.mirror_passive = True
         if self.obs is not None:
+            vocal.gate.echo = []
             self.obs.emit("mirror.open", vocal.cycles, self._obs_source)
 
     def disable_replay(self) -> None:
@@ -253,6 +258,24 @@ class LogicalPair:
         mute._skip_until = 0
         vocal.mirror_trigger = False
         mute.mirror_passive = False
+        vocal.gate.echo = None
+
+    def echo_mute(self) -> None:
+        """Emit, as the virtual mute, the close events its vocal buffered.
+
+        Dual execution's mute closes each interval at the same cycle as
+        its vocal, under its own source.  Called where that mute's close
+        would have been emitted: at the mute's slot in the system's core
+        loop, and straight after the vocal's timeout close.  Armed
+        telemetry only.
+        """
+        echo = self.vocal.gate.echo
+        if echo:
+            obs = self.obs
+            source = self.mute.gate.obs_source
+            for kind, cycle, args in echo:
+                obs.emit(kind, cycle, source, **args)
+            echo.clear()
 
     def mirror_sync(self) -> None:
         """Refresh the mute's observable counters without ending a window."""
@@ -288,7 +311,9 @@ class LogicalPair:
         close interval *k* at the same cycle, so ``max`` of the two close
         cycles is the vocal's).  Recoveries, watchdog timeouts and
         synchronizing requests are impossible in-window: no memory
-        instruction has even been fetched.
+        instruction has even been fetched.  A ``dynamic`` pair decides
+        its next off-window after each cleared batch, as :meth:`step`
+        does after a comparison.
         """
         vocal = self.vocal
         vocal_gate: CheckGate = vocal.gate  # type: ignore[assignment]
@@ -300,6 +325,8 @@ class LogicalPair:
             and now - vocal_gate._last_offer > vocal_gate._timeout_limit
         ):
             vocal_gate._close(now)
+            if self.obs is not None:
+                self.echo_mute()  # the mute's own timeout close
         closed = vocal_gate._closed
         if closed:
             latency = self.redundancy.comparison_latency
@@ -328,6 +355,10 @@ class LogicalPair:
             # Cleared intervals open the vocal's retire path at a cycle
             # its cached skip horizon could not have known about.
             vocal._skip_until = 0
+            if self._dynamic:
+                # The mirrored mute's gate index is stale, but it never
+                # exceeds the vocal's, which the policy's max() picks.
+                self._evaluate_dynamic(now)
 
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:

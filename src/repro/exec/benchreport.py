@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 
 from repro.sim.config import Mode
@@ -75,9 +75,10 @@ class ExecComparison:
     The replay fast path — a mirror window from reset, then permanent
     dual fallback (see :mod:`repro.core.mirror`) — pays off most where
     redundant execution's cost is pure pipeline simulation, so the
-    headline artifact is the compute-bound kernel; the memory-bound
-    chase bounds the overhead in the fast path's worst case (its window
-    closes at the first load fetch, after which replay *is* dual).
+    headline artifact is the compute-bound kernel, under every policy
+    whose pairs mirror; the memory-bound chase bounds the overhead in
+    the fast path's worst case (its window closes at the first load
+    fetch, after which replay *is* dual).
     ``identical`` diffs the full Stats snapshots — the bit-identity
     contract, enforced on every bench run.
     """
@@ -452,9 +453,12 @@ def run_exec_comparison(
     """Time a single Reunion pair under dual and replay execution.
 
     The compute-bound kernel is the fast path's headline artifact (the
-    mirror window covers essentially the whole run); the memory-bound
-    chase bounds the fast path's overhead where it can barely engage.
-    Stats snapshots are diffed to enforce the bit-identity contract.
+    mirror window covers essentially the whole run), under ``full`` (the
+    ``reunion`` row) and under the partial policies whose pairs mirror
+    too; the memory-bound chase bounds the fast path's overhead where it
+    can barely engage.  Each row's dual side is its policy with
+    ``replay=False``.  Stats snapshots are diffed to enforce the
+    bit-identity contract.
 
     Wall times are the minimum over ``repeats`` fresh systems per side
     (the same scheduler-noise defence as the telemetry comparison): the
@@ -462,38 +466,44 @@ def run_exec_comparison(
     swing past the replay-vs-dual floor check_regression enforces.
     """
     from repro.sim.cmp import CMPSystem
+    from repro.sim.config import parse_policy
     from repro.sim.options import SimOptions
     from repro.workloads.micro import ComputeKernel, PointerChase
 
-    workloads = [("compute-kernel", ComputeKernel())]
+    compute = ComputeKernel()
+    rows = [
+        ("compute-kernel", compute, "full"),
+        ("compute-kernel", compute, "interval-sampled:0.5"),
+        ("compute-kernel", compute, "dynamic"),
+    ]
     if not compute_only:
-        workloads.append(("mem-chase", PointerChase(nodes=16384)))
+        rows.append(("mem-chase", PointerChase(nodes=16384), "full"))
 
     comparisons: list[ExecComparison] = []
     seed = scale.seeds[0]
-    for name, workload in workloads:
-        config = scale.config.replace(n_logical=1).with_redundancy(mode=Mode.REUNION)
-        programs = workload.programs(config.n_logical, seed)
-        schedules = workload.itlb_schedules(config.n_logical, seed)
+    base = scale.config.replace(n_logical=1).with_redundancy(mode=Mode.REUNION)
+    for name, workload, spec in rows:
+        programs = workload.programs(base.n_logical, seed)
+        schedules = workload.itlb_schedules(base.n_logical, seed)
         results = {}
-        for execution in ("dual", "replay"):
+        for replay in (False, True):
+            config = base.with_protection(
+                replace(parse_policy(spec), replay=replay)
+            )
             wall = math.inf
             for _ in range(repeats):
                 system = CMPSystem(
-                    config,
-                    programs,
-                    schedules,
-                    options=SimOptions(kernel="event", execution=execution),
+                    config, programs, schedules, options=SimOptions(kernel="event")
                 )
                 start = time.perf_counter()
                 system.run(cycles)
                 wall = min(wall, time.perf_counter() - start)
-            results[execution] = (wall, dict(system.collect_stats().snapshot()))
-        dual_wall, dual_stats = results["dual"]
-        replay_wall, replay_stats = results["replay"]
+            results[replay] = (wall, dict(system.collect_stats().snapshot()))
+        dual_wall, dual_stats = results[False]
+        replay_wall, replay_stats = results[True]
         comparisons.append(
             ExecComparison(
-                name=f"{name}/reunion",
+                name=f"{name}/{'reunion' if spec == 'full' else spec}",
                 dual_wall_s=dual_wall,
                 replay_wall_s=replay_wall,
                 speedup=dual_wall / replay_wall if replay_wall else 0.0,

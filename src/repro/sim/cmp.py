@@ -258,11 +258,11 @@ class CMPSystem:
             # to every other pair under any coherence backend.  Arming is
             # therefore safe per-pair even on MANYCORE systems; each pair
             # falls back to dual execution at its own first trigger.
-            # Only full-policy pairs with the replay bit set ever mirror
-            # (a heterogeneous pair is not a symmetric automaton pair;
-            # partial pairs keep real gates driving the skip schedule).
+            # Every pair with the replay bit set arms, unless its mute is
+            # not the vocal's automaton (little-mute) or is parked
+            # (unprotected); enable_replay checks.
             for pair in self.pairs:
-                if pair.policy.mode == "full" and pair.policy.replay:
+                if pair.policy.replay:
                     pair.enable_replay()
 
     # -- simulation loop ----------------------------------------------------
@@ -273,7 +273,10 @@ class CMPSystem:
         for core in self.cores:
             if core.mirror_passive:
                 # A mirrored mute is a virtual copy of its vocal; its
-                # state is materialized by the pair at window exit.
+                # state is materialized by the pair at window exit, and
+                # its close events are its vocal's, echoed in its slot.
+                if self.obs is not None:
+                    core.pair.echo_mute()
                 continue
             core.step(now)
         for pair in self.pairs:
@@ -303,6 +306,8 @@ class CMPSystem:
         now = self.now
         for core in self.cores:
             if core.mirror_passive:
+                if self.obs is not None:
+                    core.pair.echo_mute()
                 continue
             if core._skip_until > now:
                 core.cycles += 1

@@ -267,8 +267,7 @@ class ProtectionPolicy:
     compared.  A policy generalizes that along the coverage-vs-throughput
     axis ROADMAP item 2 names:
 
-    * ``full`` — the paper's design.  The only mode eligible for the
-      replay/mirror fast path (``replay=True``, the default).
+    * ``full`` — the paper's design.
     * ``little-mute`` — a reduced checker core validates a full vocal
       (MEEK-style heterogeneous detection): the mute's *issue* stage is
       narrowed to ``mute_width`` while fetch/dispatch/retire keep the
@@ -288,9 +287,13 @@ class ProtectionPolicy:
 
     Every field except ``replay`` is *result-affecting* and lives in the
     hashed config (:func:`repro.exec.jobs.config_payload`).  ``replay``
-    only selects the execution strategy for ``full`` pairs — replay is
-    bit-identical to dual by contract — so it is excluded from cache
-    keys via ``_KEY_EXCLUDE``.
+    only selects the execution strategy — replay is bit-identical to
+    dual by contract — so it is excluded from cache keys via
+    ``_KEY_EXCLUDE``.  It arms the mirror fast path on every pair whose
+    mute is the same automaton as its vocal: ``full``,
+    ``interval-sampled`` and ``dynamic``.  A ``little-mute`` pair (a
+    narrower mute) and an ``unprotected`` one (a parked mute) run
+    without it.
     """
 
     mode: str = "full"
@@ -299,7 +302,7 @@ class ProtectionPolicy:
     off_threshold: int | None = None  # dynamic: backlog that disables checking
     on_threshold: int | None = None  # dynamic: backlog that re-enables it
     off_intervals: int | None = None  # dynamic: intervals per off-window
-    replay: bool = True  # full only: mirror fast path (result-neutral)
+    replay: bool = True  # mirror fast path (result-neutral)
 
     #: Result-neutral fields, excluded from content-hash cache keys.
     _KEY_EXCLUDE: ClassVar[tuple[str, ...]] = ("replay",)

@@ -1,10 +1,20 @@
 """Unit tests for the check gate and strict oracle gate."""
 
-from repro.core.check_stage import CheckGate
+import dataclasses
+
+import pytest
+
+from repro.core import check_stage
+from repro.core.check_stage import RETIRE_TIME_SWEEP_AT, CheckGate
+from repro.core.faults import FaultInjector
 from repro.core.strict import StrictCheckGate
 from repro.isa import Instruction, Op
 from repro.pipeline.rob import DynInstr
-from repro.sim.config import RedundancyConfig
+from repro.sim.cmp import CMPSystem
+from repro.sim.config import Mode, RedundancyConfig, parse_policy
+from repro.sim.options import SimOptions
+from repro.workloads.micro import ComputeKernel
+from tests.core.helpers import SMALL
 
 
 def make_entry(seq, op=Op.ADD, injected=False, result=1, serializing=False):
@@ -149,3 +159,49 @@ class TestStrictGate:
         assert gate.pop_retirable(now=50, limit=8) == []  # interval still open
         gate.offer(make_entry(3), now=3)
         assert len(gate.pop_retirable(now=13, limit=8)) == 4
+
+
+def _long_run(policy: str, fault_interval: int = 0) -> tuple[dict, int, int]:
+    """10k cycles of a dual one-pair compute kernel at interval length 1.
+
+    Returns the Stats snapshot, the vocal gate's closed intervals, and
+    the largest ``_retire_time`` any gate held at a 500-cycle boundary.
+    """
+    config = SMALL.with_redundancy(
+        mode=Mode.REUNION, fingerprint_interval=1
+    ).with_protection(dataclasses.replace(parse_policy(policy), replay=False))
+    system = CMPSystem(config, ComputeKernel().programs(1), options=SimOptions())
+    if fault_interval:
+        FaultInjector(interval=fault_interval, seed=5).attach(system.cores[1])
+    peak = 0
+    for _ in range(20):
+        system.run(500)
+        peak = max(peak, *(len(core.gate._retire_time) for core in system.cores))
+    assert not system.failed
+    if fault_interval:
+        assert system.recoveries() >= 1  # flushes interleave with sweeps
+    snapshot = dict(system.collect_stats().snapshot())
+    return snapshot, system.vocal_cores[0].gate.intervals_closed, peak
+
+
+@pytest.mark.parametrize("policy", ["full", "interval-sampled:0.5"])
+class TestRetireTimeSweep:
+    """Retire times of intervals that left the gate are swept out."""
+
+    def test_bounded_on_a_long_run(self, policy, monkeypatch):
+        swept, closed, peak = _long_run(policy)
+        assert closed > 4 * RETIRE_TIME_SWEEP_AT
+        # The threshold, plus retire times of intervals still in flight.
+        assert peak <= RETIRE_TIME_SWEEP_AT + SMALL.core.rob_size
+        monkeypatch.setattr(check_stage, "RETIRE_TIME_SWEEP_AT", 1 << 62)
+        unswept, _, unswept_peak = _long_run(policy)
+        assert unswept_peak > 4 * RETIRE_TIME_SWEEP_AT
+        assert swept == unswept
+
+    def test_sweeping_at_every_close_is_invisible(self, policy, monkeypatch):
+        monkeypatch.setattr(check_stage, "RETIRE_TIME_SWEEP_AT", 1)
+        every_close, _, peak = _long_run(policy, fault_interval=5_000)
+        assert peak <= SMALL.core.rob_size
+        monkeypatch.setattr(check_stage, "RETIRE_TIME_SWEEP_AT", 1 << 62)
+        never, _, _ = _long_run(policy, fault_interval=5_000)
+        assert every_close == never

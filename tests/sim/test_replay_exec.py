@@ -15,13 +15,16 @@ kernels) and diff everything observable.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import Mode, PhantomStrength
+from repro.sim.config import Mode, PhantomStrength, parse_policy
+from repro.sim.options import SimOptions
 from repro.workloads.micro import PointerChase
 from tests.core.helpers import SMALL
 
@@ -88,6 +91,7 @@ def _observe(system: CMPSystem) -> dict:
         if isinstance(gate, CheckGate):
             observation[f"gate{index}.intervals_closed"] = gate.intervals_closed
             observation[f"gate{index}.fingerprints_compared"] = gate.fingerprints_compared
+            observation[f"gate{index}.intervals_unchecked"] = gate.intervals_unchecked
     observation["recovery_log"] = [pair.recovery_log for pair in system.pairs]
     return observation
 
@@ -252,8 +256,121 @@ class TestFaultInjectionUnderReplay:
         assert dual_system.recoveries() >= 2
 
 
+#: Partial policies whose mute is the vocal's automaton, so their pairs
+#: mirror.  ``dynamic:1,0,2`` pauses checking at any check-stage
+#: backlog, so its off-windows open inside the mirror window.
+PARTIAL_POLICIES = ("interval-sampled:0.25", "interval-sampled:0.5", "dynamic:1,0,2")
+
+
+def _policy_systems(spec: str, kernel: str, source: str) -> list[CMPSystem]:
+    """The same one-pair system under ``spec``: dual first, then mirrored.
+
+    The dual reference is the same policy with ``replay=False``.
+    """
+    systems = []
+    for replay in (False, True):
+        policy = dataclasses.replace(parse_policy(spec), replay=replay)
+        systems.append(
+            CMPSystem(
+                _config().with_protection(policy),
+                [assemble(source)],
+                options=SimOptions.from_env(kernel=kernel),
+            )
+        )
+    return systems
+
+
+@pytest.mark.parametrize("kernel", ["naive", "event"])
+@pytest.mark.parametrize("spec", PARTIAL_POLICIES)
+class TestPartialPolicyMirror:
+    """``interval-sampled`` and ``dynamic`` pairs mirror, bit-identical to dual.
+
+    Both gates of a partial pair read one shared ``ProtectionState``, so
+    the mirrored vocal's gate makes every skip decision the mute's would,
+    and the pair runs the dynamic policy after each cleared batch.
+    ``_observe``'s Stats carry ``pairN.unchecked_intervals`` and
+    ``pairN.protection_toggles``.
+    """
+
+    def test_compute_window_open_until_halt(self, spec, kernel):
+        dual, mirrored = _policy_systems(spec, kernel, COMPUTE)
+        for system in (dual, mirrored):
+            system.run_until_idle(max_cycles=500_000)
+        assert _observe(dual) == _observe(mirrored)
+        pair = mirrored.pairs[0]
+        assert not pair._mirror_active  # exited at the halt fetch
+        assert pair.mirror_cycles > mirrored.now // 2
+        assert pair.vocal.gate.intervals_unchecked > 0
+
+    def test_observation_mid_window(self, spec, kernel):
+        dual, mirrored = _policy_systems(spec, kernel, COMPUTE)
+        for system in (dual, mirrored):
+            system.run(400)
+        assert _observe(dual) == _observe(mirrored)
+        pair = mirrored.pairs[0]
+        assert pair._mirror_active
+        assert pair.mute.gate.intervals_unchecked > 0
+        if pair.policy.mode == "dynamic":
+            assert pair.protection_toggles > 0
+
+    def test_mixed_early_exit(self, spec, kernel):
+        dual, mirrored = _policy_systems(spec, kernel, MIXED)
+        for system in (dual, mirrored):
+            system.run_until_idle(max_cycles=500_000)
+        assert _observe(dual) == _observe(mirrored)
+        assert mirrored.pairs[0].mirror_cycles > 0
+        assert not mirrored.pairs[0].replay_enabled
+
+    def test_interrupt_posted_mid_window(self, spec, kernel):
+        dual, mirrored = _policy_systems(spec, kernel, COMPUTE)
+        for system in (dual, mirrored):
+            system.run(400)
+        pair = mirrored.pairs[0]
+        assert pair._mirror_active
+        # Posting materializes a gate whose retire times include
+        # skip-closed intervals.
+        assert pair.vocal.gate.intervals_unchecked > 0
+        for system in (dual, mirrored):
+            system.post_interrupt(0)
+            system.run_until_idle(max_cycles=500_000)
+        assert _observe(dual) == _observe(mirrored)
+        assert not pair.replay_enabled
+        assert dual.cores[0].interrupts_serviced >= 1
+
+    def test_fault_injector_attached_mid_window(self, spec, kernel):
+        dual, mirrored = _policy_systems(spec, kernel, COMPUTE)
+        for system in (dual, mirrored):
+            system.run(400)
+        assert mirrored.pairs[0]._mirror_active
+        for system in (dual, mirrored):
+            injector = FaultInjector(seed=7)
+            injector.attach(system.cores[1])  # the mute
+            injector.inject_once(after=40)
+            system.run_until_idle(max_cycles=500_000)
+        assert _observe(dual) == _observe(mirrored)
+        assert mirrored.pairs[0].mirror_cycles >= 400
+        assert not mirrored.pairs[0].replay_enabled
+
+
 class TestReplayScope:
     """Window arming and exit triggers behave as specified."""
+
+    def test_only_symmetric_pairs_arm(self):
+        """A little mute (a narrower automaton) and a parked mute never arm."""
+        specs = ("full", "interval-sampled:0.5", "dynamic", "little-mute:2", "unprotected")
+        config = _config(n_logical=len(specs)).with_protection(
+            tuple(parse_policy(spec) for spec in specs)
+        )
+        system = CMPSystem(
+            config, [assemble(COMPUTE)] * len(specs), options=SimOptions()
+        )
+        assert [pair.replay_enabled for pair in system.pairs] == [
+            True, True, True, False, False,
+        ]
+        system.run_until_idle(max_cycles=500_000)
+        assert [pair.mirror_cycles > 0 for pair in system.pairs] == [
+            True, True, True, False, False,
+        ]
 
     def test_multi_pair_mirror_windows(self):
         """Every pair of a many-pair system arms — and stays identical.

@@ -6,14 +6,17 @@ Two halves:
   exactly the same architectural results as the same run with telemetry
   off.  The sampler and emitters only ever read simulator state.
 * **Strategy independence** — the *event stream itself* describes the
-  simulated machine, not the simulation strategy: a fault-injected run
-  under replay execution and under dual execution must emit identical
-  streams (order and payload), except for the mirror-window kinds in
+  simulated machine, not the simulation strategy: a run under replay
+  execution and under dual execution must emit identical streams (order
+  and payload), whether a fault injector closes the mirror window at
+  once or the window stays open, except for the mirror-window kinds in
   :data:`~repro.obs.events.STRATEGY_KINDS`, which exist only under
   replay by definition.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.core.faults import FaultInjector
 from repro.isa import assemble
 from repro.obs.events import STRATEGY_KINDS
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import Mode, PhantomStrength
+from repro.sim.config import Mode, PhantomStrength, parse_policy
 from repro.sim.options import SimOptions
 from tests.core.helpers import SMALL
 
@@ -38,6 +41,21 @@ loop:
     load r4, [r3]
     atomic r5, [r6], r1
     addi r3, r3, 8
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
+
+#: Pure compute: no loads, stores or serializing instructions until the
+#: final halt, so a pair's mirror window stays open nearly all run.
+COMPUTE = """
+    movi r1, 150
+    movi r2, 1
+    movi r3, 7
+loop:
+    add r2, r2, r3
+    add r4, r2, r1
+    add r3, r3, r4
     addi r1, r1, -1
     bne r1, r0, loop
     halt
@@ -118,8 +136,53 @@ def _fault_stream(execution: str, kernel: str) -> tuple[list[dict], CMPSystem]:
     return stream, system
 
 
+def _open_window_stream(
+    spec: str, replay: bool, kernel: str, level: str
+) -> tuple[list[dict], CMPSystem]:
+    """A two-pair compute run: each pair's window stays open until HALT."""
+    policy = dataclasses.replace(parse_policy(spec), replay=replay)
+    system = CMPSystem(
+        _config().replace(n_logical=2).with_protection(policy),
+        [assemble(COMPUTE)] * 2,
+        options=SimOptions(kernel=kernel, trace=level),
+    )
+    system.run_until_idle(max_cycles=500_000)
+    stream = [
+        event.to_dict()
+        for event in system.obs.log
+        if event.kind not in STRATEGY_KINDS
+    ]
+    return stream, system
+
+
 @pytest.mark.parametrize("kernel", ["naive", "event"])
 class TestReplayDualDifferential:
+    @pytest.mark.parametrize("level", ["events", "full"])
+    @pytest.mark.parametrize(
+        "spec", ["full", "interval-sampled:0.5", "dynamic:1,0,2"]
+    )
+    def test_open_window_streams_identical(self, kernel, level, spec):
+        """A mirrored mute emits its closes where dual's would, in order.
+
+        Two pairs, so the stream interleaves vocal 0, vocal 1, mute 0 and
+        mute 1 within a cycle exactly as the dual core loop does.
+        """
+        dual_stream, _ = _open_window_stream(spec, False, kernel, level)
+        replay_stream, replay_system = _open_window_stream(spec, True, kernel, level)
+        assert dual_stream == replay_stream
+        assert all(
+            pair.mirror_cycles > replay_system.now // 2
+            for pair in replay_system.pairs
+        )
+        if level == "full" or spec != "full":
+            # Closes are full-level diagnostics; skips are events-level.
+            closers = {
+                record["source"]
+                for record in replay_stream
+                if record["kind"] in ("fingerprint.close", "fingerprint.skip")
+            }
+            assert {"core2", "core3"} <= closers  # the mirrored mutes
+
     def test_fault_injected_streams_identical(self, kernel):
         dual_stream, dual_system = _fault_stream("dual", kernel)
         replay_stream, replay_system = _fault_stream("replay", kernel)
