@@ -463,8 +463,6 @@ def cmd_serve(args) -> int:
     argv += ["--workers", str(args.serve_workers)]
     if args.cache_root:
         argv += ["--cache-root", args.cache_root]
-    if args.backend:
-        argv += ["--backend", args.backend]
     if args.telemetry:
         argv += ["--telemetry"]
     if args.event_log:
@@ -505,11 +503,7 @@ def cmd_cache(args) -> int:
         maintenance_stores,
     )
 
-    try:
-        stores = maintenance_stores(root=args.root, backend=args.backend)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    stores = maintenance_stores(root=args.root)
     if args.store != "all":
         stores = [(label, cache) for label, cache in stores if label == args.store]
 
@@ -832,10 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache root to serve (default REPRO_CACHE_DIR or .repro-cache)",
     )
     serve_parser.add_argument(
-        "--backend", choices=["json", "sqlite"], default=None,
-        help="cache backend (default REPRO_CACHE_BACKEND or json)",
-    )
-    serve_parser.add_argument(
         "--telemetry", action="store_true",
         help="arm metrics-level telemetry on sample jobs; stream digests "
         "into the event feed",
@@ -877,10 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument(
         "--root", default=None,
         help="cache root (default REPRO_CACHE_DIR or .repro-cache)",
-    )
-    cache_parser.add_argument(
-        "--backend", choices=["json", "sqlite"], default=None,
-        help="cache backend (default REPRO_CACHE_BACKEND or json)",
     )
     cache_parser.add_argument(
         "--store", choices=["samples", "campaign", "all"], default="all",

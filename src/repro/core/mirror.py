@@ -216,7 +216,6 @@ _FLAT_COLUMNS = (
     "f_fill",
     "f_flags",
     "f_mask",
-    "f_ridx",
     "f_wo",
     "f_pp",
     "f_row",

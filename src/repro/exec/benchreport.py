@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import date
 
 from repro.sim.config import Mode
@@ -180,15 +180,14 @@ class RetireGateMicro:
 
 @dataclass
 class CacheBackendMicro:
-    """Put/get throughput of one result-cache storage backend.
+    """Put/get throughput of the sharded-JSON result store.
 
-    Both backends (sharded JSON, sqlite-WAL) store identical records
-    under identical keys; this micro measures the storage cost of that
-    equivalence on a throwaway store — ``puts_per_s`` covers the
+    Measured on a throwaway store: ``puts_per_s`` covers the
     write-through path (serialize + atomic publish), ``gets_per_s`` the
     hit path (read + schema gate + decode).  Floored against the
-    baseline like every other micro, so a backend can't quietly become
-    pathological (a lost WAL pragma, a fsync-per-record regression).
+    baseline like every other micro, so the store can't quietly become
+    pathological (a fsync-per-record regression, say).  ``backend`` is
+    always ``"json"``; it stays so older ``BENCH_*.json`` reports load.
     """
 
     backend: str
@@ -361,8 +360,8 @@ class BenchReport:
         if self.cache_micro:
             lines += [
                 "",
-                "cache-backend micro (result-store put/get, throwaway root):",
-                f"{'backend':<28}{'ops':>10}{'put/s':>12}{'get/s':>12}",
+                "cache micro (result-store put/get, throwaway root):",
+                f"{'store':<28}{'ops':>10}{'put/s':>12}{'get/s':>12}",
                 "-" * 62,
             ]
             for micro in self.cache_micro:
@@ -456,9 +455,9 @@ def run_exec_comparison(
     mirror window covers essentially the whole run), under ``full`` (the
     ``reunion`` row) and under the partial policies whose pairs mirror
     too; the memory-bound chase bounds the fast path's overhead where it
-    can barely engage.  Each row's dual side is its policy with
-    ``replay=False``.  Stats snapshots are diffed to enforce the
-    bit-identity contract.
+    can barely engage.  Each row runs its policy under
+    ``SimOptions(execution="dual")`` and ``execution="replay"``.  Stats
+    snapshots are diffed to enforce the bit-identity contract.
 
     Wall times are the minimum over ``repeats`` fresh systems per side
     (the same scheduler-noise defence as the telemetry comparison): the
@@ -485,22 +484,19 @@ def run_exec_comparison(
     for name, workload, spec in rows:
         programs = workload.programs(base.n_logical, seed)
         schedules = workload.itlb_schedules(base.n_logical, seed)
+        config = base.with_protection(parse_policy(spec))
         results = {}
-        for replay in (False, True):
-            config = base.with_protection(
-                replace(parse_policy(spec), replay=replay)
-            )
+        for execution in ("dual", "replay"):
+            options = SimOptions(kernel="event", execution=execution)
             wall = math.inf
             for _ in range(repeats):
-                system = CMPSystem(
-                    config, programs, schedules, options=SimOptions(kernel="event")
-                )
+                system = CMPSystem(config, programs, schedules, options=options)
                 start = time.perf_counter()
                 system.run(cycles)
                 wall = min(wall, time.perf_counter() - start)
-            results[replay] = (wall, dict(system.collect_stats().snapshot()))
-        dual_wall, dual_stats = results[False]
-        replay_wall, replay_stats = results[True]
+            results[execution] = (wall, dict(system.collect_stats().snapshot()))
+        dual_wall, dual_stats = results["dual"]
+        replay_wall, replay_stats = results["replay"]
         comparisons.append(
             ExecComparison(
                 name=f"{name}/{'reunion' if spec == 'full' else spec}",
@@ -756,19 +752,15 @@ def run_retire_gate_micro(
     return results
 
 
-def run_cache_backend_micro(records: int = 400) -> list[CacheBackendMicro]:
-    """Time put/get throughput of both cache storage backends.
+def run_cache_micro(records: int = 400) -> list[CacheBackendMicro]:
+    """Time put/get throughput of the result store.
 
-    Writes ``records`` distinct sample records through each backend on a
-    throwaway root, then reads them all back as hits.  The job set and
-    record contents are identical across backends, so the numbers
-    isolate storage cost: JSON pays a file create + atomic rename per
-    put, sqlite a WAL append — and the get sides pay a file open/parse
-    versus an indexed row lookup.
+    Writes ``records`` distinct sample records on a throwaway root, then
+    reads them all back as hits: each put pays a file create + atomic
+    rename, each get a file open + parse.
     """
     import tempfile
 
-    from repro.exec.backends import BACKEND_KINDS
     from repro.exec.cache import ResultCache
     from repro.exec.jobs import SampleJob
     from repro.sim.config import DEFAULT_CONFIG
@@ -792,33 +784,27 @@ def run_cache_backend_micro(records: int = 400) -> list[CacheBackendMicro]:
         sync_requests=3,
         serializing=1,
     )
-    results: list[CacheBackendMicro] = []
-    for kind in BACKEND_KINDS:
-        with tempfile.TemporaryDirectory(prefix=f"bench-cache-{kind}-") as root:
-            cache = ResultCache(root, backend=kind)
-            start = time.perf_counter()
-            for job in jobs:
-                cache.put(job, sample)
-            put_wall = time.perf_counter() - start
-            start = time.perf_counter()
-            for job in jobs:
-                value = cache.get(job)
-                assert value == sample  # a miss here would be a broken backend
-            get_wall = time.perf_counter() - start
-            close = getattr(cache.backend, "close", None)
-            if close is not None:
-                close()
-        results.append(
-            CacheBackendMicro(
-                backend=kind,
-                ops=records,
-                put_wall_s=put_wall,
-                get_wall_s=get_wall,
-                puts_per_s=records / put_wall if put_wall else 0.0,
-                gets_per_s=records / get_wall if get_wall else 0.0,
-            )
+    with tempfile.TemporaryDirectory(prefix="bench-cache-") as root:
+        cache = ResultCache(root)
+        start = time.perf_counter()
+        for job in jobs:
+            cache.put(job, sample)
+        put_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        for job in jobs:
+            value = cache.get(job)
+            assert value == sample  # a miss here would be a broken store
+        get_wall = time.perf_counter() - start
+    return [
+        CacheBackendMicro(
+            backend="json",
+            ops=records,
+            put_wall_s=put_wall,
+            get_wall_s=get_wall,
+            puts_per_s=records / put_wall if put_wall else 0.0,
+            gets_per_s=records / get_wall if get_wall else 0.0,
         )
-    return results
+    ]
 
 
 def run_bench(
@@ -938,8 +924,8 @@ def run_bench(
         report.micro = run_retire_gate_micro(
             cycles=6_000 if quick else 30_000
         )
-    with profiler.section("micro.cache_backend"):
-        report.cache_micro = run_cache_backend_micro(
+    with profiler.section("micro.cache"):
+        report.cache_micro = run_cache_micro(
             records=100 if quick else 400
         )
     report.profile = profiler.snapshot()

@@ -1,24 +1,17 @@
 """Persistent on-disk result store for completed samples.
 
-The cache layer owns *semantics*: records carry the schema version, the
-job's canonical payload (for debuggability — ``cat`` a JSON record or
-``SELECT`` a sqlite row to see exactly what produced it), and the encoded
-value; corrupt or wrong-schema records read as misses and are quietly
-discarded; writes are atomic with respect to concurrent readers and
-writers.  *Storage* is pluggable via :mod:`repro.exec.backends`:
-
-* ``json`` (default) — one file per record under
-  ``<root>/<key[:2]>/<key>.json`` (two-hex-digit shard directories keep
-  any one directory small at paper-scale campaigns), written atomically
-  (temp file + ``os.replace``).  Byte-identical to the historical
-  layout, so legacy caches stay valid.
-* ``sqlite`` — a single ``<root>/cache.sqlite`` in WAL mode, safe for
-  many concurrent client processes (the experiment-service regime).
+Records carry the schema version, the job's canonical payload (for
+debuggability — ``cat`` a record to see exactly what produced it), and
+the encoded value; corrupt or wrong-schema records read as misses and
+are quietly discarded.  Each record is one JSON file under
+``<root>/<key[:2]>/<key>.json`` (two-hex-digit shard directories keep
+any one directory small at paper-scale campaigns), written atomically
+(temp file + ``os.replace``): a reader in any process never observes a
+half-written record, and the last writer wins whole-record.
 
 Configuration via environment:
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``.repro-cache/``);
-* ``REPRO_CACHE_BACKEND`` — ``json`` or ``sqlite`` (default ``json``);
 * ``REPRO_NO_CACHE=1`` — disable persistence entirely
   (:func:`default_cache` returns a :class:`NullCache`).
 """
@@ -26,21 +19,36 @@ Configuration via environment:
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
+import tempfile
 import time
 from pathlib import Path
+from typing import Iterator
 
-from repro.exec.backends import (
-    CacheBackend,
-    CorruptRecord,
-    default_backend_kind,
-    make_backend,
-)
 from repro.exec.jobs import SCHEMA_VERSION
 from repro.sim.sampling import Sample
 
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: Subdirectory (relative to a store root) where ``verify`` parks
+#: undecodable records instead of silently deleting the evidence.
+QUARANTINE_DIR = "quarantine"
+
+
+class CorruptRecord(ValueError):
+    """A record exists but cannot be decoded as a JSON object."""
+
+
+@dataclasses.dataclass(frozen=True)
+class CacheEntry:
+    """One stored record, as the maintenance commands see it."""
+
+    key: str
+    size_bytes: int
+    mtime: float  # seconds since the epoch, write time
+    schema: int | None  # the record's stamped schema, None if unreadable
 
 
 def encode_sample(sample: Sample) -> dict:
@@ -53,7 +61,7 @@ def decode_sample(payload: dict) -> Sample:
 
 
 class ResultCache:
-    """Backend-backed result store shared across processes and sessions.
+    """Sharded-JSON result store shared across processes and sessions.
 
     The base class stores :class:`~repro.sim.sampling.Sample` records
     for :class:`~repro.exec.jobs.SampleJob` keys.  Other experiment
@@ -62,8 +70,7 @@ class ResultCache:
     hooks: ``schema`` (version gate), ``value_field`` (the record field
     holding the encoded value), and ``_encode``/``_decode``.  Keys come
     from the job (anything with ``.key`` and ``.payload()``), so
-    subclasses never touch pathing or I/O — and the storage layout is
-    the backend's business entirely (see :mod:`repro.exec.backends`).
+    subclasses never touch pathing or I/O.
     """
 
     #: Schema version stamped on / required of every record.
@@ -71,17 +78,8 @@ class ResultCache:
     #: Record field holding the encoded value.
     value_field: str = "sample"
 
-    def __init__(
-        self,
-        root: str | os.PathLike = DEFAULT_CACHE_DIR,
-        backend: str | CacheBackend | None = None,
-    ):
+    def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR):
         self.root = Path(root)
-        if backend is None:
-            backend = default_backend_kind()
-        if isinstance(backend, str):
-            backend = make_backend(backend, self.root)
-        self.backend: CacheBackend = backend
         self.hits = 0
         self.misses = 0
 
@@ -92,16 +90,12 @@ class ResultCache:
     def _decode(self, payload: dict):
         return decode_sample(payload)
 
-    # -- storage -----------------------------------------------------------
-    def path(self, job) -> Path:
-        """The record file for ``job`` (JSON backend only)."""
-        return self.backend.path(job.key)
-
+    # -- records -----------------------------------------------------------
     def get(self, job):
         """The cached value for ``job``, or None on miss/corruption."""
         key = job.key
         try:
-            record = self.backend.read(key)
+            record = self.read(key)
             if record is None:
                 self.misses += 1
                 return None
@@ -111,7 +105,7 @@ class ResultCache:
         except (CorruptRecord, ValueError, KeyError, TypeError, OSError):
             # Corrupt, truncated, or stale-schema record: drop it so the
             # fresh result can take its place.
-            self.backend.delete(key)
+            self.delete(key)
             self.misses += 1
             return None
         self.hits += 1
@@ -124,17 +118,100 @@ class ResultCache:
             "job": job.payload(),
             self.value_field: self._encode(value),
         }
-        self.backend.write(job.key, record)
+        self.write(job.key, record)
+
+    # -- storage: one JSON file per key ------------------------------------
+    def path(self, job) -> Path:
+        """The record file for ``job``."""
+        return self._file(job.key)
+
+    def _file(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.json"
+
+    def read(self, key: str) -> dict | None:
+        """The record under ``key``, or None if there is none.
+
+        Raises :class:`CorruptRecord` when the file exists but does not
+        decode to a JSON object.
+        """
+        try:
+            text = self._file(key).read_text()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise CorruptRecord(str(exc)) from exc
+        try:
+            record = json.loads(text)
+        except ValueError as exc:
+            raise CorruptRecord(str(exc)) from exc
+        if not isinstance(record, dict):
+            raise CorruptRecord(f"record for {key} is not a JSON object")
+        return record
+
+    def write(self, key: str, record: dict) -> None:
+        """Publish ``record`` under ``key``: temp file, then ``os.replace``.
+
+        The byte format is ``json.dump`` with ``sort_keys=True`` and no
+        indent, unchanged since the first cache, so old stores read back.
+        """
+        path = self._file(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(record, handle, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def delete(self, key: str) -> None:
+        self._file(key).unlink(missing_ok=True)
+
+    def entries(self) -> Iterator[CacheEntry]:
+        """Every stored record's key, size, write time and schema."""
+        if not self.root.is_dir():
+            return
+        for path in self.root.glob("??/*.json"):
+            try:
+                stat = path.stat()
+            except OSError:  # pragma: no cover - raced deletion
+                continue
+            schema: int | None = None
+            try:
+                record = json.loads(path.read_text())
+                if isinstance(record.get("schema"), int):
+                    schema = record["schema"]
+            except (ValueError, OSError):
+                schema = None
+            yield CacheEntry(
+                key=path.stem,
+                size_bytes=stat.st_size,
+                mtime=stat.st_mtime,
+                schema=schema,
+            )
+
+    def quarantine(self, key: str) -> Path:
+        """Move ``key``'s record file into the quarantine directory."""
+        target = self.root / QUARANTINE_DIR / f"{key}.json"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(self._file(key), target)
+        return target
 
     def __len__(self) -> int:
-        return len(self.backend)
+        if not self.root.is_dir():
+            return 0
+        return sum(1 for _ in self.root.glob("??/*.json"))
 
 
 class NullCache(ResultCache):
-    """A cache that remembers nothing — the ``REPRO_NO_CACHE=1`` backend."""
+    """A cache that remembers nothing — the ``REPRO_NO_CACHE=1`` store."""
 
     def __init__(self):
-        super().__init__(root=os.devnull, backend="json")
+        super().__init__(root=os.devnull)
 
     def get(self, job):
         self.misses += 1
@@ -158,7 +235,7 @@ class FreshWriteCache(ResultCache):
     """
 
     def __init__(self, inner: ResultCache):
-        super().__init__(root=inner.root, backend=inner.backend)
+        super().__init__(root=inner.root)
         self.inner = inner
 
     def get(self, job):
@@ -191,7 +268,6 @@ class CacheStats:
     """What ``repro cache stats`` reports for one store."""
 
     label: str
-    backend: str
     entries: int = 0
     total_bytes: int = 0
     by_schema: dict = dataclasses.field(default_factory=dict)  # schema -> count
@@ -200,7 +276,7 @@ class CacheStats:
 
     def render(self) -> str:
         lines = [
-            f"{self.label} ({self.backend})",
+            self.label,
             f"  entries : {self.entries}",
             f"  bytes   : {self.total_bytes:,}",
         ]
@@ -214,8 +290,8 @@ class CacheStats:
 
 def cache_stats(cache: ResultCache, label: str = "store") -> CacheStats:
     """Summarize one store: entry count, bytes, schema-version mix."""
-    stats = CacheStats(label=label, backend=cache.backend.kind)
-    for entry in cache.backend.entries():
+    stats = CacheStats(label=label)
+    for entry in cache.entries():
         stats.entries += 1
         stats.total_bytes += entry.size_bytes
         schema = entry.schema if entry.schema is not None else "unreadable"
@@ -239,9 +315,9 @@ def cache_gc(
     cutoff = (now if now is not None else time.time()) - older_than_s
     removed = 0
     removed_bytes = 0
-    for entry in list(cache.backend.entries()):
+    for entry in list(cache.entries()):
         if entry.mtime < cutoff:
-            cache.backend.delete(entry.key)
+            cache.delete(entry.key)
             removed += 1
             removed_bytes += entry.size_bytes
     return removed, removed_bytes
@@ -258,10 +334,10 @@ def cache_verify(cache: ResultCache) -> tuple[int, list[str]]:
     """
     ok = 0
     quarantined: list[str] = []
-    for entry in list(cache.backend.entries()):
+    for entry in list(cache.entries()):
         key = entry.key
         try:
-            record = cache.backend.read(key)
+            record = cache.read(key)
             if record is None:  # pragma: no cover - raced deletion
                 continue
             if record.get("schema") != cache.schema:
@@ -270,7 +346,7 @@ def cache_verify(cache: ResultCache) -> tuple[int, list[str]]:
                 )
             cache._decode(record[cache.value_field])
         except (CorruptRecord, ValueError, KeyError, TypeError):
-            cache.backend.quarantine(key)
+            cache.quarantine(key)
             quarantined.append(key)
         else:
             ok += 1
@@ -279,22 +355,17 @@ def cache_verify(cache: ResultCache) -> tuple[int, list[str]]:
 
 def maintenance_stores(
     root: str | os.PathLike | None = None,
-    backend: str | None = None,
 ) -> list[tuple[str, ResultCache]]:
     """The labeled stores ``repro cache`` operates on.
 
     The sample store at the cache root and the campaign checkpoint store
-    under ``<root>/campaign`` (when present, or when the sqlite backend
-    would place a database there).
+    under ``<root>/campaign``.
     """
     from repro.campaign.resume import OutcomeCache, campaign_root
 
     if root is None:
         root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    kind = backend if backend is not None else default_backend_kind()
-    stores: list[tuple[str, ResultCache]] = [
-        ("samples", ResultCache(root, backend=kind))
+    return [
+        ("samples", ResultCache(root)),
+        ("campaign", OutcomeCache(campaign_root(root))),
     ]
-    camp = campaign_root(root)
-    stores.append(("campaign", OutcomeCache(camp, backend=kind)))
-    return stores

@@ -45,18 +45,14 @@ def config_payload(value: Any) -> Any:
     Dataclasses become sorted field dicts, enums their values; anything
     else must already be a JSON scalar.  The rendering is what gets
     hashed, so it must be deterministic across processes and platforms.
-    A dataclass may name result-neutral fields in a ``_KEY_EXCLUDE``
-    class attribute (e.g. :class:`~repro.sim.config.ProtectionPolicy`'s
-    ``replay`` bit, which only picks the execution strategy for a
-    bit-identical pair of implementations) — those are left out of the
-    rendering so they never perturb cache keys.
+    Every field of the config tree is rendered: result-neutral knobs
+    (kernel, execution strategy, telemetry) live on
+    :class:`~repro.sim.options.SimOptions`, never on the config.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        excluded = getattr(value, "_KEY_EXCLUDE", ())
         return {
             f.name: config_payload(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.name not in excluded
         }
     if isinstance(value, enum.Enum):
         return value.value

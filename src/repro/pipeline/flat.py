@@ -106,10 +106,6 @@ class FlatView:
         return self._c.f_flags[self._s]
 
     @property
-    def replay_index(self):
-        return self._c.f_ridx[self._s]
-
-    @property
     def serializing(self) -> bool:
         return bool(self._c.f_flags[self._s] & F_SER)
 

@@ -150,14 +150,6 @@ class OoOCore:
         #: the replay fast path when it hooks a paired core).
         self.pair = None
 
-        # Committed-stream logging hook (see repro.core.replay): when a
-        # ReplayTrace is attached, the core logs its in-order check-stage
-        # value stream (squash-consistent).  Unused by the pair fast path
-        # since mirror windows became self-contained; kept as the
-        # recording substrate for decoupled replay-based checking
-        # (RepTFD, ROADMAP item 4).
-        self.replay_log = None  # ReplayTrace appended to at offer
-
         # Structure-of-arrays hot loop (REPRO_HOTLOOP=soa, the default).
         # ``use_soa_hotloop`` pre-decodes the program into flat tables
         # (repro.isa.decode) and rebinds ``step`` to ``_step_soa``; the
@@ -339,7 +331,6 @@ class OoOCore:
         self.f_fill = [None] * cap
         self.f_flags = [0] * cap  # decode F_* masks
         self.f_mask = [0] * cap  # packed booleans (repro.pipeline.flat M_*)
-        self.f_ridx = [None] * cap  # replay-log index
         self.f_wo = [-1] * cap  # wait_on: packed ref of the blocking store
         self.f_pp = [-1] * cap  # prev_producer: displaced rename packed ref
         self.f_row = [-1] * cap  # decode row (-1 for injected/cold fetches)
@@ -371,7 +362,6 @@ class OoOCore:
             self.f_fill,
             self.f_flags,
             self.f_mask,
-            self.f_ridx,
             self.f_wo,
             self.f_pp,
             self.f_deps,
@@ -458,7 +448,6 @@ class OoOCore:
             _,
             _,
             f_flags,
-            _,
             _,
             f_wo,
             _,
@@ -790,7 +779,6 @@ class OoOCore:
             f_fill,
             f_flags,
             f_mask,
-            f_ridx,
             f_wo,
             f_pp,
             f_deps,
@@ -857,7 +845,6 @@ class OoOCore:
             f_pred[slot] = fetched[4]
             f_ccyc[slot] = -1
             f_flags[slot] = f
-            f_ridx[slot] = None
             f_row[slot] = row
             if f & F_MEM:
                 f_addr[slot] = None
@@ -967,7 +954,6 @@ class OoOCore:
         self.f_fill[slot] = fetched[5]
         flags = flags_of(inst, self.sc_mode)
         self.f_flags[slot] = flags
-        self.f_ridx[slot] = None
         self.f_wo[slot] = -1
         self.f_pp[slot] = -1
         self.f_row[slot] = -1
@@ -1072,7 +1058,6 @@ class OoOCore:
             _,
             _,
             _,
-            _,
             f_deps,
         ) = self._f_cols
         smask = self._f_smask
@@ -1137,7 +1122,6 @@ class OoOCore:
         if f_state[unchecked[0]] != 2:
             return  # head of the unchecked region not done: nothing to offer
         offered = 0
-        log = self.replay_log
         f_mask = self.f_mask
         gate_offer = gate.offer_f
         while unchecked and offered < width:
@@ -1146,22 +1130,6 @@ class OoOCore:
                 break
             unchecked.popleft()
             f_state[slot] = 3  # DynState.IN_CHECK
-            if log is not None and not f_mask[slot] & M_INJECTED:
-                # Vocal: log the in-order value stream for the pair's
-                # window-exit interval reconstruction.  Offered entries
-                # can still be squashed (trap, interrupt, recovery);
-                # _flat_squash_to truncates the log.
-                self.f_ridx[slot] = len(log)
-                log.append(
-                    (
-                        self.f_pc[slot],
-                        self.f_res[slot],
-                        self.f_addr[slot],
-                        self.f_sval[slot],
-                        self.f_anext[slot],
-                        self.f_inst[slot],
-                    )
-                )
             gate_offer(self, slot, now)
             offered += 1
             if (
@@ -1317,23 +1285,14 @@ class OoOCore:
         sbits = self._f_sbits
         f_state = self.f_state
         f_flags = self.f_flags
-        f_ridx = self.f_ridx
         f_pp = self.f_pp
         unchecked = self._unchecked
         rename = self.rename
-        log = self.replay_log
         tracer = self.tracer
-        truncate = -1
         while rob and f_seq[rob[-1]] >= first_bad_seq:
             slot = rob.pop()
             self._f_tail = (slot - 1) & smask
             seq = f_seq[slot]
-            if log is not None:
-                ridx = f_ridx[slot]
-                if ridx is not None:
-                    # Vocal: un-log squashed speculative records; they are
-                    # re-logged (with identical content) after re-execution.
-                    truncate = ridx  # popped youngest-first
             if tracer is not None:
                 # Stamp the view by hand: the slot is about to be freed
                 # but the tracer keys its record by the victim's seq.
@@ -1360,8 +1319,6 @@ class OoOCore:
             # that never completed must drop its subscriber edges here.
             self.f_deps[slot].clear()
             f_seq[slot] = -1  # free
-        if truncate >= 0:
-            log.truncate_to(truncate)
         self._store_entries = deque(
             p for p in self._store_entries if f_seq[p & smask] == p >> sbits
         )
@@ -1724,7 +1681,6 @@ class OoOCore:
         if unchecked[0].state != completed:
             return  # head of the unchecked region not done: nothing to offer
         offered = 0
-        log = self.replay_log
         in_check = DynState.IN_CHECK
         while unchecked and offered < width:
             entry = unchecked[0]
@@ -1732,22 +1688,6 @@ class OoOCore:
                 break
             unchecked.popleft()
             entry.state = in_check
-            if log is not None and not entry.injected:
-                # Vocal: log the in-order value stream for the pair's
-                # window-exit interval reconstruction.  Offered entries
-                # can still be squashed (trap, interrupt, recovery);
-                # _squash_to truncates the log.
-                entry.replay_index = len(log)
-                log.append(
-                    (
-                        entry.pc,
-                        entry.result,
-                        entry.addr,
-                        entry.store_value,
-                        entry.actual_next,
-                        entry.inst,
-                    )
-                )
             gate.offer(entry, now)
             offered += 1
             if (
@@ -2325,16 +2265,9 @@ class OoOCore:
 
     def _squash_to(self, first_bad_seq: int) -> None:
         rob = self.rob
-        log = self.replay_log
-        truncate = -1
         while rob and rob[-1].seq >= first_bad_seq:
             victim = rob.pop()
             victim.squashed = True
-            if log is not None and victim.replay_index is not None:
-                # Vocal: un-log squashed speculative records; they are
-                # re-logged (with identical content) after re-execution.
-                truncate = victim.replay_index  # popped youngest-first
-
             if self.tracer is not None:
                 self.tracer.squash(victim)
             if victim.state == DynState.IN_CHECK:
@@ -2352,8 +2285,6 @@ class OoOCore:
                     self.rename[inst.rd] = previous
                 else:
                     del self.rename[inst.rd]
-        if truncate >= 0:
-            log.truncate_to(truncate)
         self._store_entries = deque(s for s in self._store_entries if not s.squashed)
         if self.sync_request is not None and self.sync_request.squashed:
             self.sync_request = None
@@ -2393,7 +2324,6 @@ class OoOCore:
         self.sync_request = None
         self.single_step = False
         self._interrupts.clear()
-        self.replay_log = None
         self.program = program
         if self._soa:
             self._bind_decode()

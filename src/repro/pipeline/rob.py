@@ -48,7 +48,6 @@ class DynInstr:
         "consumed",
         "faulted",
         "flags",
-        "replay_index",
         "wait_on",
         "prev_producer",
     )
@@ -78,7 +77,6 @@ class DynInstr:
         self.consumed = False  # some younger instruction read this result
         self.faulted = False  # carries an injected upset (see core/faults.py)
         self.flags = 0  # F_* decode mask (SoA hot loop; see isa/decode.py)
-        self.replay_index: int | None = None  # committed-stream index
         #: A load's memoized disambiguation blocker: the youngest older
         #: store whose address was unresolved at the last issue attempt.
         #: While it stays unresolved (and unsquashed) a rescan of the

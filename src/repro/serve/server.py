@@ -134,7 +134,6 @@ class ServeDaemon:
     def __init__(
         self,
         cache_root: str | os.PathLike | None = None,
-        backend: str | None = None,
         workers: int = DEFAULT_WORKERS,
         telemetry: bool = False,
         event_log: str | os.PathLike | None = None,
@@ -148,8 +147,8 @@ class ServeDaemon:
         self.workers = max(1, workers)
         self.telemetry = telemetry
         self.persist = cache_enabled()
-        self.sample_cache = ResultCache(root, backend=backend)
-        self.outcome_cache = OutcomeCache(campaign_root(root), backend=backend)
+        self.sample_cache = ResultCache(root)
+        self.outcome_cache = OutcomeCache(campaign_root(root))
         self.jobs: dict[str, JobRecord] = {}
         self.goldens: dict[str, dict] = {}  # key -> golden wire payload
         self.sweeps: dict[str, SweepRecord] = {}
@@ -408,7 +407,6 @@ class ServeDaemon:
             "jobs": len(self.jobs),
             "sweeps": len(self.sweeps),
             "telemetry": self.telemetry,
-            "backend": self.sample_cache.backend.kind,
         }
 
     # -- HTTP --------------------------------------------------------------
@@ -543,7 +541,7 @@ class ServeDaemon:
         self.address = address
         self.emit(
             "daemon.start", address=address, workers=self.workers,
-            backend=self.sample_cache.backend.kind, pid=os.getpid(),
+            pid=os.getpid(),
         )
         try:
             async with server:
@@ -583,10 +581,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="cache root to serve from (default REPRO_CACHE_DIR or .repro-cache)",
     )
     parser.add_argument(
-        "--backend", choices=["json", "sqlite"], default=None,
-        help="cache backend (default REPRO_CACHE_BACKEND or json)",
-    )
-    parser.add_argument(
         "--telemetry", action="store_true",
         help="arm metrics-level tracing on sample jobs and stream "
         "per-job telemetry digests into the event feed",
@@ -599,7 +593,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     daemon = ServeDaemon(
         cache_root=args.cache_root,
-        backend=args.backend,
         workers=args.workers,
         telemetry=args.telemetry,
         event_log=args.event_log,
@@ -610,7 +603,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         socket_path = args.socket or str(default_socket_path(daemon.cache_root))
     where = socket_path or f"{args.host or '127.0.0.1'}:{args.port or 0}"
     print(f"repro serve: listening on {where} "
-          f"({daemon.workers} workers, {daemon.sample_cache.backend.kind} backend)",
+          f"({daemon.workers} workers)",
           file=sys.stderr, flush=True)
     asyncio.run(daemon.serve(socket_path=socket_path, host=args.host, port=args.port))
     print("repro serve: drained, exiting", file=sys.stderr)

@@ -12,10 +12,10 @@ Reconstruction is a generic typed decoder over the config dataclasses:
 :func:`~repro.exec.jobs.config_payload` renders dataclasses as sorted
 field dicts and enums as their values; :func:`decode_dataclass` inverts
 that using the dataclass type hints (nested dataclasses, enums,
-``tuple[X, ...]``, ``Optional``).  Fields a dataclass excludes from its
-payload via ``_KEY_EXCLUDE`` (result-neutral by contract, e.g.
-``ProtectionPolicy.replay``) decode to their defaults — result-neutral
-means the default is as good as whatever the submitter had.
+``tuple[X, ...]``, ``Optional``).  The payload renders every config
+field, so a decoded config equals the submitted one; result-neutral
+knobs live on :class:`~repro.sim.options.SimOptions`, which is not part
+of the payload.
 
 Results travel as the same encodings the cache stores (``Sample`` /
 ``Outcome`` field dicts), so a daemon-served sweep renders
@@ -89,8 +89,8 @@ def decode_value(annotation: Any, value: Any) -> Any:
 def decode_dataclass(cls: type, payload: Any) -> Any:
     """Invert :func:`~repro.exec.jobs.config_payload` for ``cls``.
 
-    Missing fields fall back to their declared defaults — which is what
-    ``_KEY_EXCLUDE``'d (result-neutral) fields rely on.
+    Missing fields fall back to their declared defaults, so a payload
+    written before a field was added still decodes.
     """
     if not isinstance(payload, dict):
         raise WireError(f"expected a field dict for {cls.__name__}, got {payload!r}")

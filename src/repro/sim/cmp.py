@@ -18,7 +18,6 @@ The paper assumes on-chip cache bandwidth scales with the core count
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Callable, Sequence
 
 from repro.core.pair import LogicalPair
@@ -46,24 +45,6 @@ from repro.sim.stats import Stats
 #: pair (which share the schedule) trigger at identical program points.
 ITLBSchedule = Callable[[int], bool]
 
-#: One-shot latch for the legacy-kwargs deprecation warning, so a test
-#: sweep constructing hundreds of systems warns exactly once per process.
-_LEGACY_KWARGS_WARNED = False
-
-
-def _warn_legacy_kwargs() -> None:
-    global _LEGACY_KWARGS_WARNED
-    if _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED = True
-    warnings.warn(
-        "CMPSystem(kernel=..., execution=...) is deprecated; pass "
-        "CMPSystem(options=SimOptions(kernel=..., execution=...)) instead "
-        "(SimOptions.from_env() resolves REPRO_KERNEL/REPRO_EXEC/REPRO_TRACE)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class CMPSystem:
     """One simulated CMP running one program per logical processor."""
@@ -73,22 +54,10 @@ class CMPSystem:
         config: SystemConfig,
         programs: Sequence[Program],
         itlb_schedules: Sequence[ITLBSchedule | None] | None = None,
-        kernel: str | None = None,
-        execution: str | None = None,
         options: SimOptions | None = None,
     ) -> None:
         if options is None:
-            # Legacy construction path: per-knob kwargs with env
-            # fallbacks.  SimOptions.from_env is the single resolver —
-            # explicit kwargs override REPRO_KERNEL/REPRO_EXEC exactly
-            # as they always did.
-            if kernel is not None or execution is not None:
-                _warn_legacy_kwargs()
-            options = SimOptions.from_env(kernel=kernel, execution=execution)
-        elif kernel is not None or execution is not None:
-            raise ValueError(
-                "pass kernel/execution inside SimOptions, not alongside options="
-            )
+            options = SimOptions.from_env()
         #: The resolved run options (see :class:`repro.sim.options.SimOptions`).
         self.options = options
         #: Simulation kernel: ``"event"`` skips cycles in which no
@@ -96,14 +65,6 @@ class CMPSystem:
         #: conservative next_event() contract); ``"naive"`` steps every
         #: cycle.
         self.kernel = options.kernel
-        #: Execution mode for Reunion pairs: ``"replay"`` opens a mirror
-        #: window from reset — the mute is a provably identical copy of
-        #: the vocal until the first asymmetry trigger, at which point its
-        #: state is materialized and the pair falls back to dual execution
-        #: permanently (see repro.core.mirror); ``"dual"`` always
-        #: re-executes everything on the mute.
-        self.execution = options.execution
-        execution = options.execution
         if len(programs) != config.n_logical:
             raise ValueError(
                 f"need {config.n_logical} programs, got {len(programs)}"
@@ -151,14 +112,9 @@ class CMPSystem:
         self.vocal_cores: list[OoOCore] = []
 
         #: Effective per-pair protection policies (REUNION only; empty
-        #: otherwise).  One resolution point: explicit
-        #: ``config.pair_policies`` win, else every pair is ``full`` with
-        #: the replay bit taken from ``options.execution`` — the unified
-        #: API behind the legacy ``execution=``/``REPRO_EXEC`` knobs.
+        #: otherwise): explicit ``config.pair_policies``, else ``full``.
         self.pair_policies = (
-            resolve_pair_policies(config, execution)
-            if mode is Mode.REUNION
-            else ()
+            resolve_pair_policies(config) if mode is Mode.REUNION else ()
         )
 
         n = config.n_logical
@@ -251,19 +207,23 @@ class CMPSystem:
                     paired_core.gate.obs = self.obs
                     paired_core.gate.obs_source = f"core{paired_core.core_id}"
 
-        if mode is Mode.REUNION:
-            # A mirror window covers only the symmetric prefix before the
+        if options.execution == "replay":
+            # Replay opens a mirror window from reset: the mute is a
+            # provably identical copy of the vocal until the first
+            # asymmetry trigger, when its state is materialized and the
+            # pair falls back to dual execution for good (see
+            # repro.core.mirror); "dual" re-executes everything on the
+            # mute.  A window covers only the symmetric prefix before the
             # pair's first memory access: in-window the pair touches no
             # shared structure at all, so skipping the mute is invisible
             # to every other pair under any coherence backend.  Arming is
             # therefore safe per-pair even on MANYCORE systems; each pair
             # falls back to dual execution at its own first trigger.
-            # Every pair with the replay bit set arms, unless its mute is
-            # not the vocal's automaton (little-mute) or is parked
-            # (unprotected); enable_replay checks.
+            # Every pair arms, unless its mute is not the vocal's
+            # automaton (little-mute) or is parked (unprotected);
+            # enable_replay checks.
             for pair in self.pairs:
-                if pair.policy.replay:
-                    pair.enable_replay()
+                pair.enable_replay()
 
     # -- simulation loop ----------------------------------------------------
     def step(self) -> None:

@@ -17,7 +17,6 @@ import dataclasses
 import enum
 import os
 from dataclasses import dataclass
-from typing import ClassVar
 
 
 def _require_power_of_two(value: int, what: str) -> None:
@@ -285,15 +284,13 @@ class ProtectionPolicy:
       ``off_intervals`` intervals go unchecked; checking resumes once
       the backlog drains to ``on_threshold``.
 
-    Every field except ``replay`` is *result-affecting* and lives in the
-    hashed config (:func:`repro.exec.jobs.config_payload`).  ``replay``
-    only selects the execution strategy — replay is bit-identical to
-    dual by contract — so it is excluded from cache keys via
-    ``_KEY_EXCLUDE``.  It arms the mirror fast path on every pair whose
-    mute is the same automaton as its vocal: ``full``,
-    ``interval-sampled`` and ``dynamic``.  A ``little-mute`` pair (a
-    narrower mute) and an ``unprotected`` one (a parked mute) run
-    without it.
+    Every field is *result-affecting* and lives in the hashed config
+    (:func:`repro.exec.jobs.config_payload`).  How a pair is executed is
+    not: ``SimOptions.execution="replay"`` arms the mirror fast path on
+    every pair whose mute is the same automaton as its vocal (``full``,
+    ``interval-sampled`` and ``dynamic``), bit-identical to ``"dual"``
+    by contract.  A ``little-mute`` pair (a narrower mute) and an
+    ``unprotected`` one (a parked mute) run without it.
     """
 
     mode: str = "full"
@@ -302,10 +299,6 @@ class ProtectionPolicy:
     off_threshold: int | None = None  # dynamic: backlog that disables checking
     on_threshold: int | None = None  # dynamic: backlog that re-enables it
     off_intervals: int | None = None  # dynamic: intervals per off-window
-    replay: bool = True  # mirror fast path (result-neutral)
-
-    #: Result-neutral fields, excluded from content-hash cache keys.
-    _KEY_EXCLUDE: ClassVar[tuple[str, ...]] = ("replay",)
 
     def __post_init__(self) -> None:
         if self.mode not in PROTECTION_MODES:
@@ -361,8 +354,8 @@ class ProtectionPolicy:
     # -- factories ---------------------------------------------------
 
     @classmethod
-    def full(cls, replay: bool = True) -> "ProtectionPolicy":
-        return cls(mode="full", replay=replay)
+    def full(cls) -> "ProtectionPolicy":
+        return cls(mode="full")
 
     @classmethod
     def little_mute(cls, mute_width: int = 2) -> "ProtectionPolicy":
@@ -563,20 +556,14 @@ def apply_env_coherence(
     )
 
 
-def resolve_pair_policies(
-    config: SystemConfig, execution: str = "dual"
-) -> tuple[ProtectionPolicy, ...]:
+def resolve_pair_policies(config: SystemConfig) -> tuple[ProtectionPolicy, ...]:
     """The effective per-pair policies of ``config``.
 
-    Explicit ``pair_policies`` win; otherwise every pair is ``full``
-    with the replay bit mirroring the requested execution strategy
-    (``execution="replay"`` ≡ ``ProtectionPolicy.full(replay=True)``,
-    the legacy-knob equivalence the API redesign pivots on).
+    Explicit ``pair_policies`` win; otherwise every pair is ``full``.
     """
     if config.pair_policies is not None:
         return config.pair_policies
-    default = ProtectionPolicy(mode="full", replay=(execution == "replay"))
-    return (default,) * config.n_logical
+    return (ProtectionPolicy.full(),) * config.n_logical
 
 
 def partial_protection_modes(config: SystemConfig) -> tuple[str, ...]:

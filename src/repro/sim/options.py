@@ -1,20 +1,24 @@
 """SimOptions: the one place simulation-run knobs are resolved.
 
-Historically every knob arrived by a different route: ``kernel`` and
-``execution`` were :class:`~repro.sim.cmp.CMPSystem` keyword arguments
-with ``REPRO_KERNEL`` / ``REPRO_EXEC`` fallbacks read inside the
-constructor, the run-length bound was a ``run_until_idle`` parameter,
-and there was no telemetry switch at all.  :class:`SimOptions` collects
-them into one frozen object with a single environment resolver,
-:meth:`SimOptions.from_env`, so CLI commands, the experiment harness and
-tests all agree on what a "default" run is.
+Every knob that picks how a run is simulated lives on one frozen
+object with a single environment resolver, :meth:`SimOptions.from_env`,
+so CLI commands, the experiment harness and tests all agree on what a
+"default" run is.  :class:`~repro.sim.cmp.CMPSystem` takes one
+``options=`` argument and resolves ``SimOptions.from_env()`` when it is
+omitted; it has no per-knob keyword arguments.
 
 Field semantics:
 
-* ``kernel`` / ``execution`` select *how* the simulation is computed,
-  never *what* it computes — both carry a bit-identity contract (see
-  docs/ARCHITECTURE.md, "Simulation kernel" and "Execution modes")
-  enforced by differential tests and every ``repro bench`` run.
+* ``kernel`` / ``execution`` / ``hotloop`` select *how* the simulation
+  is computed, never *what* it computes — each carries a bit-identity
+  contract (see docs/ARCHITECTURE.md, "Simulation kernel" and
+  "Execution modes") enforced by differential tests and every
+  ``repro bench`` run.
+* ``execution`` is the replay bit: ``replay`` arms a mirror window on
+  every Reunion pair whose mute is the same automaton as its vocal,
+  ``dual`` steps every mute.  Which protection policy a pair runs is
+  result-affecting, so it lives on the hashed
+  :attr:`~repro.sim.config.SystemConfig.pair_policies`, never here.
 * ``trace`` arms the :mod:`repro.obs` telemetry subsystem.  Telemetry
   observes and never mutates, so it is likewise contracted to leave
   results bit-identical (enforced by ``tests/sim/test_telemetry.py`` and
@@ -43,8 +47,6 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-from repro.sim.config import ProtectionPolicy
 
 #: Telemetry levels, weakest to strongest.  Each level includes the
 #: previous one:
@@ -81,15 +83,6 @@ class SimOptions:
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
     seed: int = 0  # workload seed (CLI convenience)
-    #: How fully-protected pairs are *executed* (replay fast path vs
-    #: plain dual stepping).  ``None`` derives it from ``execution``,
-    #: so after construction it is never ``None``.  Only ``full`` is
-    #: legal here: partial/heterogeneous policies change results and
-    #: therefore live on the hashed
-    #: :attr:`~repro.sim.config.SystemConfig.pair_policies`, not on
-    #: options.  When set, ``protection`` wins over ``execution``
-    #: (``ProtectionPolicy.full(replay=True)`` ≡ ``execution="replay"``).
-    protection: ProtectionPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.kernel not in _KERNELS:
@@ -99,27 +92,6 @@ class SimOptions:
         if self.execution not in _EXECUTIONS:
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; use 'replay' or 'dual'"
-            )
-        if self.protection is not None:
-            if self.protection.mode != "full":
-                raise ValueError(
-                    f"SimOptions.protection must be a 'full' policy, got "
-                    f"{self.protection.mode!r}: partial and heterogeneous "
-                    "policies are result-affecting and belong on "
-                    "SystemConfig.pair_policies (the hashed config)"
-                )
-            object.__setattr__(
-                self,
-                "execution",
-                "replay" if self.protection.replay else "dual",
-            )
-        else:
-            object.__setattr__(
-                self,
-                "protection",
-                ProtectionPolicy(
-                    mode="full", replay=(self.execution == "replay")
-                ),
             )
         if self.hotloop not in _HOTLOOPS:
             raise ValueError(
@@ -184,9 +156,7 @@ def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
     contracts: a sample is the same sample however it was computed, so a
     cache populated under ``REPRO_EXEC=dual`` serves ``replay`` runs,
     one populated under ``REPRO_HOTLOOP=object`` serves ``soa`` runs,
-    and vice versa.  ``protection`` is constrained to ``full``-mode
-    policies exactly so it stays inside that contract (its only degree
-    of freedom is the replay bit); the result-affecting policy axis is
+    and vice versa.  The result-affecting policy axis is
     :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is
     hashed via :func:`~repro.exec.jobs.config_payload`.
     ``max_cycles`` and ``seed`` are not consumed by

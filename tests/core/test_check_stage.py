@@ -1,7 +1,5 @@
 """Unit tests for the check gate and strict oracle gate."""
 
-import dataclasses
-
 import pytest
 
 from repro.core import check_stage
@@ -169,8 +167,10 @@ def _long_run(policy: str, fault_interval: int = 0) -> tuple[dict, int, int]:
     """
     config = SMALL.with_redundancy(
         mode=Mode.REUNION, fingerprint_interval=1
-    ).with_protection(dataclasses.replace(parse_policy(policy), replay=False))
-    system = CMPSystem(config, ComputeKernel().programs(1), options=SimOptions())
+    ).with_protection(parse_policy(policy))
+    system = CMPSystem(
+        config, ComputeKernel().programs(1), options=SimOptions(execution="dual")
+    )
     if fault_interval:
         FaultInjector(interval=fault_interval, seed=5).attach(system.cores[1])
     peak = 0

@@ -77,7 +77,7 @@ class TestFullPolicyBitIdentity:
         bare_cycles = bare.run_until_idle()
         explicit = _build(
             [LOOPY],
-            policy=ProtectionPolicy.full(replay=(execution == "replay")),
+            policy=ProtectionPolicy.full(),
             execution=execution,
         )
         explicit_cycles = explicit.run_until_idle()

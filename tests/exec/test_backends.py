@@ -1,30 +1,17 @@
-"""Cache storage backends: interchangeability, atomicity, maintenance.
+"""Result-store storage: atomicity, maintenance, on-disk layout.
 
-Every semantic test runs parameterized over both backends — the
-acceptance bar is that ``json`` and ``sqlite`` are drop-in replacements
-for one another: same keys, same hit behavior, same corruption and
-maintenance semantics.  The concurrency tests race real processes, since
-atomic-publish claims only mean anything across process boundaries.
+The concurrency tests race real processes, since atomic-publish claims
+only mean anything across process boundaries.
 """
 
 import dataclasses
 import json
 import multiprocessing
 import os
-import sqlite3
 import time
 
-import pytest
-
-from repro.exec.backends import (
-    BACKEND_KINDS,
-    QUARANTINE_DIR,
-    JsonShardBackend,
-    SqliteBackend,
-    default_backend_kind,
-    make_backend,
-)
 from repro.exec.cache import (
+    QUARANTINE_DIR,
     ResultCache,
     cache_gc,
     cache_stats,
@@ -61,96 +48,46 @@ JOB = _job()
 SAMPLE = _sample()
 
 
-@pytest.fixture(params=BACKEND_KINDS)
-def backend_kind(request):
-    return request.param
-
-
-class TestSelection:
-    def test_default_is_json(self):
-        assert default_backend_kind({}) == "json"
-
-    def test_env_selects(self):
-        assert default_backend_kind({"REPRO_CACHE_BACKEND": "sqlite"}) == "sqlite"
-        assert default_backend_kind({"REPRO_CACHE_BACKEND": " JSON "}) == "json"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="REPRO_CACHE_BACKEND"):
-            default_backend_kind({"REPRO_CACHE_BACKEND": "mongodb"})
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            make_backend("mongodb", "/tmp/x")
-
-    def test_cache_resolves_backend_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        cache = ResultCache(tmp_path)
-        assert isinstance(cache.backend, SqliteBackend)
-        monkeypatch.delenv("REPRO_CACHE_BACKEND")
-        assert isinstance(ResultCache(tmp_path).backend, JsonShardBackend)
-
-
 class TestSemantics:
-    """Identical observable behavior on both backends."""
-
-    def test_round_trip(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
         assert cache.get(JOB) is None
         cache.put(JOB, SAMPLE)
         assert cache.get(JOB) == SAMPLE
         assert len(cache) == 1
 
-    def test_survives_across_instances(self, tmp_path, backend_kind):
-        ResultCache(tmp_path, backend=backend_kind).put(JOB, SAMPLE)
-        assert ResultCache(tmp_path, backend=backend_kind).get(JOB) == SAMPLE
+    def test_survives_across_instances(self, tmp_path):
+        ResultCache(tmp_path).put(JOB, SAMPLE)
+        assert ResultCache(tmp_path).get(JOB) == SAMPLE
 
-    def test_same_keys_both_backends(self, tmp_path):
-        """The record content is backend-independent — only storage differs."""
-        json_cache = ResultCache(tmp_path / "a", backend="json")
-        sqlite_cache = ResultCache(tmp_path / "b", backend="sqlite")
-        json_cache.put(JOB, SAMPLE)
-        sqlite_cache.put(JOB, SAMPLE)
-        assert list(json_cache.backend.keys()) == list(sqlite_cache.backend.keys())
-        assert json_cache.backend.read(JOB.key) == sqlite_cache.backend.read(JOB.key)
-
-    def test_overwrite_last_writer_wins(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_overwrite_last_writer_wins(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put(JOB, _sample(0))
         cache.put(JOB, _sample(7))
         assert cache.get(JOB) == _sample(7)
         assert len(cache) == 1
 
-    def test_wrong_schema_is_a_miss_and_removed(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_wrong_schema_is_a_miss_and_removed(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put(JOB, SAMPLE)
-        record = cache.backend.read(JOB.key)
+        record = cache.read(JOB.key)
         record["schema"] = -1
-        cache.backend.write(JOB.key, record)
+        cache.write(JOB.key, record)
         assert cache.get(JOB) is None
-        assert cache.backend.read(JOB.key) is None  # dropped
+        assert cache.read(JOB.key) is None  # dropped
 
-    def test_corrupt_bytes_are_a_miss(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_corrupt_bytes_are_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put(JOB, SAMPLE)
-        _corrupt(cache, JOB.key)
+        cache.path(JOB).write_text("{ not json")
         assert cache.get(JOB) is None
         cache.put(JOB, SAMPLE)
         assert cache.get(JOB) == SAMPLE
 
 
-def _corrupt(cache: ResultCache, key: str) -> None:
-    """Damage the stored bytes for ``key`` below the backend API."""
-    backend = cache.backend
-    if isinstance(backend, JsonShardBackend):
-        backend.path(key).write_text("{ not json")
-    else:
-        with sqlite3.connect(backend.db_path) as conn:
-            conn.execute(
-                "UPDATE records SET record = '{ not json' WHERE key = ?", (key,)
-            )
-
-
 class TestMaintenance:
-    def test_stats(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_stats(self, tmp_path):
+        cache = ResultCache(tmp_path)
         for seed in range(3):
             cache.put(_job(seed), SAMPLE)
         stats = cache_stats(cache, "samples")
@@ -159,8 +96,8 @@ class TestMaintenance:
         assert stats.by_schema == {cache.schema: 3}
         assert "entries : 3" in stats.render()
 
-    def test_gc_by_age(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_gc_by_age(self, tmp_path):
+        cache = ResultCache(tmp_path)
         for seed in range(4):
             cache.put(_job(seed), SAMPLE)
         # Nothing is old enough yet.
@@ -173,36 +110,34 @@ class TestMaintenance:
         assert removed == 4 and removed_bytes > 0
         assert len(cache) == 0
 
-    def test_verify_quarantines_corrupt_records(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_verify_quarantines_corrupt_records(self, tmp_path):
+        cache = ResultCache(tmp_path)
         good = [_job(seed) for seed in range(3)]
         for job in good:
             cache.put(job, SAMPLE)
-        _corrupt(cache, good[0].key)
+        cache.path(good[0]).write_text("{ not json")
         ok, quarantined = cache_verify(cache)
         assert ok == 2
         assert quarantined == [good[0].key]
         # The corrupt record moved out of the store, raw bytes preserved.
-        assert cache.backend.read(good[0].key) is None
+        assert cache.read(good[0].key) is None
         parked = cache.root / QUARANTINE_DIR / f"{good[0].key}.json"
         assert parked.exists()
         assert b"not json" in parked.read_bytes()
         # Survivors still decode.
         assert cache.get(good[1]) == SAMPLE
 
-    def test_verify_quarantines_undecodable_values(self, tmp_path, backend_kind):
-        cache = ResultCache(tmp_path, backend=backend_kind)
+    def test_verify_quarantines_undecodable_values(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put(JOB, SAMPLE)
-        record = cache.backend.read(JOB.key)
+        record = cache.read(JOB.key)
         del record["sample"]["cycles"]
-        cache.backend.write(JOB.key, record)
+        cache.write(JOB.key, record)
         ok, quarantined = cache_verify(cache)
         assert ok == 0 and quarantined == [JOB.key]
 
-    def test_maintenance_stores_cover_samples_and_campaign(
-        self, tmp_path, backend_kind
-    ):
-        stores = maintenance_stores(root=tmp_path, backend=backend_kind)
+    def test_maintenance_stores_cover_samples_and_campaign(self, tmp_path):
+        stores = maintenance_stores(root=tmp_path)
         labels = [label for label, _ in stores]
         assert labels == ["samples", "campaign"]
         assert stores[1][1].root == tmp_path / "campaign"
@@ -211,8 +146,8 @@ class TestMaintenance:
 # -- concurrent multi-process writers ---------------------------------------
 
 
-def _writer(root, kind, seed, value_tag, barrier, results):
-    cache = ResultCache(root, backend=kind)
+def _writer(root, seed, value_tag, barrier, results):
+    cache = ResultCache(root)
     job = _job(seed)
     barrier.wait()  # maximal overlap: both writers release together
     for n in range(20):
@@ -231,14 +166,13 @@ class TestConcurrentWriters:
     holds exactly the expected record set.
     """
 
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    def test_same_key_race(self, tmp_path, kind):
+    def test_same_key_race(self, tmp_path):
         context = multiprocessing.get_context("fork")
         barrier = context.Barrier(2)
         results = context.Queue()
         workers = [
             context.Process(
-                target=_writer, args=(tmp_path, kind, 0, tag, barrier, results)
+                target=_writer, args=(tmp_path, 0, tag, barrier, results)
             )
             for tag in (0, 1000)
         ]
@@ -247,21 +181,20 @@ class TestConcurrentWriters:
         for worker in workers:
             worker.join(timeout=60)
             assert worker.exitcode == 0
-        cache = ResultCache(tmp_path, backend=kind)
+        cache = ResultCache(tmp_path)
         # Last writer won whole-record: the surviving value is one of the
         # two final writes, not an interleaving.
         final = cache.get(_job(0))
         assert final in (_sample(19), _sample(1019))
         assert len(cache) == 1
 
-    @pytest.mark.parametrize("kind", BACKEND_KINDS)
-    def test_distinct_keys_race(self, tmp_path, kind):
+    def test_distinct_keys_race(self, tmp_path):
         context = multiprocessing.get_context("fork")
         barrier = context.Barrier(2)
         results = context.Queue()
         workers = [
             context.Process(
-                target=_writer, args=(tmp_path, kind, seed, 0, barrier, results)
+                target=_writer, args=(tmp_path, seed, 0, barrier, results)
             )
             for seed in (1, 2)
         ]
@@ -270,47 +203,17 @@ class TestConcurrentWriters:
         for worker in workers:
             worker.join(timeout=60)
             assert worker.exitcode == 0
-        cache = ResultCache(tmp_path, backend=kind)
+        cache = ResultCache(tmp_path)
         assert len(cache) == 2
         assert cache.get(_job(1)) == _sample(19)
         assert cache.get(_job(2)) == _sample(19)
 
 
-class TestSqliteSpecifics:
-    def test_wal_mode(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
-        cache.put(JOB, SAMPLE)
-        (mode,) = cache.backend._connection().execute(
-            "PRAGMA journal_mode"
-        ).fetchone()
-        assert mode == "wal"
-
-    def test_single_file_store(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
-        for seed in range(5):
-            cache.put(_job(seed), SAMPLE)
-        files = [p.name for p in tmp_path.iterdir() if p.name.startswith("cache.sqlite")]
-        assert "cache.sqlite" in files
-        assert not list(tmp_path.glob("??/*.json"))
-
-    def test_record_is_debuggable_json(self, tmp_path):
-        """SELECTing a row yields the same record dict a JSON shard holds."""
-        cache = ResultCache(tmp_path, backend="sqlite")
-        cache.put(JOB, SAMPLE)
-        with sqlite3.connect(cache.backend.db_path) as conn:
-            (text,) = conn.execute(
-                "SELECT record FROM records WHERE key = ?", (JOB.key,)
-            ).fetchone()
-        record = json.loads(text)
-        assert record["job"]["workload"] == "ocean"
-        assert record["sample"] == dataclasses.asdict(SAMPLE)
-
-
 class TestLegacyLayoutUnchanged:
-    """The JSON backend must keep reading (and writing) the historic bytes."""
+    """The store must keep reading (and writing) the historic bytes."""
 
     def test_json_path_layout(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="json")
+        cache = ResultCache(tmp_path)
         cache.put(JOB, SAMPLE)
         expected = tmp_path / JOB.key[:2] / f"{JOB.key}.json"
         assert expected.exists()
@@ -332,4 +235,4 @@ class TestLegacyLayoutUnchanged:
         path = tmp_path / JOB.key[:2] / f"{JOB.key}.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(record, sort_keys=True))
-        assert ResultCache(tmp_path, backend="json").get(JOB) == SAMPLE
+        assert ResultCache(tmp_path).get(JOB) == SAMPLE

@@ -159,7 +159,6 @@ class TestEndToEnd:
         health = client.health()
         assert health["status"] == "ok"
         assert health["workers"] == 2
-        assert health["backend"] == "json"
         with pytest.raises(RuntimeError, match="unknown sweep"):
             client.sweep("no-such-sweep")
         with pytest.raises(RuntimeError, match="no route"):

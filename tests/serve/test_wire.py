@@ -3,8 +3,9 @@
 The service's dedup hinges on one invariant: a job reconstructed from
 its wire rendering recomputes the submitter's content-hash key exactly.
 These tests pin that for every job kind, across the awkward corners of
-the config space (enums, nested dataclasses, ``pair_policies`` tuples,
-``_KEY_EXCLUDE``'d fields).
+the config space (enums, nested dataclasses, ``pair_policies`` tuples).
+Every config field travels, so the decoded config equals the submitted
+one, not just its key.
 """
 
 import dataclasses
@@ -70,16 +71,6 @@ class TestSampleJobs:
         job = _sample_job(CONFIG)
         wire = job_to_wire(job)
         assert wire == {"kind": "sample", "job": job.payload()}
-
-    def test_key_excluded_field_decodes_to_default(self):
-        """``replay`` never travels — it is result-neutral by contract."""
-        config = REUNION.with_protection(ProtectionPolicy(mode="full", replay=False))
-        job = _sample_job(config)
-        decoded = job_from_wire(job_to_wire(job))
-        # Same key (replay is excluded from the hash on both sides)...
-        assert decoded.key == job.key
-        # ...but the reconstructed policy carries the default.
-        assert decoded.config.pair_policies[0].replay is True
 
     def test_schema_mismatch_rejected(self):
         wire = job_to_wire(_sample_job(CONFIG))

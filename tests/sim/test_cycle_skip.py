@@ -85,7 +85,9 @@ class TestRunUntilIdleEquivalence:
     def test_mixed_workload(self, mode):
         def scenario(kernel):
             system = CMPSystem(
-                _config(mode), [assemble(MIXED)], kernel=kernel
+                _config(mode),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -96,7 +98,9 @@ class TestRunUntilIdleEquivalence:
     def test_two_logical_processors(self, mode):
         def scenario(kernel):
             system = CMPSystem(
-                _config(mode, n_logical=2), [assemble(MIXED)] * 2, kernel=kernel
+                _config(mode, n_logical=2),
+                [assemble(MIXED)] * 2,
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -112,7 +116,9 @@ class TestWindowedRunEquivalence:
     def test_memory_bound_windows(self, mode):
         def scenario(kernel):
             system = CMPSystem(
-                _config(mode), CHASE.programs(1, seed=0), kernel=kernel
+                _config(mode),
+                CHASE.programs(1, seed=0),
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run(1_500)  # warmup
             system.run(2_500)  # measure
@@ -132,7 +138,7 @@ class TestWindowedRunEquivalence:
                 _config(mode),
                 [assemble(MIXED)],
                 itlb_schedules=[schedule],
-                kernel=kernel,
+                options=SimOptions.from_env(kernel=kernel),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -204,7 +210,9 @@ class TestFaultInjectionEquivalence:
     def test_single_upset_recovery_identical(self):
         def scenario(kernel):
             system = CMPSystem(
-                _config(Mode.REUNION), [assemble(MIXED)], kernel=kernel
+                _config(Mode.REUNION),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel),
             )
             injector = FaultInjector(seed=7)
             injector.attach(system.cores[1])  # the mute
@@ -225,7 +233,9 @@ class TestFaultInjectionEquivalence:
     def test_periodic_upsets_identical(self):
         def scenario(kernel):
             system = CMPSystem(
-                _config(Mode.REUNION), [assemble(MIXED)], kernel=kernel
+                _config(Mode.REUNION),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel),
             )
             injector = FaultInjector(interval=60, seed=3)
             injector.attach(system.cores[1])
@@ -245,7 +255,9 @@ class TestTimeoutEquivalence:
 
         def timeout_now(kernel):
             system = CMPSystem(
-                _config(Mode.NONREDUNDANT), [forever], kernel=kernel
+                _config(Mode.NONREDUNDANT),
+                [forever],
+                options=SimOptions.from_env(kernel=kernel),
             )
             with pytest.raises(RuntimeError):
                 system.run_until_idle(max_cycles=300)
@@ -260,7 +272,9 @@ class TestTimeoutEquivalence:
 
         def timeout_now(kernel):
             system = CMPSystem(
-                _config(Mode.NONREDUNDANT), [stalls], kernel=kernel
+                _config(Mode.NONREDUNDANT),
+                [stalls],
+                options=SimOptions.from_env(kernel=kernel),
             )
             with pytest.raises(RuntimeError):
                 system.run_until_idle(max_cycles=250)
@@ -281,10 +295,16 @@ class TestKernelSelection:
     def test_explicit_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "naive")
         system = CMPSystem(
-            _config(Mode.NONREDUNDANT), [assemble(MIXED)], kernel="event"
+            _config(Mode.NONREDUNDANT),
+            [assemble(MIXED)],
+            options=SimOptions.from_env(kernel="event"),
         )
         assert system.kernel == "event"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
-            CMPSystem(_config(Mode.NONREDUNDANT), [assemble(MIXED)], kernel="magic")
+            CMPSystem(
+                _config(Mode.NONREDUNDANT),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel="magic"),
+            )

@@ -1,10 +1,9 @@
-"""SimOptions resolution and the CMPSystem legacy-kwargs shim."""
+"""SimOptions resolution and how CMPSystem takes it."""
 
 import warnings
 
 import pytest
 
-import repro.sim.cmp as cmp_module
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode
@@ -106,7 +105,7 @@ class TestCMPSystemOptions:
     def test_options_is_the_primary_path(self):
         system = _system(options=SimOptions(kernel="naive", execution="dual"))
         assert system.kernel == "naive"
-        assert system.execution == "dual"
+        assert system.options.execution == "dual"
         assert system.options.trace == "off"
         assert system.obs is None
 
@@ -115,12 +114,6 @@ class TestCMPSystemOptions:
             warnings.simplefilter("always")
             _system(options=SimOptions())
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_options_and_legacy_kwargs_conflict(self):
-        with pytest.raises(ValueError, match="SimOptions"):
-            _system(options=SimOptions(), kernel="naive")
-        with pytest.raises(ValueError, match="SimOptions"):
-            _system(options=SimOptions(), execution="dual")
 
     def test_max_cycles_threads_into_run_until_idle(self):
         system = _system(options=SimOptions(max_cycles=2))
@@ -131,36 +124,9 @@ class TestCMPSystemOptions:
         system = _system(options=SimOptions(max_cycles=2))
         assert system.run_until_idle(max_cycles=100_000) > 0
 
-
-class TestLegacyShim:
-    def test_legacy_kwargs_still_work(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", True)  # silence
-        system = _system(kernel="naive", execution="dual")
-        assert system.kernel == "naive"
-        assert system.execution == "dual"
-
-    def test_legacy_env_vars_still_work(self, monkeypatch):
+    def test_no_options_resolves_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "naive")
         monkeypatch.setenv("REPRO_EXEC", "dual")
         system = _system()
         assert system.kernel == "naive"
-        assert system.execution == "dual"
-
-    def test_legacy_kwargs_warn_exactly_once(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _system(kernel="naive")
-            _system(kernel="naive")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "SimOptions" in str(deprecations[0].message)
-
-    def test_plain_construction_does_not_warn(self, monkeypatch):
-        monkeypatch.setattr(cmp_module, "_LEGACY_KWARGS_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _system()
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert system.options.execution == "dual"

@@ -1,18 +1,20 @@
-"""ProtectionPolicy schema, spec parsing, options resolution, cache keys.
+"""ProtectionPolicy schema, spec parsing, policy resolution, cache keys.
 
 Behavioral tests (what each policy does to a running pair) live in
 tests/core/test_protection_policies.py; this module covers the API
-surface the redesign introduced: the frozen policy dataclass and its
-validation, the ``mode[:params]`` spec grammar, the
-``SimOptions.protection`` / ``execution`` unification, and the cache-key
-contract (policies are result-affecting and hashed; the replay bit is
-result-neutral and excluded).
+surface: the frozen policy dataclass and its validation, the
+``mode[:params]`` spec grammar, per-pair policy resolution, and the
+cache-key contract (policies are result-affecting and hashed; the replay
+bit, ``SimOptions.execution``, is result-neutral and never hashed).
 """
 
 import pytest
 
 from repro.exec.jobs import SampleJob
+from repro.isa import assemble
+from repro.sim.cmp import CMPSystem
 from repro.sim.config import (
+    PAPER_TABLE1,
     Mode,
     ProtectionPolicy,
     apply_env_protection,
@@ -151,42 +153,18 @@ class TestSpecGrammar:
 
 
 class TestOptionsUnification:
-    def test_protection_derived_from_execution(self):
-        assert SimOptions(execution="replay").protection == ProtectionPolicy.full(
-            replay=True
-        )
-        assert SimOptions(execution="dual").protection == ProtectionPolicy.full(
-            replay=False
-        )
-
-    def test_protection_wins_over_execution(self):
-        options = SimOptions(
-            execution="replay", protection=ProtectionPolicy.full(replay=False)
-        )
-        assert options.execution == "dual"
-
-    @pytest.mark.parametrize(
-        "policy",
-        [
-            ProtectionPolicy.little_mute(2),
-            ProtectionPolicy.interval_sampled(0.5),
-            ProtectionPolicy.unprotected(),
-            ProtectionPolicy.dynamic(),
-        ],
-    )
-    def test_only_full_lives_on_options(self, policy):
-        # Anything else changes results, so it belongs on the hashed
-        # SystemConfig.pair_policies, never on result-neutral options.
-        with pytest.raises(ValueError, match="pair_policies"):
-            SimOptions(protection=policy)
-
     def test_resolution_defaults_to_full_per_pair(self):
-        policies = resolve_pair_policies(REUNION.replace(n_logical=3), "replay")
-        assert policies == (ProtectionPolicy.full(replay=True),) * 3
+        policies = resolve_pair_policies(REUNION.replace(n_logical=3))
+        assert policies == (ProtectionPolicy.full(),) * 3
 
     def test_explicit_policies_win_over_execution(self):
         config = REUNION.with_protection(ProtectionPolicy.little_mute(2))
-        assert resolve_pair_policies(config, "replay") == config.pair_policies
+        assert resolve_pair_policies(config) == config.pair_policies
+        for execution in ("dual", "replay"):
+            system = CMPSystem(
+                config, [assemble("halt")], options=SimOptions(execution=execution)
+            )
+            assert system.pair_policies == config.pair_policies
 
 
 class TestEnvOverride:
@@ -233,13 +211,6 @@ class TestCacheKeys:
         second = _job(REUNION.with_protection(ProtectionPolicy.interval_sampled(0.5)))
         assert first.key == second.key
 
-    def test_replay_bit_excluded_from_keys(self):
-        # replay picks between two bit-identical execution strategies,
-        # so it must never fragment the sample cache.
-        replay = _job(REUNION.with_protection(ProtectionPolicy.full(replay=True)))
-        dual = _job(REUNION.with_protection(ProtectionPolicy.full(replay=False)))
-        assert replay.key == dual.key
-
     def test_different_policies_different_keys(self):
         keys = {
             _job(REUNION.with_protection(parse_policy(spec))).key
@@ -254,8 +225,32 @@ class TestCacheKeys:
         assert len(keys) == 5
 
     def test_options_protection_never_touches_keys(self):
-        bare = _job(REUNION)
-        armed = _job(
-            REUNION, options=SimOptions(protection=ProtectionPolicy.full(replay=False))
+        # The replay bit picks between two bit-identical execution
+        # strategies, so it must never fragment the sample cache.
+        config = REUNION.with_protection(ProtectionPolicy.interval_sampled(0.5))
+        bare = _job(config)
+        dual = _job(config, options=SimOptions(execution="dual"))
+        replay = _job(config, options=SimOptions(execution="replay"))
+        assert bare.key == dual.key == replay.key
+
+    def test_keys_pinned(self):
+        """Two fixed jobs keep their keys; moving them needs a schema bump.
+
+        No environment variable rewrites ``PAPER_TABLE1``, so these hold
+        on every CI leg.
+        """
+        reunion = PAPER_TABLE1.with_redundancy(mode=Mode.REUNION)
+        mixed = reunion.replace(
+            pair_policies=tuple(
+                parse_policy(spec)
+                for spec in ("full", "interval-sampled:0.5", "little-mute:2", "dynamic")
+            )
         )
-        assert bare.key == armed.key
+        keys = [
+            SampleJob(config, "compute-kernel", 0, 2000, 28000).key
+            for config in (reunion, mixed)
+        ]
+        assert keys == [
+            "35b5f949525a89f9eb2e198211cd6bada7009b33a6b4842742555d87dbb20447",
+            "51c732cd2cd2581f2744ed4d418326c03ae67bce8d9690eb2c598e42d15280c0",
+        ]

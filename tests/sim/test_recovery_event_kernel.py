@@ -17,6 +17,7 @@ from repro.isa import assemble
 from repro.isa.interpreter import run as golden_run
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength
+from repro.sim.options import SimOptions
 from tests.core.helpers import SMALL
 
 #: Loadless loop: the replay fast path keeps its mirror window open for
@@ -82,7 +83,9 @@ class TestPostInterruptEventKernel:
         window: the handler is scheduled on two *real* cores and its
         loads would break the symmetry argument anyway."""
         system = CMPSystem(
-            _config(), [assemble(COMPUTE)], kernel="event", execution=execution
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(kernel="event", execution=execution),
         )
         system.run(300)
         pair = system.pairs[0]
@@ -107,7 +110,9 @@ class TestPostInterruptEventKernel:
 
         def scenario(kernel):
             system = CMPSystem(
-                _config(), [assemble(COMPUTE)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(COMPUTE)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(300)
             system.post_interrupt(0)
@@ -119,7 +124,9 @@ class TestPostInterruptEventKernel:
     def test_interrupt_preserves_program_results(self, execution):
         golden = golden_run(assemble(COMPUTE))
         system = CMPSystem(
-            _config(), [assemble(COMPUTE)], kernel="event", execution=execution
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(kernel="event", execution=execution),
         )
         system.run(300)
         system.post_interrupt(0)
@@ -137,8 +144,7 @@ class TestSingleStepRecoveryEventKernel:
         system = CMPSystem(
             _config(phantom=PhantomStrength.NULL),
             [assemble(INCOHERENT_THEN_SYNC)],
-            kernel="event",
-            execution=execution,
+            options=SimOptions.from_env(kernel="event", execution=execution),
         )
         pair = system.pairs[0]
         for _ in range(2_000):
@@ -171,8 +177,7 @@ class TestSingleStepRecoveryEventKernel:
         system = CMPSystem(
             _config(phantom=PhantomStrength.NULL),
             [assemble(INCOHERENT_THEN_SYNC)],
-            kernel="event",
-            execution=execution,
+            options=SimOptions.from_env(kernel="event", execution=execution),
         )
         system.run_until_idle(max_cycles=500_000)
         pair = system.pairs[0]
@@ -192,8 +197,7 @@ class TestSingleStepRecoveryEventKernel:
             system = CMPSystem(
                 _config(phantom=PhantomStrength.NULL),
                 [assemble(INCOHERENT_THEN_SYNC)],
-                kernel=kernel,
-                execution=execution,
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system

@@ -15,17 +15,15 @@ kernels) and diff everything observable.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import Mode, PhantomStrength, parse_policy
+from repro.sim.config import DEFAULT_CONFIG, Mode, PhantomStrength, parse_policy
 from repro.sim.options import SimOptions
-from repro.workloads.micro import PointerChase
+from repro.workloads.micro import ComputeKernel, PointerChase
 from tests.core.helpers import SMALL
 
 #: Mixed compute: dependent ALU work, stores, loads, a serializing
@@ -108,7 +106,9 @@ class TestReplayEquivalence:
     def test_mixed_workload(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -126,7 +126,9 @@ class TestReplayEquivalence:
 
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(COMPUTE)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(COMPUTE)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -142,7 +144,9 @@ class TestReplayEquivalence:
 
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(COMPUTE)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(COMPUTE)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(400)
             return system
@@ -154,8 +158,9 @@ class TestReplayEquivalence:
     def test_memory_bound_windows(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), CHASE.programs(1, seed=0), kernel=kernel,
-                execution=execution,
+                _config(),
+                CHASE.programs(1, seed=0),
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(1_500)  # warmup
             system.run(2_500)  # measure
@@ -195,8 +200,7 @@ class TestReplayEquivalence:
             system = CMPSystem(
                 _config(phantom=PhantomStrength.NULL),
                 [assemble(self.INCOHERENT)],
-                kernel=kernel,
-                execution=execution,
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run_until_idle(max_cycles=500_000)
             return system
@@ -208,7 +212,9 @@ class TestReplayEquivalence:
     def test_interrupt_service_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             system.run(600)
             system.post_interrupt(0)
@@ -227,7 +233,9 @@ class TestFaultInjectionUnderReplay:
     def test_single_upset_recovery_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             injector = FaultInjector(seed=7)
             injector.attach(system.cores[1])  # the mute
@@ -244,7 +252,9 @@ class TestFaultInjectionUnderReplay:
     def test_periodic_upsets_identical(self, kernel):
         def scenario(execution):
             system = CMPSystem(
-                _config(), [assemble(MIXED)], kernel=kernel, execution=execution
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel, execution=execution),
             )
             injector = FaultInjector(interval=60, seed=3)
             injector.attach(system.cores[1])
@@ -263,21 +273,15 @@ PARTIAL_POLICIES = ("interval-sampled:0.25", "interval-sampled:0.5", "dynamic:1,
 
 
 def _policy_systems(spec: str, kernel: str, source: str) -> list[CMPSystem]:
-    """The same one-pair system under ``spec``: dual first, then mirrored.
-
-    The dual reference is the same policy with ``replay=False``.
-    """
-    systems = []
-    for replay in (False, True):
-        policy = dataclasses.replace(parse_policy(spec), replay=replay)
-        systems.append(
-            CMPSystem(
-                _config().with_protection(policy),
-                [assemble(source)],
-                options=SimOptions.from_env(kernel=kernel),
-            )
+    """The same one-pair system under ``spec``: dual first, then mirrored."""
+    return [
+        CMPSystem(
+            _config().with_protection(parse_policy(spec)),
+            [assemble(source)],
+            options=SimOptions.from_env(kernel=kernel, execution=execution),
         )
-    return systems
+        for execution in ("dual", "replay")
+    ]
 
 
 @pytest.mark.parametrize("kernel", ["naive", "event"])
@@ -381,14 +385,18 @@ class TestReplayScope:
         trigger.
         """
         system = CMPSystem(
-            _config(n_logical=2), [assemble(MIXED)] * 2, execution="replay"
+            _config(n_logical=2),
+            [assemble(MIXED)] * 2,
+            options=SimOptions.from_env(execution="replay"),
         )
         assert all(pair.replay_enabled for pair in system.pairs)
         system.run_until_idle(max_cycles=500_000)
         assert all(pair.mirror_cycles > 0 for pair in system.pairs)
         assert all(not pair.replay_enabled for pair in system.pairs)
         reference = CMPSystem(
-            _config(n_logical=2), [assemble(MIXED)] * 2, execution="dual"
+            _config(n_logical=2),
+            [assemble(MIXED)] * 2,
+            options=SimOptions.from_env(execution="dual"),
         )
         reference.run_until_idle(max_cycles=500_000)
         assert _observe(reference) == _observe(system)
@@ -407,16 +415,24 @@ class TestReplayScope:
 
         preset = getattr(sim_presets, preset_name)
         programs = [assemble(COMPUTE)] * preset.n_logical
-        replay = CMPSystem(preset, programs, execution="replay")
+        replay = CMPSystem(
+            preset, programs, options=SimOptions.from_env(execution="replay")
+        )
         assert all(pair.replay_enabled for pair in replay.pairs)
         replay.run_until_idle(max_cycles=500_000)
         assert all(pair.mirror_cycles > 0 for pair in replay.pairs)
-        dual = CMPSystem(preset, programs, execution="dual")
+        dual = CMPSystem(
+            preset, programs, options=SimOptions.from_env(execution="dual")
+        )
         dual.run_until_idle(max_cycles=500_000)
         assert _observe(dual) == _observe(replay)
 
     def test_decouple_disables_replay(self):
-        system = CMPSystem(_config(), [assemble(COMPUTE)], execution="replay")
+        system = CMPSystem(
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(execution="replay"),
+        )
         system.run(600)
         assert system.pairs[0].replay_enabled
         pair = system.pairs[0]
@@ -424,7 +440,11 @@ class TestReplayScope:
         assert not pair.replay_enabled
 
     def test_mid_run_fault_attach_disables(self):
-        system = CMPSystem(_config(), [assemble(COMPUTE)], execution="replay")
+        system = CMPSystem(
+            _config(),
+            [assemble(COMPUTE)],
+            options=SimOptions.from_env(execution="replay"),
+        )
         system.run(400)
         assert system.pairs[0].replay_enabled
         FaultInjector(seed=1).attach(system.cores[1])
@@ -436,19 +456,54 @@ class TestExecutionSelection:
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC", "dual")
         system = CMPSystem(_config(), [assemble(MIXED)])
-        assert system.execution == "dual"
+        assert system.options.execution == "dual"
         assert not system.pairs[0].replay_enabled
         monkeypatch.setenv("REPRO_EXEC", "replay")
         system = CMPSystem(_config(), [assemble(MIXED)])
-        assert system.execution == "replay"
+        assert system.options.execution == "replay"
         assert system.pairs[0].replay_enabled
 
     def test_explicit_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC", "replay")
-        system = CMPSystem(_config(), [assemble(MIXED)], execution="dual")
-        assert system.execution == "dual"
+        system = CMPSystem(
+            _config(),
+            [assemble(MIXED)],
+            options=SimOptions.from_env(execution="dual"),
+        )
+        assert system.options.execution == "dual"
         assert not system.pairs[0].replay_enabled
+
+    @pytest.mark.parametrize("execution", ["dual", "replay"])
+    def test_execution_alone_picks_the_mirrored_pairs(self, execution):
+        """Explicit policies do not override ``execution``.
+
+        Under ``dual`` no pair arms, whatever its policy.  Under
+        ``replay`` every pair arms except a little mute (a narrower
+        automaton) and an unprotected one (a parked mute).
+        """
+        base = DEFAULT_CONFIG.with_redundancy(mode=Mode.REUNION).replace(n_logical=2)
+        mirrors = ("full", "interval-sampled:0.5", "dynamic:1,0,2")
+        configs = {"no policies": base}
+        for spec in (*mirrors, "little-mute:2", "unprotected"):
+            configs[spec] = base.with_protection(parse_policy(spec))
+        programs = ComputeKernel().programs(2, 0)
+        options = SimOptions(execution=execution)
+        armed = {
+            name: [
+                pair.replay_enabled
+                for pair in CMPSystem(config, programs, options=options).pairs
+            ]
+            for name, config in configs.items()
+        }
+        assert armed == {
+            name: [execution == "replay" and name in ("no policies", *mirrors)] * 2
+            for name in configs
+        }
 
     def test_unknown_execution_rejected(self):
         with pytest.raises(ValueError):
-            CMPSystem(_config(), [assemble(MIXED)], execution="turbo")
+            CMPSystem(
+                _config(),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(execution="turbo"),
+            )

@@ -16,8 +16,6 @@ Two halves:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.faults import FaultInjector
@@ -137,14 +135,13 @@ def _fault_stream(execution: str, kernel: str) -> tuple[list[dict], CMPSystem]:
 
 
 def _open_window_stream(
-    spec: str, replay: bool, kernel: str, level: str
+    spec: str, execution: str, kernel: str, level: str
 ) -> tuple[list[dict], CMPSystem]:
     """A two-pair compute run: each pair's window stays open until HALT."""
-    policy = dataclasses.replace(parse_policy(spec), replay=replay)
     system = CMPSystem(
-        _config().replace(n_logical=2).with_protection(policy),
+        _config().replace(n_logical=2).with_protection(parse_policy(spec)),
         [assemble(COMPUTE)] * 2,
-        options=SimOptions(kernel=kernel, trace=level),
+        options=SimOptions(execution=execution, kernel=kernel, trace=level),
     )
     system.run_until_idle(max_cycles=500_000)
     stream = [
@@ -167,8 +164,10 @@ class TestReplayDualDifferential:
         Two pairs, so the stream interleaves vocal 0, vocal 1, mute 0 and
         mute 1 within a cycle exactly as the dual core loop does.
         """
-        dual_stream, _ = _open_window_stream(spec, False, kernel, level)
-        replay_stream, replay_system = _open_window_stream(spec, True, kernel, level)
+        dual_stream, _ = _open_window_stream(spec, "dual", kernel, level)
+        replay_stream, replay_system = _open_window_stream(
+            spec, "replay", kernel, level
+        )
         assert dual_stream == replay_stream
         assert all(
             pair.mirror_cycles > replay_system.now // 2

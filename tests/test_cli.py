@@ -122,11 +122,13 @@ class TestTrace:
     ]
 
     @pytest.fixture(autouse=True)
-    def _full_protection(self, monkeypatch):
+    def _mirror_eligible(self, monkeypatch):
         # The taxonomy below includes mirror windows, which only a
-        # full-policy (replay-eligible) pair emits — pin the policy so
-        # the REPRO_PROTECTION=little-mute CI leg doesn't retarget it.
+        # full-policy pair under replay execution emits — pin both so
+        # the REPRO_PROTECTION=little-mute and REPRO_EXEC=dual CI legs
+        # don't retarget it.
         monkeypatch.delenv("REPRO_PROTECTION", raising=False)
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
 
     def test_emits_the_event_taxonomy(self, capsys, monkeypatch, tmp_path):
         import json
