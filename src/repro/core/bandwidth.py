@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.pipeline.flat import FlatView
 from repro.pipeline.ooo_core import OoOCore
-from repro.pipeline.rob import DynInstr
 
 
-def update_bits(entry: DynInstr) -> int:
+def update_bits(entry: FlatView) -> int:
     """Architectural update bits one instruction produces (64b words)."""
     bits = 0
     inst = entry.inst
@@ -41,7 +41,7 @@ def update_bits(entry: DynInstr) -> int:
     return bits
 
 
-def ends_dependence_chain(entry: DynInstr) -> bool:
+def ends_dependence_chain(entry: FlatView) -> bool:
     """True when no in-flight instruction consumed this result.
 
     Retirement-time approximation of Gomaa et al.'s chain-ending test:
@@ -69,7 +69,7 @@ class BandwidthMeter:
     def attach(self, core: OoOCore) -> None:
         core.retire_hook = self._hook
 
-    def _hook(self, entry: DynInstr) -> None:
+    def _hook(self, entry: FlatView) -> None:
         self.instructions += 1
         bits = update_bits(entry)
         self.direct_bits += bits

@@ -32,10 +32,8 @@ from repro.isa.decode import (
     F_STORE,
     F_WRITES,
 )
-from repro.isa.opcodes import Op
 from repro.pipeline.flat import M_FAULTED, M_INJECTED, M_SYNC
 from repro.pipeline.gates import NEVER
-from repro.pipeline.rob import DynInstr
 from repro.sim.config import RedundancyConfig
 
 #: Same 64-bit update-word domain as repro.core.fingerprint.
@@ -135,16 +133,15 @@ class CheckGate:
         self._fast_mt = accum._mt
         #: Partial-interval timeout (see maybe_timeout_close), hoisted out
         #: of the per-cycle path — as are the interval length and the
-        #: comparison latency, which offer / pop_retirable / has_retirable
-        #: would otherwise chase through two attributes per instruction.
+        #: comparison latency, which offer_f / pop_retirable_f would
+        #: otherwise chase through two attributes per instruction.
         self._timeout_limit = max(8, config.fingerprint_interval // 2)
         self._interval_len = config.fingerprint_interval
         self._cmp_latency = config.comparison_latency
-        # (entry, interval index or None for injected pass-through, offer cycle)
-        # — ``entry`` is a DynInstr in object mode, a packed flat-ROB ref
-        # (int) in flat mode; a gate only ever serves one loop flavour.
-        self._pending: deque[tuple] = deque()
-        #: Reused pop_retirable output buffer (valid until the next pop).
+        # (packed flat-ROB ref, interval index or None for injected
+        # pass-through, offer cycle)
+        self._pending: deque[tuple[int, int | None, int]] = deque()
+        #: Reused pop_retirable_f output buffer (valid until the next pop).
         self._scratch: list = []
         #: Update words of the currently-open interval, captured at offer
         #: time and hashed in one batched :meth:`FingerprintAccumulator.
@@ -197,73 +194,25 @@ class CheckGate:
         self.echo: list | None = None
 
     # -- pipeline side ------------------------------------------------------
-    def offer(self, entry: DynInstr, now: int) -> None:
-        """A completed instruction, oldest first, enters the check stage."""
-        if entry.injected:
-            # Injected handler instructions are not fingerprinted (they
-            # keep the vocal/mute user streams aligned), but serializing
-            # ones still pay a full comparison-latency stall at the front
-            # of the queue — see pop_retirable.
-            self._pending.append((entry, None, now))
-            return
-        # Capture this instruction's architectural-update words (same
-        # selection as FingerprintAccumulator.add_instruction) into the
-        # open interval's buffer; the hash happens at _close.  Words are
-        # captured *now*, so a later squash of a checked entry leaves the
-        # fingerprint unchanged — exactly as the per-offer hashing did.
-        inst = entry.inst
-        words = self._words
-        if inst.writes_reg and entry.result is not None:
-            words.append(entry.result)
-        if inst.is_store and entry.addr is not None:
-            words.append(entry.addr)
-            if entry.store_value is not None:
-                words.append(entry.store_value)
-        if inst.is_atomic and entry.addr is not None:
-            words.append(entry.addr)
-        if inst.is_control and entry.actual_next is not None:
-            words.append(entry.actual_next)
-        if entry.faulted:
-            obs = self.obs
-            if obs is not None:
-                # Anchor for detection attribution (repro.core.faults):
-                # records which fingerprint interval absorbed the upset,
-                # so analysis can match the injection to *its* comparison
-                # instead of the first recovery that happens along.
-                obs.emit(
-                    "fault.absorb",
-                    now,
-                    self.obs_source,
-                    seq=entry.seq,
-                    interval=self._index,
-                )
-        self._count += 1
-        self.users_offered += 1
-        self._has_sync = self._has_sync or entry.was_sync
-        is_halt = entry.inst.op is Op.HALT
-        self._has_halt = self._has_halt or is_halt
-        self._pending.append((entry, self._index, now))
-        self._last_offer = now
-        if (
-            self._count >= self._interval_len
-            or entry.serializing
-            or is_halt
-            or self.single_step
-        ):
-            self._close(now)
-
     def offer_f(self, core, slot: int, now: int) -> None:
-        """Flat twin of :meth:`offer` over the core's column arrays.
+        """A completed instruction, oldest first, enters the check stage.
 
-        Same decisions, same word-capture order (result → store addr/value
-        → atomic addr → branch target), keyed off the decode ``F_*`` mask
-        and the packed booleans instead of ``Instruction`` attributes.
+        ``slot`` is the instruction's live slot in ``core``'s flat ring.
         """
         packed = (core.f_seq[slot] << core._f_sbits) | slot
         mask = core.f_mask[slot]
         if mask & M_INJECTED:
+            # Injected handler instructions are not fingerprinted (they
+            # keep the vocal/mute user streams aligned), but serializing
+            # ones still pay a full comparison-latency stall at the front
+            # of the queue — see pop_retirable_f.
             self._pending.append((packed, None, now))
             return
+        # Capture this instruction's architectural-update words — result,
+        # store address and value, atomic address, branch target, in that
+        # order — into the open interval's buffer; the hash happens at
+        # _close.  Words are captured *now*, so a later squash of a
+        # checked entry leaves the fingerprint unchanged.
         flags = core.f_flags[slot]
         words = self._words
         if flags & F_WRITES:
@@ -286,6 +235,10 @@ class CheckGate:
         if mask & M_FAULTED:
             obs = self.obs
             if obs is not None:
+                # Anchor for detection attribution (repro.core.faults):
+                # records which fingerprint interval absorbed the upset,
+                # so analysis can match the injection to *its* comparison
+                # instead of the first recovery that happens along.
                 obs.emit(
                     "fault.absorb",
                     now,
@@ -444,62 +397,14 @@ class CheckGate:
         self.intervals_closed += 1
         self.intervals_unchecked += 1
 
-    def pop_retirable(self, now: int, limit: int) -> list[DynInstr]:
-        # ``out`` is the reused scratch buffer: valid until the next pop,
-        # consumed immediately by every caller (retire loop, recovery
-        # drain), never retained.
-        out = self._scratch
-        out.clear()
-        pending = self._pending
-        while pending and len(out) < limit:
-            entry, index, offered = pending[0]
-            if entry.squashed:
-                pending.popleft()
-                continue
-            if index is None:
-                # Injected handler instruction.  Serializing ones (the
-                # handler's traps and MMU operations) must be compared
-                # with the partner before younger instructions proceed —
-                # Section 4.4 applies to them exactly as to user code —
-                # so they wait a full comparison latency at the front.
-                if entry.serializing and now < offered + self._cmp_latency:
-                    break
-                pending.popleft()
-                out.append(entry)
-                continue
-            retire_at = self._retire_time.get(index)
-            if retire_at is None or retire_at > now:
-                break
-            pending.popleft()
-            out.append(entry)
-        return out
-
-    def has_retirable(self, now: int) -> bool:
-        """Allocation-free precheck mirroring :meth:`pop_retirable`'s head test.
-
-        The hot loop calls this every cycle; squashed heads count as
-        "retirable" so the pop still discards them promptly.
-        """
-        pending = self._pending
-        if not pending:
-            return False
-        entry, index, offered = pending[0]
-        if entry.squashed:
-            return True
-        if index is None:
-            return (
-                not entry.serializing
-                or now >= offered + self._cmp_latency
-            )
-        retire_at = self._retire_time.get(index)
-        return retire_at is not None and retire_at <= now
-
     def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        """Flat twin of :meth:`pop_retirable` over packed refs.
+        """Packed refs cleared for retirement, oldest first.
 
-        Returned refs share the object pop's scratch-buffer lifetime and
-        must be seq-re-validated by the caller (a TRAP/interrupt retire
-        mid-batch squashes younger refs still in the batch).
+        The returned list is the reused scratch buffer: valid until the
+        next pop, consumed immediately by every caller (retire loop,
+        recovery drain), never retained.  Callers seq-re-validate each ref (a
+        TRAP/interrupt retire mid-batch squashes younger refs still in
+        the batch).
         """
         out = self._scratch
         out.clear()
@@ -516,7 +421,11 @@ class CheckGate:
                 pending.popleft()  # squashed after offer
                 continue
             if index is None:
-                # Injected handler instruction (see pop_retirable).
+                # Injected handler instruction.  Serializing ones (the
+                # handler's traps and MMU operations) must be compared
+                # with the partner before younger instructions proceed —
+                # Section 4.4 applies to them exactly as to user code —
+                # so they wait a full comparison latency at the front.
                 if (
                     f_flags[packed & smask] & F_SER
                     and now < offered + self._cmp_latency
@@ -533,6 +442,9 @@ class CheckGate:
         return out
 
     def has_retirable_f(self, core, now: int) -> bool:
+        """Allocation-free precheck mirroring :meth:`pop_retirable_f`'s
+        head test; a squashed head counts as retirable (the pop discards
+        it)."""
         pending = self._pending
         if not pending:
             return False
@@ -548,6 +460,15 @@ class CheckGate:
         return retire_at is not None and retire_at <= now
 
     def next_release_f(self, core, now: int) -> int:
+        """Conservative horizon: when could this gate next release work?
+
+        Mirrors every ``now``-dependent branch of :meth:`pop_retirable_f`
+        plus the interval timeout in :meth:`maybe_timeout_close`.  A
+        closed-but-uncompared interval contributes nothing here — the
+        comparison is the pair controller's event, reported by
+        ``LogicalPair.next_event`` — but once :meth:`clear_interval` has
+        run, the head's retire time is a known future cycle.
+        """
         wake = NEVER
         pending = self._pending
         if pending:
@@ -562,39 +483,6 @@ class CheckGate:
             retire_at = self._retire_time.get(index)
             if retire_at is not None:
                 return retire_at if retire_at > now else now
-        if self._count and self.paired:
-            timeout = self._last_offer + self._timeout_limit + 1
-            if timeout <= now:
-                return now
-            if timeout < wake:
-                wake = timeout
-        return wake
-
-    def next_release(self, now: int) -> int:
-        """Conservative horizon: when could this gate next release work?
-
-        Mirrors every ``now``-dependent branch of :meth:`pop_retirable`
-        plus the interval timeout in :meth:`maybe_timeout_close`.  A
-        closed-but-uncompared interval contributes nothing here — the
-        comparison is the pair controller's event, reported by
-        ``LogicalPair.next_event`` — but once :meth:`clear_interval` has
-        run, the head's retire time is a known future cycle.
-        """
-        wake = NEVER
-        pending = self._pending
-        if pending:
-            entry, index, offered = pending[0]
-            if entry.squashed:
-                return now
-            if index is None:
-                if entry.serializing:
-                    release = offered + self._cmp_latency
-                    return release if release > now else now
-                return now
-            else:
-                retire_at = self._retire_time.get(index)
-                if retire_at is not None:
-                    return retire_at if retire_at > now else now
         if self._count and self.paired:
             # The pair controller will force-close a lingering partial
             # interval one cycle past the timeout limit.

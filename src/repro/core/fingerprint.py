@@ -22,8 +22,6 @@ try:  # numpy accelerates table construction and large batches; optional.
 except ImportError:  # pragma: no cover - the image ships numpy
     _np = None
 
-from repro.pipeline.rob import DynInstr
-
 
 def _make_crc_table(poly: int, bits: int) -> list[int]:
     """Precompute a byte-at-a-time CRC table for an ``bits``-wide CRC."""
@@ -355,28 +353,6 @@ class FingerprintAccumulator:
         self._crc = (
             (self._crc << 8) ^ self._table[((self._crc >> self._shift) ^ byte) & 0xFF]
         ) & self._mask
-
-    # -- architectural updates -----------------------------------------------
-    def add_instruction(self, entry: DynInstr) -> None:
-        """Fold in the architectural effects of one retired instruction.
-
-        Logically the fingerprint captures all register updates, branch
-        targets, store addresses, and store values (Section 4.3).
-        """
-        inst = entry.inst
-        words = []
-        if inst.writes_reg and entry.result is not None:
-            words.append(entry.result)
-        if inst.is_store and entry.addr is not None:
-            words.append(entry.addr)
-            if entry.store_value is not None:
-                words.append(entry.store_value)
-        if inst.is_atomic and entry.addr is not None:
-            words.append(entry.addr)
-        if inst.is_control and entry.actual_next is not None:
-            words.append(entry.actual_next)
-        if words:
-            self.add_words(words)
 
     def digest(self) -> int:
         return self._crc

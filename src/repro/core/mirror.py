@@ -31,33 +31,20 @@ possible shared-state access.  Other exits: an external interrupt being
 posted, a fault injector arming, a retire hook or tracer attaching, or
 replay being disabled (decoupling).
 
-Materialization is a deep, memo-ed copy of every mutable private field
-of the vocal core and its check gate onto the mute, cloning live
-:class:`DynInstr` objects so the two pipelines share no mutable state
-afterwards.  Under the flat hot loop (``REPRO_HOTLOOP=soa``) there are
-no entry objects to clone: in-flight state is plain column lists indexed
-by slot/packed ints, so materialization degenerates to copying the
-columns and containers verbatim — the copied refs resolve identically
-against the mute's copied columns.  The differential tests in
-``tests/sim/test_replay_exec.py`` diff every observable between replay
-and dual mode to keep this honest.
+Materialization copies every mutable private field of the vocal core
+and its check gate onto the mute, so the two pipelines share no mutable
+state afterwards.  In-flight state is plain column lists indexed by
+slot/packed ints (see :mod:`repro.pipeline.flat`), so there is no entry
+graph to clone: the columns and containers are copied verbatim, and the
+copied refs resolve identically against the mute's copied columns.  The
+differential tests in ``tests/sim/test_replay_exec.py`` diff every
+observable between replay and dual mode to keep this honest.
 """
 
 from __future__ import annotations
 
 from repro.core.check_stage import CheckGate, IntervalRecord
 from repro.pipeline.ooo_core import OoOCore
-from repro.pipeline.rob import DynInstr
-
-#: DynInstr fields copied verbatim (everything except the entry-graph
-#: reference fields ``dependents``, ``wait_on`` and ``prev_producer``,
-#: fixed up in a second pass — copying them verbatim would alias the
-#: mute's graph into the vocal's live entries).
-_ENTRY_SCALARS = tuple(
-    s
-    for s in DynInstr.__slots__
-    if s not in ("dependents", "wait_on", "prev_producer")
-)
 
 #: OoOCore counters a mirror sync copies vocal -> mute.
 MIRRORED_COUNTERS = (
@@ -121,10 +108,7 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
             user_retired=vocal.user_retired,
         )
 
-    if vocal._soa:
-        _materialize_flat(vocal, mute)
-    else:
-        _materialize_object(vocal, mute)
+    _materialize_flat(vocal, mute)
 
     # -- frontend -------------------------------------------------------
     # Fetch-queue entries are immutable tuples: a shallow copy suffices.
@@ -144,57 +128,6 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
     mute.sb_count = vocal.sb_count
     mute._drain_inflight = vocal._drain_inflight
     mute._interrupts = type(vocal._interrupts)(vocal._interrupts)
-
-
-def _materialize_object(vocal: OoOCore, mute: OoOCore) -> None:
-    """Object-loop materialization: deep-clone the DynInstr graph."""
-    clones: dict[int, DynInstr] = {}
-    worklist: list[DynInstr] = []
-
-    def clone(entry):
-        if entry is None:
-            return None
-        copied = clones.get(id(entry))
-        if copied is None:
-            copied = DynInstr.__new__(DynInstr)
-            for name in _ENTRY_SCALARS:
-                setattr(copied, name, getattr(entry, name))
-            copied.dependents = []
-            copied.wait_on = None  # placeholders until the fixup pass
-            copied.prev_producer = None
-            clones[id(entry)] = copied
-            worklist.append(entry)
-        return copied
-
-    mute.rob = type(vocal.rob)(clone(e) for e in vocal.rob)
-    mute.ready = [clone(e) for e in vocal.ready]
-    mute.completions = [(t, s, clone(e)) for (t, s, e) in vocal.completions]
-    mute._store_entries = type(vocal._store_entries)(
-        clone(e) for e in vocal._store_entries
-    )
-    mute._ser_heap = [(s, clone(e)) for (s, e) in vocal._ser_heap]
-    mute.rename = {reg: clone(e) for reg, e in vocal.rename.items()}
-    mute.sync_request = clone(vocal.sync_request)
-    mute.resume_normal_after = clone(vocal.resume_normal_after)
-    mute._unchecked = type(vocal._unchecked)(
-        clone(e) for e in vocal._unchecked
-    )
-
-    # Wake-up lists may reference entries reachable nowhere else (e.g.
-    # squashed consumers): the worklist grows while we fix them up.
-    index = 0
-    while index < len(worklist):
-        original = worklist[index]
-        copied = clones[id(original)]
-        copied.dependents = [
-            (clone(dep), slot) for dep, slot in original.dependents
-        ]
-        copied.wait_on = clone(original.wait_on)
-        copied.prev_producer = clone(original.prev_producer)
-        index += 1
-
-    # -- check stage ----------------------------------------------------
-    _materialize_gate(vocal.gate, mute.gate, clone)
 
 
 #: Flat-ROB columns copied verbatim on materialization (``f_deps`` needs
@@ -223,15 +156,15 @@ _FLAT_COLUMNS = (
 
 
 def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
-    """Flat-loop materialization: copy columns and int-ref containers.
+    """Copy the ring columns and the int-ref containers.
 
     Slot / packed refs carry no object identity — the verbatim-copied
     containers resolve against the mute's copied columns exactly as the
     originals do against the vocal's, so no clone pass is needed.  The
     ring geometry (capacity, shift, mask) is identical by construction:
-    both cores share one config and ``use_soa_hotloop`` call site.
-    Columns are copied *in place* — the hot loop's ``_f_cols`` bundle
-    and the FlatView singletons alias the list objects by identity.
+    both cores share one config.  Columns are copied *in place* — the
+    hot loop's ``_f_cols`` bundle and the FlatView singletons alias the
+    list objects by identity.
     """
     for name in _FLAT_COLUMNS:
         getattr(mute, name)[:] = getattr(vocal, name)
@@ -252,24 +185,13 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
         view = mute._f_views[sync_request._s]
         view._q = sync_request._q
         mute.sync_request = view
-    # In-window the vocal provably never entered re-execution, so this
-    # is always None; copied for symmetry with the object path.
-    mute.resume_normal_after = vocal.resume_normal_after
     _materialize_gate(vocal.gate, mute.gate)
 
 
-def _materialize_gate(
-    vocal_gate: CheckGate, mute_gate: CheckGate, clone=None
-) -> None:
-    if clone is None:
-        # Flat mode: _pending holds immutable (packed, index, offered)
-        # tuples over the columns copied above.
-        mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
-    else:
-        mute_gate._pending = type(vocal_gate._pending)(
-            (clone(entry), index, offered)
-            for entry, index, offered in vocal_gate._pending
-        )
+def _materialize_gate(vocal_gate: CheckGate, mute_gate: CheckGate) -> None:
+    # _pending holds immutable (packed, index, offered) tuples over the
+    # columns copied above.
+    mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
     mute_gate._closed = type(vocal_gate._closed)(
         IntervalRecord(
             index=r.index,

@@ -549,7 +549,7 @@ class LogicalPair:
         After a window expires, the first comparison either extends the
         pause (backlog still above ``on_threshold``) or resumes checking.
         Deterministic: comparisons fire at identical cycles under both
-        kernels and both hot loops, so the backlog snapshot is too.
+        kernels and both execution modes, so the backlog snapshot is too.
         """
         state = self.protection_state
         vocal_gate: CheckGate = self.vocal.gate  # type: ignore[assignment]

@@ -19,7 +19,6 @@ matching fingerprint at exactly the same cycle.
 from __future__ import annotations
 
 from repro.core.check_stage import CheckGate
-from repro.pipeline.rob import DynInstr
 from repro.sim.config import RedundancyConfig
 
 
@@ -36,10 +35,6 @@ class StrictCheckGate(CheckGate):
             # The virtual partner's fingerprint matches, generated at the
             # same cycle: retirement happens one comparison latency later.
             self.clear_interval(record.index, record.close_cycle + self._latency)
-
-    def offer(self, entry: DynInstr, now: int) -> None:
-        super().offer(entry, now)
-        self._self_compare()
 
     def offer_f(self, core, slot: int, now: int) -> None:
         super().offer_f(core, slot, now)

@@ -163,7 +163,7 @@ class ProtectionScenario:
 class RetireGateMicro:
     """Throughput of the retire-gate offer/pop path, gate machinery only.
 
-    ``pop_retirable`` sits on the per-cycle retire path and hands back a
+    ``pop_retirable_f`` sits on the per-cycle retire path and hands back a
     reused per-gate scratch buffer instead of allocating a fresh list.
     ``scratch_reused`` pins that contract (the pop must return the *same*
     list object every call); ``ops_per_s`` is the instruction throughput
@@ -682,34 +682,41 @@ def run_retire_gate_micro(
     """Time the retire-gate offer/pop path in isolation.
 
     The retire loop pops the gate every cycle it has work, so
-    ``pop_retirable`` overhead is pure per-retired-instruction tax.  This
-    micro drives the immediate gate (non-redundant retirement) and the
-    strict check gate (fingerprint close + self-compare + latency queue —
-    the full check-stage data path without needing a partner core) with a
-    recycled pool of completed entries, and pins the scratch-buffer
-    contract: the pop must hand back the *same* list object every call,
-    never a fresh allocation.
+    ``pop_retirable_f`` overhead is pure per-retired-instruction tax.
+    This micro drives the immediate gate (non-redundant retirement) and
+    the strict check gate (fingerprint close + self-compare + latency
+    queue — the full check-stage data path without needing a partner
+    core) through ``offer_f`` / ``pop_retirable_f`` over a real core's
+    ring, its slots filled with completed ALU instructions and recycled
+    as they retire.  It also pins the scratch-buffer contract: the pop
+    must hand back the *same* list object every call, never a fresh
+    allocation.
     """
     from collections import deque
 
     from repro.core.strict import StrictCheckGate
+    from repro.isa.decode import flags_of
     from repro.pipeline.gates import ImmediateGate
-    from repro.pipeline.rob import DynInstr, DynState
-    from repro.sim.config import RedundancyConfig
+    from repro.sim.cmp import CMPSystem
+    from repro.sim.config import DEFAULT_CONFIG, RedundancyConfig
+    from repro.sim.options import SimOptions
     from repro.workloads.micro import ComputeKernel
 
     program = ComputeKernel().programs(1, seed=0)[0]
+    core = CMPSystem(
+        DEFAULT_CONFIG.replace(n_logical=1), [program], options=SimOptions()
+    ).cores[0]
     # Steady-state ALU writers only: serializing/HALT entries would close
     # intervals early and measure interval churn instead of the pop path.
     insts = [inst for inst in program.instructions if inst.is_alu]
-    pool: list[DynInstr] = []
-    for seq in range(256):
-        inst = insts[seq % len(insts)]
-        entry = DynInstr(seq, seq % len(insts), inst)
-        entry.state = DynState.COMPLETED
-        if inst.writes_reg:
-            entry.result = (seq * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-        pool.append(entry)
+    slots = range(core._f_cap)
+    for slot in slots:
+        inst = insts[slot % len(insts)]
+        core.f_seq[slot] = slot
+        core.f_inst[slot] = inst
+        core.f_flags[slot] = flags_of(inst, core.sc_mode)
+        core.f_res[slot] = (slot * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+    smask = core._f_smask
 
     gates = [
         ("immediate", ImmediateGate()),
@@ -722,7 +729,7 @@ def run_retire_gate_micro(
     ]
     results: list[RetireGateMicro] = []
     for name, gate in gates:
-        free = deque(pool)
+        free = deque(slots)
         popped = 0
         scratch_reused = True
         first: list | None = None
@@ -731,14 +738,14 @@ def run_retire_gate_micro(
             for _ in range(width):
                 if not free:
                     break
-                gate.offer(free.popleft(), now)
-            out = gate.pop_retirable(now, width)
+                gate.offer_f(core, free.popleft(), now)
+            out = gate.pop_retirable_f(core, now, width)
             if first is None:
                 first = out
             elif out is not first:
                 scratch_reused = False
             popped += len(out)
-            free.extend(out)
+            free.extend(packed & smask for packed in out)
         wall = time.perf_counter() - start
         results.append(
             RetireGateMicro(
@@ -1011,7 +1018,7 @@ def check_regression(
     for micro in current.micro:
         if not micro.scratch_reused:
             problems.append(
-                f"{micro.name}: pop_retirable allocated a fresh list "
+                f"{micro.name}: pop_retirable_f allocated a fresh list "
                 "(scratch-buffer contract broken)"
             )
         base = baseline_micro.get(micro.name)

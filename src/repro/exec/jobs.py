@@ -138,9 +138,10 @@ def run_job(job: SampleJob) -> Sample:
     """Execute one job in this process.  Also the worker entry point.
 
     Generational GC is paused for the duration of the sample: the
-    simulator allocates millions of short-lived DynInstr graphs whose
-    liveness is acyclic (reference counting frees them promptly), so
-    collector sweeps are pure overhead on the hot loop.
+    simulator allocates millions of short-lived tuples and lists (fetch
+    entries, completion-heap entries, interval records) whose liveness
+    is acyclic (reference counting frees them promptly), so collector
+    sweeps are pure overhead on the hot loop.
     """
     workload = resolve_workload(job.workload_name)
     was_enabled = gc.isenabled()

@@ -10,8 +10,8 @@ instruction — so fetch and dispatch index tables instead of touching
 ``Instruction`` objects.
 
 The bitmask (``F_*`` bits) is the single source of truth for the
-structure-of-arrays hot loop (``REPRO_HOTLOOP=soa``, the default; see
-``repro.pipeline.ooo_core``).  :func:`flags_of` derives the mask from an
+pipeline's flat ring (see ``repro.pipeline.ooo_core``).
+:func:`flags_of` derives the mask from an
 ``Instruction``'s own precomputed flags, so a decode row can never
 disagree with the object it summarizes — ``tests/isa/test_decode.py``
 pins the equivalence over every opcode and field combination.
@@ -34,16 +34,16 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 
-# -- classification bits (stable; the SoA loop tests these with `&`) --------
+# -- classification bits (stable; the pipeline tests these with `&`) --------
 F_ALU = 1 << 0
 F_MEM = 1 << 1
 F_LOAD = 1 << 2
 F_STORE = 1 << 3  # plain Op.STORE only: the store-buffer occupants.
 #: Atomics (ATOMIC/CAS) also write memory (``inst.is_store`` is True for
-#: them) but never enter the store buffer and always serialize — the SoA
-#: loop routes them through the serializing path via F_SER, so F_STORE
-#: deliberately excludes them to match the object loop's ``op is
-#: Op.STORE`` checks exactly.
+#: them) but never enter the store buffer and always serialize — the
+#: pipeline routes them through the serializing path via F_SER, so
+#: F_STORE deliberately excludes them to match ``op is Op.STORE``
+#: exactly.
 F_ATOMIC = 1 << 4
 F_BRANCH = 1 << 5  # conditional branches only
 F_JUMP = 1 << 6

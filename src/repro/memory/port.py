@@ -21,16 +21,15 @@ from repro.sim.stats import Stats
 
 @dataclass(slots=True)
 class Access:
-    """Outcome of a load or store drain.
+    """Outcome of an RMW read (:meth:`CoreMemPort.rmw_read`).
 
     ``retry`` means no MSHR was free: the requester must try again later
-    (the port does not queue).  ``value`` is meaningful for loads only.
+    (the port does not queue).
     """
 
     value: int = 0
     done: int = 0
     retry: bool = False
-    miss: bool = False
 
 
 class CoreMemPort:
@@ -64,8 +63,8 @@ class CoreMemPort:
         self._word_mask = l1_config.line_bytes // 8 - 1
         controller.register_l1(core_id, self.l1, is_mute)
         self._prefix = f"core{core_id}."
-        # Stat keys interned once: load/store are hot enough that the
-        # per-access string concat shows up in profiles.
+        # Stat keys interned once: load_f/store_f are hot enough that
+        # the per-access string concat shows up in profiles.
         self._k_load_hits = self._prefix + "l1_load_hits"
         self._k_load_misses = self._prefix + "l1_load_misses"
         self._k_store_hits = self._prefix + "l1_store_hits"
@@ -74,40 +73,14 @@ class CoreMemPort:
         self._k_mshr_stalls = self._prefix + "mshr_stalls"
 
     # -- TLB ----------------------------------------------------------------
-    def dtlb_hit(self, addr: int) -> bool:
-        return self.tlbs.dtlb.lookup(addr)
-
     def dtlb_fill(self, addr: int) -> None:
         self.tlbs.dtlb.fill(addr)
 
     # -- loads ----------------------------------------------------------------
-    def load(self, addr: int, now: int) -> Access:
-        """Read a word; misses go to the L2 (coherent or phantom)."""
-        line_addr = addr >> self._line_shift
-        offset = (addr >> 3) & self._word_mask
-        line = self.l1.access(line_addr)
-        if line is not None:
-            self.stats.inc(self._k_load_hits)
-            return Access(value=line.data[offset], done=now + self.config.load_to_use)
-
-        if not self.mshrs.available(now):
-            self.stats.inc(self._k_mshr_stalls)
-            return Access(retry=True)
-
-        self.stats.inc(self._k_load_misses)
-        if self.is_mute:
-            reply = self.controller.phantom_read(self.core_id, line_addr, now, self.phantom)
-            self._install_mute(line_addr, reply.data)
-        else:
-            reply = self.controller.vocal_read(self.core_id, line_addr, now)
-        self.mshrs.allocate(now, reply.done)
-        return Access(value=reply.data[offset], done=reply.done, miss=True)
-
     def load_f(self, addr: int, now: int) -> tuple[int, int] | None:
-        """Hot-loop twin of :meth:`load`: ``(value, done)``, or ``None``
-        when no MSHR is free (the caller retries).  Identical stats and
-        timing; skips the :class:`Access` allocation the flat pipeline
-        would immediately tear apart."""
+        """Read a word: ``(value, done)``, or ``None`` when no MSHR is
+        free (the caller retries).  Misses go to the L2, coherent for a
+        vocal and phantom for a mute."""
         line_addr = addr >> self._line_shift
         line = self.l1.access(line_addr)
         if line is not None:
@@ -126,46 +99,16 @@ class CoreMemPort:
         return reply.data[(addr >> 3) & self._word_mask], reply.done
 
     # -- stores (non-speculative drain) -----------------------------------------
-    def store(self, addr: int, value: int, now: int) -> Access:
-        """Drain one checked store into the cache hierarchy."""
+    def store_f(self, addr: int, value: int, now: int) -> int | None:
+        """Drain one checked store into the cache hierarchy: the drain's
+        done cycle, or ``None`` when no MSHR is free."""
         line_addr = addr >> self._line_shift
         line = self.l1.access(line_addr)
-
         if line is not None and (
             line.state in (LineState.MODIFIED, LineState.EXCLUSIVE) or self.is_mute
         ):
             # Mute hierarchies have blanket write permission (phantom
             # replies grant it); vocal needs E/M for a silent write.
-            self.l1.write_word(addr, value)
-            self.stats.inc(self._k_store_hits)
-            return Access(done=now + 1)
-
-        if not self.mshrs.available(now):
-            self.stats.inc(self._k_mshr_stalls)
-            return Access(retry=True)
-
-        if self.is_mute:
-            self.stats.inc(self._k_store_misses)
-            reply = self.controller.phantom_read(self.core_id, line_addr, now, self.phantom)
-            self._install_mute(line_addr, reply.data)
-        else:
-            if line is not None:
-                self.stats.inc(self._k_store_upgrades)
-            else:
-                self.stats.inc(self._k_store_misses)
-            reply = self.controller.vocal_write(self.core_id, line_addr, now)
-        self.mshrs.allocate(now, reply.done)
-        self.l1.write_word(addr, value)
-        return Access(done=reply.done, miss=True)
-
-    def store_f(self, addr: int, value: int, now: int) -> int | None:
-        """Hot-loop twin of :meth:`store`: the drain's done cycle, or
-        ``None`` when no MSHR is free.  Same stats and timing."""
-        line_addr = addr >> self._line_shift
-        line = self.l1.access(line_addr)
-        if line is not None and (
-            line.state in (LineState.MODIFIED, LineState.EXCLUSIVE) or self.is_mute
-        ):
             self.l1.write_word(addr, value)
             self.stats.inc(self._k_store_hits)
             return now + 1
@@ -209,7 +152,7 @@ class CoreMemPort:
         else:
             reply = self.controller.vocal_write(self.core_id, line_addr, now)
         self.mshrs.allocate(now, reply.done)
-        return Access(value=reply.data[offset], done=reply.done, miss=True)
+        return Access(value=reply.data[offset], done=reply.done)
 
     def rmw_write(self, addr: int, value: int) -> None:
         """Complete an RMW: the line is resident with write permission."""

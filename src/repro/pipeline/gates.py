@@ -10,11 +10,13 @@ state:
   replication: fingerprints are compared against a virtual partner with
   identical timing, so only the comparison latency and the resulting
   buffering are modelled.
-* ``ReunionCheckGate`` (in :mod:`repro.core.check_stage`) — real
-  fingerprint exchange between the vocal and mute cores of a pair.
+* ``CheckGate`` (in :mod:`repro.core.check_stage`) — real fingerprint
+  exchange between the vocal and mute cores of a pair.
 
 Keeping the gate abstract lets one pipeline implementation serve all
 three execution models, which is exactly the paper's dual-use argument.
+The gates read the core's flat ring directly, through the ``*_f``
+methods.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from collections import deque
 from typing import Protocol
 
 from repro.pipeline.flat import M_INJECTED
-from repro.pipeline.rob import DynInstr
 
 #: Horizon sentinel for the cycle-skipping kernel: "no pending event".
 #: Any real simulated cycle is far below this.
@@ -31,52 +32,43 @@ NEVER = 1 << 62
 
 
 class RetireGate(Protocol):
-    """What the core needs from a retirement-checking policy."""
+    """What the core needs from a retirement-checking policy.
 
-    def offer(self, entry: DynInstr, now: int) -> None:
-        """An instruction (oldest, completed) enters the check stage."""
-
-    def pop_retirable(self, now: int, limit: int) -> list[DynInstr]:
-        """Entries cleared for architectural retirement, oldest first.
-
-        The returned list is a per-gate scratch buffer, valid only until
-        the next ``pop_retirable``/``pop_retirable_f`` call on this gate
-        — callers consume it immediately and never retain it.
-        """
-
-    def has_retirable(self, now: int) -> bool:
-        """Cheap allocation-free precheck: would ``pop_retirable`` act?
-
-        True whenever ``pop_retirable(now, ...)`` would return entries
-        *or* discard squashed ones — the hot loop calls this every cycle
-        and only pays for the real pop when something can happen.
-        """
-
-    # -- flat-ROB protocol (REPRO_HOTLOOP=soa) ---------------------------
-    # The flat hot loop identifies in-flight instructions by packed int
-    # references ``(seq << core._f_sbits) | slot`` into the core's column
-    # arrays instead of DynInstr objects (see repro.pipeline.flat).  The
-    # ``*_f`` methods mirror their object twins over those columns; a ref
-    # whose slot seq no longer matches is squashed-or-freed and treated
-    # exactly as ``entry.squashed``.
+    The core identifies in-flight instructions by ring slot, or by
+    packed int reference ``(seq << core._f_sbits) | slot``, into its
+    column arrays (see :mod:`repro.pipeline.flat`).  A ref whose slot
+    seq no longer matches names a squashed (or retired) instruction.
+    """
 
     def offer_f(self, core, slot: int, now: int) -> None:
-        """Flat twin of :meth:`offer` for the live ring slot ``slot``."""
+        """The instruction in live ring slot ``slot`` (oldest, completed)
+        enters the check stage."""
 
     def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        """Packed refs cleared for retirement, oldest first.
+        """Packed refs cleared for architectural retirement, oldest first.
 
-        Same scratch-buffer lifetime as :meth:`pop_retirable`.  Callers
-        must re-validate each ref's seq before acting on it: a TRAP or
-        interrupt retired mid-batch squashes younger refs still in the
-        returned batch.
+        The returned list is a per-gate scratch buffer, valid only until
+        the next ``pop_retirable_f`` call on this gate — callers consume
+        it immediately and never retain it.  Callers must re-validate
+        each ref's seq before acting on it: a TRAP or interrupt retired
+        mid-batch squashes younger refs still in the returned batch.
         """
 
     def has_retirable_f(self, core, now: int) -> bool:
-        """Flat twin of :meth:`has_retirable`."""
+        """Cheap allocation-free precheck: would ``pop_retirable_f`` act?
+
+        True whenever ``pop_retirable_f(core, now, ...)`` would return
+        refs *or* discard squashed ones.
+        """
 
     def next_release_f(self, core, now: int) -> int:
-        """Flat twin of :meth:`next_release`."""
+        """Earliest cycle >= ``now`` at which this gate could release work.
+
+        Conservative horizon for the cycle-skipping kernel: ``now`` means
+        "may act on the very next step", :data:`NEVER` means the gate has
+        no self-generated events (it can still be woken externally, e.g.
+        by its pair partner's comparison).
+        """
 
     def close_open(self, now: int) -> None:
         """A serializing instruction is waiting: end the open interval now.
@@ -89,22 +81,13 @@ class RetireGate(Protocol):
     def flush(self) -> None:
         """Drop all pending check state (squash / recovery)."""
 
-    def next_release(self, now: int) -> int:
-        """Earliest cycle >= ``now`` at which this gate could release work.
-
-        Conservative horizon for the cycle-skipping kernel: ``now`` means
-        "may act on the very next step", :data:`NEVER` means the gate has
-        no self-generated events (it can still be woken externally, e.g.
-        by its pair partner's comparison).
-        """
-
     @property
     def open_count(self) -> int:
         """User instructions in the currently-open fingerprint interval."""
 
     # Implementations also carry a ``users_offered`` attribute: the
     # cumulative count of *user* (non-injected) instructions offered,
-    # never reset by :meth:`flush`.  The core's offer loops consult it
+    # never reset by :meth:`flush`.  The core's offer loop consults it
     # to service external interrupts at the in-order offer boundary.
 
 
@@ -114,40 +97,27 @@ class ImmediateGate:
     __slots__ = ("_queue", "_scratch", "users_offered")
 
     def __init__(self) -> None:
-        # Object mode queues DynInstr entries; flat mode queues packed
-        # int refs.  A gate only ever serves one loop flavour.
-        self._queue: deque = deque()
-        #: Reused pop_retirable output buffer (valid until the next pop).
-        self._scratch: list = []
+        #: Offered packed refs, oldest first.
+        self._queue: deque[int] = deque()
+        #: Reused pop_retirable_f output buffer (valid until the next pop).
+        self._scratch: list[int] = []
         #: Cumulative user instructions offered (interrupt offer boundary).
         self.users_offered = 0
-
-    def offer(self, entry: DynInstr, now: int) -> None:
-        if not entry.injected:
-            self.users_offered += 1
-        self._queue.append(entry)
 
     def offer_f(self, core, slot: int, now: int) -> None:
         if not core.f_mask[slot] & M_INJECTED:
             self.users_offered += 1
         self._queue.append((core.f_seq[slot] << core._f_sbits) | slot)
 
-    def pop_retirable(self, now: int, limit: int) -> list[DynInstr]:
+    def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
+        # Queued refs may have gone stale (squashed after offer); the
+        # caller re-validates seqs.
         out = self._scratch
         out.clear()
         queue = self._queue
         while queue and len(out) < limit:
             out.append(queue.popleft())
         return out
-
-    def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        # Queued refs may have gone stale (squashed after offer); the
-        # caller re-validates seqs, exactly as the object loop re-tests
-        # entry.squashed on popped entries.
-        return self.pop_retirable(now, limit)
-
-    def has_retirable(self, now: int) -> bool:
-        return bool(self._queue)
 
     def has_retirable_f(self, core, now: int) -> bool:
         return bool(self._queue)
@@ -158,11 +128,8 @@ class ImmediateGate:
     def flush(self) -> None:
         self._queue.clear()
 
-    def next_release(self, now: int) -> int:
-        # Queued entries retire on the very next step; otherwise nothing.
-        return now if self._queue else NEVER
-
     def next_release_f(self, core, now: int) -> int:
+        # Queued entries retire on the very next step; otherwise nothing.
         return now if self._queue else NEVER
 
     open_count = 0  # no fingerprint intervals without checking

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from operator import attrgetter
 from typing import Callable
 
 from repro.isa.decode import (
@@ -65,22 +64,19 @@ from repro.memory.port import CoreMemPort
 from repro.pipeline.branch_predictor import BranchPredictor
 from repro.pipeline.flat import M_CONSUMED, M_INJECTED, FlatView
 from repro.pipeline.gates import NEVER, ImmediateGate, RetireGate
-from repro.pipeline.rob import DynInstr, DynState
 from repro.pipeline.tlb_handler import handler_sequence
 from repro.sim.config import Consistency, SystemConfig, TLBMode
 
-#: Sort key for the ready list (program order); hoisted out of _do_issue.
-_BY_SEQ = attrgetter("seq")
-
-#: Serializing-or-HALT: deferred to _issue_serializing by both loops.
+#: Serializing-or-HALT: issued only at the ROB head, by
+#: _flat_issue_serializing.
 _F_SER_HALT = F_SER | F_HALT
 
 # A fetched instruction waiting for dispatch is a plain 7-tuple (cheaper
 # to build and copy than a slotted object at fetch-queue rates):
 #   (ready_cycle, pc, inst, injected, predicted_next, fill_addr, row)
 # ``row`` indexes the pre-decoded tables (see repro.isa.decode) and is
-# -1 for injected instructions and for entries produced by the object
-# reference loop, which does not consult the tables.
+# -1 for injected instructions and for the user instructions the cold
+# fetch path (_do_fetch) takes while a handler is being injected.
 
 
 class OoOCore:
@@ -105,7 +101,7 @@ class OoOCore:
         #: retire keep the configured width so fingerprints still cover
         #: every instruction.  Result-affecting — always derived from the
         #: hashed config, never from SimOptions.  Set via
-        #: :meth:`set_issue_width` so the SoA hoist stays coherent.
+        #: :meth:`set_issue_width` so the hoisted copy stays coherent.
         self.issue_width = config.core.width
         self.program = program
         self.port = port
@@ -126,13 +122,14 @@ class OoOCore:
         self.predictor = BranchPredictor(self.core_cfg.branch_predictor_entries)
         self.fetch_stalled = False  # set after fetching HALT
 
-        # Backend.
-        self.rob: deque[DynInstr] = deque()
-        self.rename: dict[int, DynInstr] = {}
-        self.ready: list[DynInstr] = []
-        self.completions: list[tuple[int, int, DynInstr]] = []  # heap
-        self._store_entries: deque[DynInstr] = deque()
-        self._ser_heap: list[tuple[int, DynInstr]] = []
+        # Backend.  In-flight state lives in the flat ring (_init_flat);
+        # the ROB holds ring slots, every other container packed refs.
+        self.rob: deque[int] = deque()
+        self.rename: dict[int, int] = {}
+        self.ready: list[int] = []
+        self.completions: list[tuple[int, int]] = []  # (cycle, packed) heap
+        self._store_entries: deque[int] = deque()
+        self._ser_heap: list[int] = []
         self._next_seq = 0
 
         # Store buffer: speculative stores live in the ROB; checked stores
@@ -144,18 +141,10 @@ class OoOCore:
         # Pair-coordination state (Reunion).
         self.pair_sync_atomics = False  # pair controller flips this on
         self.single_step = False
-        self.sync_request: DynInstr | None = None
-        self.resume_normal_after: DynInstr | None = None
+        self.sync_request: FlatView | None = None
         #: Owning LogicalPair, if any (lets the fault injector disable
         #: the replay fast path when it hooks a paired core).
         self.pair = None
-
-        # Structure-of-arrays hot loop (REPRO_HOTLOOP=soa, the default).
-        # ``use_soa_hotloop`` pre-decodes the program into flat tables
-        # (repro.isa.decode) and rebinds ``step`` to ``_step_soa``; the
-        # object loop stays as the bit-identical reference.
-        self._soa = False
-        self._decoded = None
 
         # Mirror window (see repro.core.mirror).  On the vocal,
         # ``mirror_watch`` arms fetch-side detection of the first
@@ -176,11 +165,11 @@ class OoOCore:
         self.halted = False
         self.stall_fetch_until = 0
         self._check_pending = 0  # offered-but-unretired prefix of the ROB
-        #: The not-yet-offered suffix of the ROB (same entries, same
+        #: The not-yet-offered suffix of the ROB (same slots, same
         #: order).  Kept separately so the per-cycle check-boundary tests
-        #: in _do_retire / _issue_serializing / next_event are O(1) head
-        #: peeks instead of O(depth) deque indexing.
-        self._unchecked: deque[DynInstr] = deque()
+        #: in _flat_retire / _flat_issue_serializing / next_event are
+        #: O(1) head peeks instead of O(depth) deque indexing.
+        self._unchecked: deque[int] = deque()
 
         #: Per-core skip cache for the event kernel: every cycle strictly
         #: before this one is a proven no-op for this core (same contract
@@ -194,9 +183,9 @@ class OoOCore:
 
         #: Optional fault-injection hook, called with each entry right
         #: after its result is computed (see repro.core.faults).
-        self.fault_hook: Callable[[DynInstr], None] | None = None
+        self.fault_hook: Callable[[FlatView], None] | None = None
         #: Optional retirement observer (see repro.core.bandwidth).
-        self.retire_hook: Callable[[DynInstr], None] | None = None
+        self.retire_hook: Callable[[FlatView], None] | None = None
         #: Optional pipeline tracer (see repro.pipeline.trace).
         self.tracer = None
         #: Armed telemetry (see repro.obs), or None.  Set by CMPSystem;
@@ -214,55 +203,8 @@ class OoOCore:
         self.serializing_retired = 0
         self.user_mem_retired = 0
 
-    # ------------------------------------------------------------------
-    # Per-cycle step: completions -> drain -> retire -> issue -> dispatch
-    # -> fetch.
-    # ------------------------------------------------------------------
-    def step(self, now: int) -> None:
-        self.cycles += 1
-        self._do_completions(now)
-        self._do_drain(now)
-        self._do_retire(now)
-        self._do_issue(now)
-        self._do_dispatch(now)
-        self._do_fetch(now)
-
-    # ------------------------------------------------------------------
-    # Flat-array hot loop (REPRO_HOTLOOP=soa, the default).
-    #
-    # Same pipeline, same cycle-by-cycle decisions, different data
-    # layout.  The program is pre-decoded once into flat parallel tables
-    # (repro.isa.decode), and ALL in-flight instruction state lives in
-    # preallocated per-core column lists over a power-of-two ring of
-    # ``rob_size``-bounded slots: the steady-state dispatch → issue →
-    # complete → retire loop never constructs a Python object per
-    # instruction.  In-flight references are packed ints
-    # ``(seq << _f_sbits) | slot``; a reference is live iff
-    # ``f_seq[slot] == packed >> _f_sbits`` (seqs are globally unique and
-    # monotone, so a freed-and-reused slot can never false-match), and
-    # packed order equals program (seq) order, so sorts and heap
-    # tie-breaks are bit-identical to the object loop's.
-    #
-    # DynInstr-shaped views (repro.pipeline.flat.FlatView, per-slot
-    # singletons) materialize lazily only on cold paths: fault-injection
-    # / retire / tracer hooks, sync-request servicing, squash logging,
-    # and mirror materialization.  gates.py / check_stage.py keep their
-    # interfaces via the ``*_f`` flat protocol.
-    #
-    # The object loop above stays selectable (REPRO_HOTLOOP=object) as
-    # the bit-identical reference; tests/sim/test_hotloop.py fuzzes the
-    # two against each other, including the cold paths.
-    # ------------------------------------------------------------------
-    def use_soa_hotloop(self) -> None:
-        """Switch to the flat-array loop (call before the first step).
-
-        Binds the pre-decoded tables, allocates the flat ring, and
-        rebinds ``step`` / ``next_event`` as instance attributes so
-        selection costs nothing per cycle.  The ring starts empty, so
-        this must run before any instruction is in flight (CMPSystem
-        calls it at construction).
-        """
-        self._soa = True
+        # The flat ring: bind the pre-decoded tables, hoist the config
+        # scalars the stages read per call, and allocate the columns.
         self._bind_decode()
         cc = self.core_cfg
         self._c_width = cc.width
@@ -276,22 +218,43 @@ class OoOCore:
         # core's) lifetime — TLB flushes clear in place, never reassign.
         self._dtlb_lookup = self.port.tlbs.dtlb.lookup
         self._init_flat()
-        self.step = self._step_soa  # type: ignore[method-assign]
-        self.next_event = self._next_event_flat  # type: ignore[method-assign]
 
+    # ------------------------------------------------------------------
+    # Per-cycle step over the flat ring: completions -> drain -> retire
+    # -> issue -> dispatch -> fetch.
+    #
+    # The program is pre-decoded once into flat parallel tables
+    # (repro.isa.decode), and ALL in-flight instruction state lives in
+    # preallocated per-core column lists over a power-of-two ring of
+    # ``rob_size``-bounded slots: the steady-state dispatch → issue →
+    # complete → retire loop never constructs a Python object per
+    # instruction.  In-flight references are packed ints
+    # ``(seq << _f_sbits) | slot``; a reference is live iff
+    # ``f_seq[slot] == packed >> _f_sbits`` (seqs are globally unique and
+    # monotone, so a freed-and-reused slot can never false-match), and
+    # packed order equals program (seq) order, so sorts and heap
+    # tie-breaks follow program order.
+    #
+    # Entry-shaped views (repro.pipeline.flat.FlatView, per-slot
+    # singletons) materialize lazily only on cold paths: fault-injection
+    # / retire / tracer hooks, sync-request servicing and squash
+    # logging.  The retire gates (gates.py, check_stage.py) speak the
+    # ``*_f`` protocol over the same columns.
+    #
+    # tests/sim/test_golden.py pins this loop's results, cold paths
+    # included, as digests.
+    # ------------------------------------------------------------------
     def set_issue_width(self, width: int) -> None:
         """Narrow (or restore) the issue stage — little-mute policies.
 
-        Keeps the SoA loop's hoisted copy coherent whichever order the
-        policy and :meth:`use_soa_hotloop` are applied in.
+        Updates the hoisted copy the issue stage reads as well.
         """
         if width < 1 or width > self.core_cfg.width:
             raise ValueError(
                 f"issue width must be in [1, {self.core_cfg.width}], got {width}"
             )
         self.issue_width = width
-        if self._soa:
-            self._c_issue_width = width
+        self._c_issue_width = width
 
     def _init_flat(self) -> None:
         """Allocate the ring columns (plain lists, not int arrays).
@@ -301,9 +264,8 @@ class OoOCore:
         load-bearing value in the reference semantics (an unresolved
         store address means "conservatively block younger loads", an
         absent result means "do not write the ARF / fingerprint"), and
-        the object loop's values are arbitrary-precision ints.  The win
-        here is removing the per-instruction allocation and 28 slot
-        writes, not narrowing storage.
+        values are arbitrary-precision ints.  The win here is removing
+        the per-instruction allocation, not narrowing storage.
         """
         size = self.core_cfg.rob_size
         cap = 1 << max(1, (size - 1).bit_length())  # power of two >= size
@@ -366,17 +328,6 @@ class OoOCore:
             self.f_pp,
             self.f_deps,
         )
-        # Flat-path containers hold slot indices (rob / _unchecked — the
-        # deques only ever contain live slots) or packed refs (everything
-        # else, validated lazily), not DynInstr objects.
-        self.rob = deque()
-        self.rename = {}
-        self.ready = []
-        self.completions = []
-        self._store_entries = deque()
-        self._ser_heap = []
-        self._unchecked = deque()
-        self.sync_request = None
 
     def _view(self, slot: int) -> FlatView:
         """The slot's singleton view, stamped with its current seq."""
@@ -386,7 +337,6 @@ class OoOCore:
 
     def _bind_decode(self) -> None:
         d = decode_program(self.program, self.sc_mode)
-        self._decoded = d
         # Hoist bundle for fetch/dispatch/issue (see _f_cols): rebuilt
         # whenever the program is rebound (hard_reset), so it is always
         # current.
@@ -395,7 +345,7 @@ class OoOCore:
             d.kern, d.btake,
         )
 
-    def _step_soa(self, now: int) -> None:
+    def step(self, now: int) -> None:
         self.cycles += 1
         heap = self.completions
         if heap and heap[0][0] <= now:
@@ -420,7 +370,8 @@ class OoOCore:
         self._do_fetch_soa(now)
 
     def _flat_issue(self, now: int) -> None:
-        """`_do_issue` + `_issue_simple` over the ring columns, fused."""
+        """Issue stage: serializing ops at the ROB head, then the ready
+        list in program order (ALU ops, branches, jumps and nops inline)."""
         if self._ser_heap:
             self._flat_issue_serializing(now)
             ser_limit = self._flat_oldest_ser()
@@ -547,7 +498,7 @@ class OoOCore:
         self.ready = remaining
 
     def _flat_issue_load(self, slot: int, packed: int, now: int) -> int:
-        """Flat `_issue_load`: 0 = done, 1 = wait, 2 = trap."""
+        """Try to issue a load: 0 = done, 1 = wait, 2 = trap."""
         f_addr = self.f_addr
         addr = f_addr[slot]
         if addr is None:
@@ -614,7 +565,7 @@ class OoOCore:
         return 0
 
     def _flat_issue_store(self, slot: int, packed: int, now: int) -> bool:
-        """Flat `_issue_store` (no memory access yet)."""
+        """Compute a store's address and value (no memory access yet)."""
         addr = effective_address(self.f_v1[slot] or 0, self.f_inst[slot].imm)
         self.f_addr[slot] = addr
         self.f_sval[slot] = self.f_v2[slot] or 0
@@ -633,7 +584,12 @@ class OoOCore:
         return True
 
     def _flat_forward(self, slot: int, packed: int, addr):
-        """Flat `_forward_from_stores`: value, "blocked", or None."""
+        """Store-to-load forwarding across ROB stores and the drain queue.
+
+        Returns a value when forwarding succeeds, "blocked" when an older
+        store is unresolved (conservative disambiguation), or None when
+        the load may go to memory.
+        """
         f_seq = self.f_seq
         smask = self._f_smask
         sbits = self._f_sbits
@@ -663,7 +619,13 @@ class OoOCore:
         return None
 
     def _flat_issue_serializing(self, now: int) -> None:
-        """Flat `_issue_serializing`: head-of-ROB only (Section 4.4)."""
+        """Serializing ops (and HALT) execute only at the head of the ROB.
+
+        Being at the head means every older instruction has been compared
+        and retired — requirement (1) of Section 4.4.  Requirement (2),
+        that younger instructions stall, is enforced in ``_flat_issue``
+        via ``_flat_oldest_ser``.
+        """
         rob = self.rob
         if not rob:
             return
@@ -730,7 +692,7 @@ class OoOCore:
         self._flat_sched(packed, access.done, now)
 
     def _flat_oldest_ser(self):
-        """Flat `_oldest_active_serializing` over the packed-ref heap."""
+        """Smallest seq of an unretired serializing instruction, if any."""
         heap = self._ser_heap
         f_seq = self.f_seq
         smask = self._f_smask
@@ -751,7 +713,7 @@ class OoOCore:
         heapq.heappush(self.completions, (cycle, packed))
 
     def _flat_dispatch(self, now: int) -> None:
-        """`_do_dispatch` + `_dispatch_one` + `_capture`, fused over columns.
+        """Dispatch stage: rename, operand capture and ROB insertion, fused.
 
         Allocates the next ring slot and writes the columns directly —
         the steady state constructs no per-instruction object at all.
@@ -853,7 +815,7 @@ class OoOCore:
                     f_wo[slot] = -1
 
             # Operand capture.  (Decoded MOVI rows take the register-0
-            # path — val1/val2 become 0 instead of the object loop's
+            # path — f_v1/f_v2 become 0 instead of the cold path's
             # untouched None; both are unread for MOVI, so this is
             # value-identical.)
             pending = 0
@@ -928,8 +890,8 @@ class OoOCore:
         self._f_tail = tail
 
     def _flat_dispatch_cold(self, fetched: tuple, now: int) -> None:
-        """Flat `_dispatch_one`: row-less fetches (injected handlers and
-        post-injection user fetches from the shared fetch path)."""
+        """Dispatch one row-less fetch (injected handlers and the user
+        fetches the cold path takes during an injection)."""
         inst = fetched[2]
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -959,8 +921,8 @@ class OoOCore:
         self.f_row[slot] = -1
         self.f_deps[slot].clear()
 
-        # Capture operands / subscribe to producers (object-loop
-        # predicates verbatim; MOVI leaves val1/val2 None, matching it).
+        # Capture operands / subscribe to producers, from the
+        # Instruction predicates (MOVI leaves f_v1/f_v2 None).
         op = inst.op
         pending = 0
         if op is not Op.MOVI:
@@ -1008,7 +970,7 @@ class OoOCore:
             self.ready.append(packed)
 
     def _flat_capture(self, slot: int, packed: int, which: int, reg: int) -> int:
-        """Flat `_capture`; returns the operand's pending contribution."""
+        """Capture one source operand; returns its pending contribution."""
         producer = self.rename.get(reg)
         smask = self._f_smask
         live = (
@@ -1036,7 +998,7 @@ class OoOCore:
 
     # -- flat completions / retire / squash ----------------------------
     def _flat_completions(self, now: int) -> None:
-        """Flat `_do_completions` over the (cycle, packed) heap."""
+        """Complete every issued ref due by ``now`` and wake its consumers."""
         heap = self.completions
         heappop = heapq.heappop
         (
@@ -1103,7 +1065,7 @@ class OoOCore:
                     self._redirect_fetch(actual_next)
 
     def _flat_retire(self, now: int) -> None:
-        """Flat `_do_retire`: release cleared refs, offer completed ones."""
+        """Retire the refs the gate has cleared, then offer completed ones."""
         width = self._c_width
         gate = self.gate
         released = gate.pop_retirable_f(self, now, width)
@@ -1152,7 +1114,7 @@ class OoOCore:
         self._check_pending += offered
 
     def _flat_retire_one(self, slot: int, now: int) -> None:
-        """Flat `_retire`: architectural update for one checked slot.
+        """Update architectural state for one checked slot.
 
         The gate releases strictly in offer order, so ``slot`` is always
         the ROB head here.  Frees the ring slot; the TRAP / interrupt /
@@ -1239,8 +1201,11 @@ class OoOCore:
                     self._flat_take_synthetic_tlb_miss(seq, resume, now)
 
     def _flat_service_interrupt(self, seq: int, resume: int) -> None:
-        """Flat `_service_interrupt` (the triggering slot stays live:
-        it was just offered and retires through the gate normally)."""
+        """Squash past ``seq`` and inject the interrupt handler.
+
+        The triggering slot itself stays live: it was just offered to the
+        gate and retires through it normally.
+        """
         _, handler = self._interrupts.popleft()
         self.interrupts_serviced += 1
         self._flat_squash_to(seq + 1)
@@ -1252,7 +1217,7 @@ class OoOCore:
         self.fetch_stalled = False
 
     def _flat_take_synthetic_tlb_miss(self, seq: int, resume: int, now: int) -> None:
-        """Flat `_take_synthetic_tlb_miss`."""
+        """Instruction-fetch TLB miss charged at retirement of instr n."""
         if self.sw_tlb:
             self._flat_squash_to(seq + 1)
             self._inject_handler(
@@ -1264,7 +1229,8 @@ class OoOCore:
             )
 
     def _flat_take_dtlb_trap(self, slot: int, now: int) -> None:
-        """Flat `_take_dtlb_trap`: flush (inclusive) and run the handler."""
+        """Software TLB miss on a data access: flush (inclusive) and run
+        the handler."""
         addr = self.f_addr[slot]
         page = addr >> self.config.tlb.page_bits
         pc = self.f_pc[slot]
@@ -1272,7 +1238,7 @@ class OoOCore:
         self._inject_handler(page=page, fill_addr=addr, resume_pc=pc)
 
     def _flat_squash_to(self, first_bad_seq: int) -> None:
-        """Flat `_squash_to`: pop ROB-tail victims youngest-first.
+        """Squash every entry from ``first_bad_seq`` on, youngest first.
 
         Freeing a victim's slot (seq -1) *is* the squash mark — every
         packed ref to it everywhere (ready list, heaps, rename, gate
@@ -1315,7 +1281,7 @@ class OoOCore:
                         rename[rd] = previous
                     else:
                         del rename[rd]
-            # Hot dispatch no longer clears deps on recycle: a victim
+            # Hot dispatch does not clear deps on recycle: a victim
             # that never completed must drop its subscriber edges here.
             self.f_deps[slot].clear()
             f_seq[slot] = -1  # free
@@ -1331,17 +1297,51 @@ class OoOCore:
         self._injection_resume = None
         self.fetch_stalled = False
 
-    def _next_event_flat(self, now: int) -> int:
-        """Flat `next_event`: identical horizon logic over the columns."""
+    # -- event horizon (cycle-skipping kernel) --------------------------
+    def next_event(self, now: int) -> int:
+        """Conservative wake-up horizon for the cycle-skipping kernel.
+
+        Returns the earliest cycle ``>= now`` at which :meth:`step` could
+        change any state (architectural, microarchitectural, or
+        statistics).  ``now`` itself means "cannot skip: the very next
+        step may act"; :data:`NEVER` means the core generates no further
+        events on its own (it can still be woken by its pair partner,
+        whose horizon is computed separately).
+
+        The contract is *conservative*: returning a cycle earlier than
+        the true next event merely costs a no-op step (under-skipping is
+        safe); returning a later cycle would silently drop work
+        (over-skipping is a bug).  Every ``now``-dependent branch of
+        ``step()`` must therefore be reflected here:
+
+        * the completion heap head,
+        * the in-flight store drain (and any queued drain store, which
+          retries — and counts MSHR-stall statistics — every cycle),
+        * the retire gate's next release / interval-timeout close,
+        * pending offers of completed ROB entries into the check stage,
+        * the ready list (issue is attempted every cycle it is nonempty),
+        * a serializing instruction at the ROB head or at the check
+          boundary (Section 4.4 stalls),
+        * the fetch queue head's dispatch-ready cycle, and
+        * the frontend's ``stall_fetch_until``.
+        """
+        # Issue: a nonempty ready list is rescanned every cycle.  This is
+        # the cheapest and by far the most common "busy" signal, so it is
+        # tested before anything else (ordering is free: every branch
+        # either returns ``now`` or only lowers ``wake``).
         if self.ready:
             return now
         wake = NEVER
+        # Completions: nothing executes out of the heap before its head.
         heap = self.completions
         if heap:
             t = heap[0][0]
             if t <= now:
                 return now
             wake = t
+        # Store drain: an in-flight drain completes at a known cycle; a
+        # queued drain store is attempted (or MSHR-retried, which counts
+        # stall statistics) every single cycle.
         inflight = self._drain_inflight
         if inflight is not None:
             t = inflight[2]
@@ -1357,8 +1357,11 @@ class OoOCore:
         unchecked = self._unchecked
         if unchecked:
             waiting = unchecked[0]
-            if f_state[waiting] == 2:
+            # Completed entries are offered to the gate width-per-cycle.
+            if f_state[waiting] == 2:  # DynState.COMPLETED
                 return now
+            # A ready serializing instruction at the check boundary ends
+            # the open fingerprint interval (gate.close_open).
             if (
                 self.gate.open_count
                 and f_pend[waiting] == 0
@@ -1366,6 +1369,8 @@ class OoOCore:
                 and f_flags[waiting] & _F_SER_HALT
             ):
                 return now
+        # Retire gate: cleared intervals, injected-serializing stalls,
+        # and (for paired gates) the interval-timeout close.
         t = self.gate.next_release_f(self, now)
         if t <= now:
             return now
@@ -1388,6 +1393,10 @@ class OoOCore:
                 )
                 if not needs_drain or self.drain_empty:
                     return now
+                # Otherwise blocked on the drain, whose horizon is above.
+        # Dispatch: the fetch-queue head becomes eligible at ready_cycle;
+        # structural blocks (ROB, store buffer, single-step) are lifted
+        # only by retire/drain events already accounted for.
         fetch_queue = self.fetch_queue
         if fetch_queue:
             head = fetch_queue[0]
@@ -1401,6 +1410,8 @@ class OoOCore:
                     and self.sb_count >= self._c_sb_size
                 ):
                     return now
+        # Fetch: active whenever there is room and the frontend is not
+        # stalled; a hardware-TLB refill stall expires at a known cycle.
         if (
             not self.halted
             and not self.fetch_stalled
@@ -1477,170 +1488,6 @@ class OoOCore:
         """True when nothing is in flight and the core has halted."""
         return self.halted and not self.rob and not self.drain and self._drain_inflight is None
 
-    # -- event horizon (cycle-skipping kernel) --------------------------
-    def next_event(self, now: int) -> int:
-        """Conservative wake-up horizon for the cycle-skipping kernel.
-
-        Returns the earliest cycle ``>= now`` at which :meth:`step` could
-        change any state (architectural, microarchitectural, or
-        statistics).  ``now`` itself means "cannot skip: the very next
-        step may act"; :data:`NEVER` means the core generates no further
-        events on its own (it can still be woken by its pair partner,
-        whose horizon is computed separately).
-
-        The contract is *conservative*: returning a cycle earlier than
-        the true next event merely costs a no-op step (under-skipping is
-        safe); returning a later cycle would silently drop work
-        (over-skipping is a bug).  Every ``now``-dependent branch of
-        ``step()`` must therefore be reflected here:
-
-        * the completion heap head,
-        * the in-flight store drain (and any queued drain store, which
-          retries — and counts MSHR-stall statistics — every cycle),
-        * the retire gate's next release / interval-timeout close,
-        * pending offers of completed ROB entries into the check stage,
-        * the ready list (issue is attempted every cycle it is nonempty),
-        * a serializing instruction at the ROB head or at the check
-          boundary (Section 4.4 stalls),
-        * the fetch queue head's dispatch-ready cycle, and
-        * the frontend's ``stall_fetch_until``.
-        """
-        # Issue: a nonempty ready list is rescanned every cycle.  This is
-        # the cheapest and by far the most common "busy" signal, so it is
-        # tested before anything else (ordering is free: every branch
-        # either returns ``now`` or only lowers ``wake``).
-        if self.ready:
-            return now
-        wake = NEVER
-        # Completions: nothing executes out of the heap before its head.
-        heap = self.completions
-        if heap:
-            t = heap[0][0]
-            if t <= now:
-                return now
-            wake = t
-        # Store drain: an in-flight drain completes at a known cycle; a
-        # queued drain store is attempted (or MSHR-retried, which counts
-        # stall statistics) every single cycle.
-        inflight = self._drain_inflight
-        if inflight is not None:
-            t = inflight[2]
-            if t <= now:
-                return now
-            if t < wake:
-                wake = t
-        elif self.drain:
-            return now
-        unchecked = self._unchecked
-        if unchecked:
-            waiting = unchecked[0]
-            # Completed entries are offered to the gate width-per-cycle.
-            if waiting.state == DynState.COMPLETED:
-                return now
-            # A ready serializing instruction at the check boundary ends
-            # the open fingerprint interval (gate.close_open).
-            if (
-                self.gate.open_count
-                and waiting.pending == 0
-                and waiting.state == DynState.DISPATCHED
-                and (waiting.serializing or waiting.inst.op is Op.HALT)
-            ):
-                return now
-        # Retire gate: cleared intervals, injected-serializing stalls,
-        # and (for paired gates) the interval-timeout close.
-        t = self.gate.next_release(now)
-        if t <= now:
-            return now
-        if t < wake:
-            wake = t
-        rob = self.rob
-        if rob:
-            head = rob[0]
-            if (
-                head.state == DynState.DISPATCHED
-                and head.pending == 0
-                and (head.serializing or head.inst.op is Op.HALT)
-            ):
-                op = head.inst.op
-                needs_drain = (
-                    op is Op.MEMBAR
-                    or op is Op.ATOMIC
-                    or op is Op.CAS
-                    or (self.sc_mode and op is Op.STORE)
-                )
-                if not needs_drain or self.drain_empty:
-                    return now
-                # Otherwise blocked on the drain, whose horizon is above.
-        # Dispatch: the fetch-queue head becomes eligible at ready_cycle;
-        # structural blocks (ROB, store buffer, single-step) are lifted
-        # only by retire/drain events already accounted for.
-        fetch_queue = self.fetch_queue
-        if fetch_queue:
-            head = fetch_queue[0]
-            t = head[0]  # ready_cycle
-            if t > now:
-                if t < wake:
-                    wake = t
-            elif len(rob) < self.core_cfg.rob_size and not (self.single_step and rob):
-                if not (
-                    head[2].op is Op.STORE
-                    and self.sb_count >= self.core_cfg.store_buffer_size
-                ):
-                    return now
-        # Fetch: active whenever there is room and the frontend is not
-        # stalled; a hardware-TLB refill stall expires at a known cycle.
-        if (
-            not self.halted
-            and not self.fetch_stalled
-            and len(fetch_queue) < self.core_cfg.fetch_queue_size
-        ):
-            t = self.stall_fetch_until
-            if t <= now:
-                return now
-            if t < wake:
-                wake = t
-        return wake
-
-    # -- completions ----------------------------------------------------
-    def _do_completions(self, now: int) -> None:
-        heap = self.completions
-        if not heap or heap[0][0] > now:
-            return
-        # Hot path: hoist bound methods and the ready list out of the loop,
-        # and inline the producer wake-up (DynInstr.set_src).
-        heappop = heapq.heappop
-        ready_append = self.ready.append
-        completed = DynState.COMPLETED
-        dispatched = DynState.DISPATCHED
-        tracer = self.tracer
-        while heap and heap[0][0] <= now:
-            entry = heappop(heap)[2]
-            if entry.squashed:
-                continue
-            entry.state = completed
-            entry.complete_cycle = now
-            if tracer is not None:
-                tracer.complete(entry, now)
-            result = entry.result
-            if result is not None:
-                for dependent, slot in entry.dependents:
-                    if not dependent.squashed:
-                        if slot == 1:
-                            dependent.val1 = result
-                        else:
-                            dependent.val2 = result
-                        pending = dependent.pending - 1
-                        dependent.pending = pending
-                        if pending == 0 and dependent.state == dispatched:
-                            ready_append(dependent)
-                entry.dependents = []
-            if entry.inst.is_branch:
-                self.predictor.update(entry.pc, entry.actual_next != entry.pc + 1)
-                if entry.actual_next != entry.predicted_next:
-                    self.mispredicts += 1
-                    self._squash_after(entry)
-                    self._redirect_fetch(entry.actual_next)
-
     # -- store drain ------------------------------------------------------
     def _do_drain(self, now: int) -> None:
         inflight = self._drain_inflight
@@ -1661,116 +1508,6 @@ class OoOCore:
     def drain_empty(self) -> bool:
         return not self.drain and self._drain_inflight is None
 
-    # -- retirement -------------------------------------------------------
-    def _do_retire(self, now: int) -> None:
-        width = self.core_cfg.width
-        # 1. Architecturally retire entries the gate has cleared.  The
-        # precheck keeps the common nothing-to-release cycle free of the
-        # pop's list allocation and deque churn.
-        gate = self.gate
-        if gate.has_retirable(now):
-            for entry in gate.pop_retirable(now, width):
-                if entry.squashed:
-                    continue
-                self._retire(entry, now)
-        # 2. Offer the oldest completed-but-unchecked entries to the gate.
-        unchecked = self._unchecked
-        if not unchecked:
-            return
-        completed = DynState.COMPLETED
-        if unchecked[0].state != completed:
-            return  # head of the unchecked region not done: nothing to offer
-        offered = 0
-        in_check = DynState.IN_CHECK
-        while unchecked and offered < width:
-            entry = unchecked[0]
-            if entry.state != completed:
-                break
-            unchecked.popleft()
-            entry.state = in_check
-            gate.offer(entry, now)
-            offered += 1
-            if (
-                self._interrupts
-                and not self.single_step
-                and not entry.injected
-                and gate.users_offered >= self._interrupts[0][0]
-            ):
-                # Service at the in-order offer boundary: no younger
-                # entry has reached the gate yet, so the squash below
-                # touches only unoffered in-flight state and both cores
-                # of a pair — even a heterogeneous little-mute pair with
-                # a different pipeline depth — pick the identical stream
-                # point (gate.users_offered is a pure function of the
-                # correct-path instruction stream).
-                self._service_interrupt(entry)
-                break
-        self._check_pending += offered
-
-    def _retire(self, entry: DynInstr, now: int) -> None:
-        """Update architectural state for one checked instruction.
-
-        The gate releases strictly in offer order, so ``entry`` is always
-        the ROB head here.
-        """
-        self.rob.popleft()
-        self._check_pending -= 1
-        entry.state = DynState.RETIRED
-        if self.tracer is not None:
-            self.tracer.retire(entry, now)
-        inst = entry.inst
-        op = inst.op
-        self.total_retired += 1
-        if op is Op.STORE:
-            store_entries = self._store_entries
-            if store_entries and store_entries[0] is entry:
-                store_entries.popleft()
-            self.drain.append((entry.addr, entry.store_value))
-            # sb_count is released when the drain completes.
-        elif op is Op.HALT:
-            self.halted = True
-
-        if inst.writes_reg:
-            # Clear the displaced-producer link so retired entries never
-            # chain-retain their predecessors.
-            entry.prev_producer = None
-            if entry.result is not None:
-                self.arf.write(inst.rd, entry.result)
-            rename = self.rename
-            if rename.get(inst.rd) is entry:
-                del rename[inst.rd]
-
-        if entry.injected:
-            self.injected_retired += 1
-            if entry.fill_addr is not None:
-                self.port.dtlb_fill(entry.fill_addr)
-            return
-
-        self.user_retired += 1
-        if self.retire_hook is not None:
-            self.retire_hook(entry)
-        if inst.is_mem:
-            self.user_mem_retired += 1
-        if entry.serializing:
-            self.serializing_retired += 1
-
-        if inst.op is Op.TRAP:
-            # User-level traps redirect fetch through the trap vector:
-            # model as a full pipeline flush and refetch.
-            self._squash_after(entry)
-            self._redirect_fetch(entry.pc + 1)
-        elif not self.single_step:
-            # External interrupts are serviced at the in-order *offer*
-            # boundary (see _do_retire's offer loop), not here: at retire
-            # time younger entries have already entered the check gate,
-            # and squashing them would desynchronize interval contents
-            # across a heterogeneous pair.
-            if self.synthetic_itlb is not None and self.synthetic_itlb(
-                self.user_retired
-            ):
-                self.itlb_misses += 1
-                self._take_synthetic_tlb_miss(entry, now)
-
     # -- external interrupts ----------------------------------------------
     def schedule_interrupt(self, at_user_count: int, handler: list[Instruction]) -> None:
         """Service an interrupt after retiring ``at_user_count`` user instrs.
@@ -1782,283 +1519,8 @@ class OoOCore:
         self._interrupts.append((at_user_count, handler))
         self._skip_until = 0
 
-    def _service_interrupt(self, entry: DynInstr) -> None:
-        """Squash past ``entry`` and inject the handler.
-
-        ``entry`` itself stays live: it was just offered to the gate and
-        retires through it normally (``_squash_after`` spares it).
-        """
-        _, handler = self._interrupts.popleft()
-        self.interrupts_serviced += 1
-        resume = entry.actual_next if entry.actual_next is not None else entry.pc + 1
-        self._squash_after(entry)
-        self.fetch_queue.clear()
-        self.injection.clear()
-        for inst in handler:
-            self.injection.append((inst, None))
-        self._injection_resume = resume
-        self.fetch_stalled = False
-
-    def _take_synthetic_tlb_miss(self, entry: DynInstr, now: int) -> None:
-        """Instruction-fetch TLB miss charged at retirement of instr n."""
-        resume = entry.actual_next if entry.actual_next is not None else entry.pc + 1
-        if self.config.tlb.mode is TLBMode.SOFTWARE:
-            self._squash_after(entry)
-            self._inject_handler(page=self.user_retired, fill_addr=None, resume_pc=resume)
-        else:
-            self.stall_fetch_until = max(
-                self.stall_fetch_until, now + self.config.tlb.hw_fill_latency
-            )
-
-    # -- issue ---------------------------------------------------------------
-    def _do_issue(self, now: int) -> None:
-        self._issue_serializing(now)
-
-        if not self.ready:
-            return
-        self.ready.sort(key=_BY_SEQ)
-        issue_budget = self.issue_width
-        load_ports = self.core_cfg.load_ports
-        ser_limit = self._oldest_active_serializing()
-        remaining: list[DynInstr] = []
-        # Hot path: cache the append bound method and state constant.
-        defer = remaining.append
-        dispatched = DynState.DISPATCHED
-
-        for entry in self.ready:
-            if entry.squashed or entry.state != dispatched:
-                continue
-            if issue_budget == 0:
-                defer(entry)
-                continue
-            op = entry.inst.op
-            if entry.serializing or op is Op.HALT:
-                defer(entry)  # handled by _issue_serializing
-                continue
-            if ser_limit is not None and entry.seq > ser_limit:
-                defer(entry)  # blocked behind a serializing op
-                continue
-            if op is Op.LOAD:
-                if load_ports == 0:
-                    defer(entry)
-                    continue
-                outcome = self._issue_load(entry, now)
-                if outcome == "trap":
-                    return  # pipeline flushed; ready list rebuilt
-                if outcome == "wait":
-                    defer(entry)
-                    continue
-                load_ports -= 1
-            elif op is Op.STORE:
-                if not self._issue_store(entry, now):
-                    return  # TLB trap flush
-            else:
-                self._issue_simple(entry, now)
-            issue_budget -= 1
-
-        self.ready = remaining
-
-    def _issue_simple(self, entry: DynInstr, now: int) -> None:
-        """ALU ops, branches, jumps, nops: compute and schedule completion."""
-        inst = entry.inst
-        op = inst.op
-        latency = self.core_cfg.alu_latency
-        if inst.is_alu:
-            entry.result = alu_result(op, entry.val1 or 0, entry.val2 or 0, inst.imm)
-            if op is Op.MUL:
-                latency = self.core_cfg.mul_latency
-        elif inst.is_branch:
-            taken = branch_taken(op, entry.val1 or 0, entry.val2 or 0)
-            entry.actual_next = inst.target if taken else entry.pc + 1
-        elif op is Op.JUMP:
-            entry.actual_next = inst.target
-        if self.fault_hook is not None:
-            self.fault_hook(entry)
-        entry.state = DynState.ISSUED
-        self._schedule(entry, now + latency, now)
-
-    def _issue_load(self, entry: DynInstr, now: int) -> str:
-        """Try to issue a load; returns 'done', 'wait', or 'trap'."""
-        if entry.addr is None:
-            # Operands are immutable once captured, so compute the
-            # effective address once across issue retries.
-            entry.addr = effective_address(entry.val1 or 0, entry.inst.imm)
-
-        if self.single_step and self.pair_sync_atomics and not entry.injected:
-            # Re-execution protocol: the first load is issued by both
-            # cores as a synchronizing request (Definition 11).
-            if not self.drain_empty:
-                return "wait"
-            self.port.dtlb_fill(entry.addr)
-            entry.state = DynState.ISSUED
-            self.sync_request = entry
-            return "done"
-
-        blocker = entry.wait_on
-        if blocker is not None:
-            if blocker.addr is None and not blocker.squashed:
-                return "wait"  # memoized "blocked" (see DynInstr.wait_on)
-            entry.wait_on = None
-
-        if self._store_entries or self.drain or self._drain_inflight is not None:
-            forwarded = self._forward_from_stores(entry)
-        else:
-            forwarded = None
-        if forwarded == "blocked":
-            return "wait"
-        if isinstance(forwarded, int):
-            entry.result = forwarded
-            if self.fault_hook is not None:
-                # Store-to-load forwarding is unprotected datapath — one of
-                # the coverage gaps of a strict LVQ that relaxed input
-                # replication closes (Section 2.3).
-                self.fault_hook(entry)
-            entry.state = DynState.ISSUED
-            self._schedule(entry, now + 1, now)
-            return "done"
-
-        extra = 0
-        if not entry.injected and not self.port.dtlb_hit(entry.addr):
-            self.dtlb_misses += 1
-            if self.sw_tlb:
-                self._take_dtlb_trap(entry, now)
-                return "trap"
-            extra = self.config.tlb.hw_fill_latency
-            self.port.dtlb_fill(entry.addr)
-
-        access = self.port.load(entry.addr, now)
-        if access.retry:
-            return "wait"
-        entry.result = access.value
-        if self.fault_hook is not None:
-            self.fault_hook(entry)
-        entry.state = DynState.ISSUED
-        self._schedule(entry, access.done + extra, now)
-        return "done"
-
-    def _issue_store(self, entry: DynInstr, now: int) -> bool:
-        """Compute a store's address and value (no memory access yet)."""
-        inst = entry.inst
-        entry.addr = effective_address(entry.val1 or 0, inst.imm)
-        entry.store_value = entry.val2 or 0
-        if not entry.injected and not self.port.dtlb_hit(entry.addr):
-            self.dtlb_misses += 1
-            if self.sw_tlb:
-                self._take_dtlb_trap(entry, now)
-                return False
-            self.port.dtlb_fill(entry.addr)
-            # Hardware fill overlaps with the store's time in the buffer.
-        if self.fault_hook is not None:
-            # Store address/value generation is unprotected datapath too:
-            # an upset here corrupts the fingerprint's store-stream words
-            # (the other input class besides results and branch targets).
-            self.fault_hook(entry)
-        entry.state = DynState.ISSUED
-        self._schedule(entry, now + 1, now)
-        return True
-
-    def _forward_from_stores(self, load: DynInstr) -> int | str | None:
-        """Store-to-load forwarding across ROB stores and the drain queue.
-
-        Returns a value when forwarding succeeds, "blocked" when an older
-        store is unresolved (conservative disambiguation), or None when
-        the load may go to memory.
-        """
-        addr = load.addr
-        for store in reversed(self._store_entries):
-            if store.squashed:
-                continue
-            if store.seq >= load.seq:
-                continue
-            if store.state == DynState.RETIRED:
-                break  # retired stores are visible via the drain queue
-            if store.addr is None:
-                load.wait_on = store  # memoize: skip rescans until resolved
-                return "blocked"
-            if store.addr == addr:
-                if store.store_value is None:
-                    return "blocked"
-                return store.store_value
-        for drain_addr, drain_value in reversed(self.drain):
-            if drain_addr == addr:
-                return drain_value
-        inflight = self._drain_inflight
-        if inflight is not None and inflight[0] == addr:
-            return inflight[1]
-        return None
-
-    def _issue_serializing(self, now: int) -> None:
-        """Serializing ops (and HALT) execute only at the head of the ROB.
-
-        Being at the head means every older instruction has been compared
-        and retired — requirement (1) of Section 4.4.  Requirement (2),
-        that younger instructions stall, is enforced in ``_do_issue`` via
-        ``_oldest_active_serializing``.
-        """
-        if not self.rob:
-            return
-        # When the next unchecked instruction is serializing and ready,
-        # end the open fingerprint interval immediately so the older
-        # instructions ahead of it can compare and retire (Section 4.4).
-        unchecked = self._unchecked
-        if unchecked:
-            waiting = unchecked[0]
-            if (
-                (waiting.serializing or waiting.inst.op is Op.HALT)
-                and waiting.pending == 0
-                and waiting.state == DynState.DISPATCHED
-            ):
-                self.gate.close_open(now)
-        entry = self.rob[0]
-        if entry.state != DynState.DISPATCHED or entry.pending != 0:
-            return
-        inst = entry.inst
-        if not (entry.serializing or inst.op is Op.HALT):
-            return
-
-        op = inst.op
-        if op in (Op.MEMBAR, Op.ATOMIC, Op.CAS) and not self.drain_empty:
-            return
-        if self.sc_mode and op is Op.STORE and not self.drain_empty:
-            return
-
-        if op is Op.HALT or op is Op.MEMBAR or op is Op.TRAP:
-            entry.state = DynState.ISSUED
-            self._schedule(entry, now + 1, now)
-        elif op is Op.MMUOP:
-            entry.state = DynState.ISSUED
-            self._schedule(entry, now + self.core_cfg.mmuop_latency, now)
-        elif op is Op.STORE:  # SC-mode serializing store
-            self._issue_store(entry, now)
-        elif op in (Op.ATOMIC, Op.CAS):
-            self._issue_atomic(entry, now)
-
-    def _issue_atomic(self, entry: DynInstr, now: int) -> None:
-        inst = entry.inst
-        entry.addr = effective_address(entry.val1 or 0, inst.imm)
-        if not entry.injected and not self.port.dtlb_hit(entry.addr):
-            self.dtlb_misses += 1
-            if self.sw_tlb:
-                self._take_dtlb_trap(entry, now)
-                return
-            self.port.dtlb_fill(entry.addr)
-        if self.pair_sync_atomics:
-            # Reunion: atomics are synchronizing requests, performed once
-            # by the shared cache controller when both cores arrive.
-            entry.state = DynState.ISSUED
-            self.sync_request = entry
-            return
-        access = self.port.rmw_read(entry.addr, now)
-        if access.retry:
-            return
-        rd_value, new_value = atomic_result(inst.op, access.value, entry.val2 or 0, inst.imm)
-        entry.result = rd_value
-        if new_value is not None:
-            self.port.rmw_write(entry.addr, new_value)
-        entry.state = DynState.ISSUED
-        self._schedule(entry, access.done, now)
-
-    def complete_sync(self, entry: DynInstr, value: int, done: int) -> None:
+    # -- synchronizing requests -------------------------------------------
+    def complete_sync(self, entry: FlatView, value: int, done: int) -> None:
         """Pair controller delivers a synchronizing-request reply.
 
         For atomics the controller has already applied the memory update;
@@ -2070,36 +1532,9 @@ class OoOCore:
             return
         entry.result = value
         self.sync_request = None
-        if self._soa:
-            # `entry` is a FlatView: re-pack its ref and use the flat
-            # scheduler so the completion heap stays homogeneous.
-            self._flat_sched((entry._q << self._f_sbits) | entry._s, done)
-        else:
-            self._schedule(entry, done)
-
-    def _oldest_active_serializing(self) -> int | None:
-        """Smallest seq of an unretired serializing instruction, if any."""
-        heap = self._ser_heap
-        while heap:
-            seq, entry = heap[0]
-            if entry.squashed or entry.state == DynState.RETIRED:
-                heapq.heappop(heap)
-                continue
-            return seq
-        return None
-
-    def _schedule(self, entry: DynInstr, cycle: int, now: int | None = None) -> None:
-        if self.tracer is not None:
-            self.tracer.issue(entry, cycle if now is None else now)
-        heapq.heappush(self.completions, (cycle, entry.seq, entry))
+        self._flat_sched((entry._q << self._f_sbits) | entry._s, done)
 
     # -- TLB traps -------------------------------------------------------------
-    def _take_dtlb_trap(self, entry: DynInstr, now: int) -> None:
-        """Software TLB miss on a data access: flush and run the handler."""
-        page = entry.addr >> self.config.tlb.page_bits
-        self._squash_from(entry)
-        self._inject_handler(page=page, fill_addr=entry.addr, resume_pc=entry.pc)
-
     def _inject_handler(self, page: int, fill_addr: int | None, resume_pc: int) -> None:
         """Queue the software fast-miss handler for injection at fetch."""
         self.fetch_queue.clear()
@@ -2111,102 +1546,13 @@ class OoOCore:
         self._injection_resume = resume_pc
         self.fetch_stalled = False
 
-    # -- dispatch ----------------------------------------------------------------
-    def _do_dispatch(self, now: int) -> None:
-        width = self.core_cfg.width
-        rob_size = self.core_cfg.rob_size
-        sb_size = self.core_cfg.store_buffer_size
-        dispatched = 0
-        while dispatched < width and self.fetch_queue:
-            fetched = self.fetch_queue[0]
-            if fetched[0] > now or len(self.rob) >= rob_size:
-                break
-            inst = fetched[2]
-            if inst.op is Op.STORE and self.sb_count >= sb_size:
-                break
-            if self.single_step and self.rob:
-                break  # one instruction at a time during re-execution
-            self.fetch_queue.popleft()
-            self._dispatch_one(fetched, now)
-            dispatched += 1
-
-    def _dispatch_one(self, fetched: tuple, now: int) -> None:
-        inst = fetched[2]
-        entry = DynInstr(self._next_seq, fetched[1], inst, injected=fetched[3])
-        self._next_seq += 1
-        entry.predicted_next = fetched[4]
-        entry.fill_addr = fetched[5]
-        entry.serializing = inst.is_serializing or (self.sc_mode and inst.op is Op.STORE)
-
-        # Capture operands / subscribe to producers.
-        op = inst.op
-        if op is not Op.MOVI:
-            needs1 = inst.rs1 != 0 and (
-                inst.is_alu or inst.is_mem or inst.is_branch
-            )
-            needs2 = inst.rs2 != 0 and (
-                (inst.is_alu and not inst.imm_form)
-                or inst.is_branch
-                or op is Op.STORE
-                or op is Op.ATOMIC
-                or op is Op.CAS
-            )
-            if needs1:
-                self._capture(entry, 1, inst.rs1)
-            else:
-                entry.val1 = 0 if inst.rs1 == 0 else None
-                if entry.val1 is None:
-                    entry.val1 = self.arf.read(inst.rs1)
-            if needs2:
-                self._capture(entry, 2, inst.rs2)
-            else:
-                entry.val2 = 0
-
-        if inst.writes_reg:
-            entry.prev_producer = self.rename.get(inst.rd)
-            self.rename[inst.rd] = entry
-
-        if op is Op.STORE:
-            self.sb_count += 1
-            self._store_entries.append(entry)
-        if entry.serializing or op is Op.HALT:
-            heapq.heappush(self._ser_heap, (entry.seq, entry))
-
-        # Non-branch control flow resolves immediately; branches carry the
-        # prediction and verify at completion.
-        if not inst.is_control or op is Op.HALT:
-            entry.actual_next = entry.pc + 1
-        elif op is Op.JUMP:
-            entry.actual_next = inst.target
-
-        self.rob.append(entry)
-        self._unchecked.append(entry)
-        if self.tracer is not None:
-            self.tracer.dispatch(entry, now)
-        if entry.pending == 0:
-            self.ready.append(entry)
-
-    def _capture(self, entry: DynInstr, slot: int, reg: int) -> None:
-        producer = self.rename.get(reg)
-        if producer is not None and not producer.squashed:
-            producer.consumed = True
-        if producer is None or producer.squashed:
-            value = self.arf.read(reg)
-            if slot == 1:
-                entry.val1 = value
-            else:
-                entry.val2 = value
-        elif producer.result is not None:
-            if slot == 1:
-                entry.val1 = producer.result
-            else:
-                entry.val2 = producer.result
-        else:
-            entry.pending += 1
-            producer.dependents.append((entry, slot))
-
     # -- fetch ---------------------------------------------------------------------
     def _do_fetch(self, now: int) -> None:
+        """Cold fetch from ``Instruction`` objects, without decode rows.
+
+        ``_do_fetch_soa`` hands it whole cycles while a handler is being
+        injected, since one cycle may then mix injected and user fetches.
+        """
         if self.halted or now < self.stall_fetch_until:
             return
         width = self.core_cfg.width
@@ -2255,45 +1601,6 @@ class OoOCore:
                 break
 
     # -- squash / recovery -------------------------------------------------------------
-    def _squash_after(self, entry: DynInstr) -> None:
-        """Squash everything younger than ``entry`` (branch/trap redirect)."""
-        self._squash_to(entry.seq + 1)
-
-    def _squash_from(self, entry: DynInstr) -> None:
-        """Squash ``entry`` and everything younger (TLB trap)."""
-        self._squash_to(entry.seq)
-
-    def _squash_to(self, first_bad_seq: int) -> None:
-        rob = self.rob
-        while rob and rob[-1].seq >= first_bad_seq:
-            victim = rob.pop()
-            victim.squashed = True
-            if self.tracer is not None:
-                self.tracer.squash(victim)
-            if victim.state == DynState.IN_CHECK:
-                self._check_pending -= 1
-            else:
-                unchecked = self._unchecked
-                if unchecked and unchecked[-1] is victim:
-                    unchecked.pop()
-            inst = victim.inst
-            if inst.op is Op.STORE and victim.state != DynState.RETIRED:
-                self.sb_count -= 1
-            if inst.writes_reg and self.rename.get(inst.rd) is victim:
-                previous = victim.prev_producer
-                if previous is not None and not previous.squashed and previous.state != DynState.RETIRED:
-                    self.rename[inst.rd] = previous
-                else:
-                    del self.rename[inst.rd]
-        self._store_entries = deque(s for s in self._store_entries if not s.squashed)
-        if self.sync_request is not None and self.sync_request.squashed:
-            self.sync_request = None
-        self.ready = [e for e in self.ready if not e.squashed]
-        self.fetch_queue.clear()
-        self.injection.clear()
-        self._injection_resume = None
-        self.fetch_stalled = False
-
     def _redirect_fetch(self, new_pc: int) -> None:
         self.pc = new_pc
         self.fetch_stalled = False
@@ -2302,10 +1609,7 @@ class OoOCore:
         """Reset all architectural and microarchitectural state for a new
         program — used when a core is repurposed (dual-use switching)."""
         if self.rob:
-            if self._soa:
-                self._flat_squash_to(self.f_seq[self.rob[0]])
-            else:
-                self._squash_to(self.rob[0].seq)
+            self._flat_squash_to(self.f_seq[self.rob[0]])
         self.gate.flush()
         # flush() deliberately preserves the cumulative offer count
         # (recovery re-offers must keep counting); a repurposed core
@@ -2325,8 +1629,7 @@ class OoOCore:
         self.single_step = False
         self._interrupts.clear()
         self.program = program
-        if self._soa:
-            self._bind_decode()
+        self._bind_decode()
         self.arf = RegisterFile()
         for index, value in program.initial_regs.items():
             self.arf.write(index, value)
@@ -2343,31 +1646,21 @@ class OoOCore:
         reflects the full compared prefix before rollback.
         """
         self._skip_until = 0
-        if self._soa:
-            f_seq = self.f_seq
-            smask = self._f_smask
-            sbits = self._f_sbits
-            while True:
-                cleared = self.gate.pop_retirable_f(self, now, 1 << 30)
-                if not cleared:
-                    return
-                for packed in cleared:
-                    if f_seq[packed & smask] == packed >> sbits:
-                        self._flat_retire_one(packed & smask, now)
-            return
+        f_seq = self.f_seq
+        smask = self._f_smask
+        sbits = self._f_sbits
         while True:
-            cleared = self.gate.pop_retirable(now, 1 << 30)
+            cleared = self.gate.pop_retirable_f(self, now, 1 << 30)
             if not cleared:
                 return
-            for entry in cleared:
-                if not entry.squashed:
-                    self._retire(entry, now)
+            for packed in cleared:
+                if f_seq[packed & smask] == packed >> sbits:
+                    self._flat_retire_one(packed & smask, now)
 
     def next_retire_pc(self) -> int:
         """PC of the oldest unretired instruction (rollback target)."""
         if self.rob:
-            head = self.rob[0]
-            return self.f_pc[head] if self._soa else head.pc
+            return self.f_pc[self.rob[0]]
         if self.fetch_queue:
             return self.fetch_queue[0][1]  # pc
         return self.pc
@@ -2379,12 +1672,7 @@ class OoOCore:
         and non-speculative store buffer (drain queue) are untouched —
         they *are* the safe state.
         """
-        if self._soa:
-            self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
-        elif self.rob:
-            self._squash_to(self.rob[0].seq)
-        else:
-            self._squash_to(0)
+        self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
         self.gate.flush()
         self.completions.clear()
         self._check_pending = 0

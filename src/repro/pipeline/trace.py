@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pipeline.rob import DynInstr
+from repro.pipeline.flat import FlatView
 
 
 @dataclass
@@ -47,7 +47,7 @@ class PipelineTracer:
         self.order: list[int] = []
 
     # -- recording (called from the core) ----------------------------------
-    def dispatch(self, entry: DynInstr, cycle: int) -> None:
+    def dispatch(self, entry: FlatView, cycle: int) -> None:
         if len(self.order) >= self.capacity:
             return
         record = InstrTrace(
@@ -60,22 +60,22 @@ class PipelineTracer:
         self._records[entry.seq] = record
         self.order.append(entry.seq)
 
-    def issue(self, entry: DynInstr, cycle: int) -> None:
+    def issue(self, entry: FlatView, cycle: int) -> None:
         record = self._records.get(entry.seq)
         if record is not None:
             record.issued = cycle
 
-    def complete(self, entry: DynInstr, cycle: int) -> None:
+    def complete(self, entry: FlatView, cycle: int) -> None:
         record = self._records.get(entry.seq)
         if record is not None:
             record.completed = cycle
 
-    def retire(self, entry: DynInstr, cycle: int) -> None:
+    def retire(self, entry: FlatView, cycle: int) -> None:
         record = self._records.get(entry.seq)
         if record is not None:
             record.retired = cycle
 
-    def squash(self, entry: DynInstr) -> None:
+    def squash(self, entry: FlatView) -> None:
         record = self._records.get(entry.seq)
         if record is not None:
             record.squashed = True

@@ -176,15 +176,6 @@ class CMPSystem:
                 )
                 self.pairs.append(pair)
 
-        if options.hotloop == "soa":
-            # Structure-of-arrays hot loop: pre-decode each program once
-            # into flat tables and rebind ``core.step`` to the fused fast
-            # path (see repro.isa.decode and OoOCore.use_soa_hotloop).
-            # Bit-identical to the object loop; REPRO_HOTLOOP=object
-            # keeps the reference implementation selectable.
-            for core in self.cores:
-                core.use_soa_hotloop()
-
         #: Armed telemetry (see :mod:`repro.obs`), or None when off.  The
         #: zero-cost-when-off contract: every emitting site holds this
         #: same reference (or None) and tests it once; a disarmed run

@@ -9,11 +9,11 @@ omitted; it has no per-knob keyword arguments.
 
 Field semantics:
 
-* ``kernel`` / ``execution`` / ``hotloop`` select *how* the simulation
-  is computed, never *what* it computes — each carries a bit-identity
-  contract (see docs/ARCHITECTURE.md, "Simulation kernel" and
-  "Execution modes") enforced by differential tests and every
-  ``repro bench`` run.
+* ``kernel`` / ``execution`` select *how* the simulation is computed,
+  never *what* it computes — each carries a bit-identity contract (see
+  docs/ARCHITECTURE.md, "Simulation kernel" and "Execution modes")
+  enforced by differential tests, the pinned digests of
+  ``tests/sim/test_golden.py`` and every ``repro bench`` run.
 * ``execution`` is the replay bit: ``replay`` arms a mirror window on
   every Reunion pair whose mute is the same automaton as its vocal,
   ``dual`` steps every mute.  Which protection policy a pair runs is
@@ -62,7 +62,6 @@ TRACE_LEVELS = ("off", "metrics", "events", "full")
 
 _KERNELS = ("event", "naive")
 _EXECUTIONS = ("replay", "dual")
-_HOTLOOPS = ("soa", "object")
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class SimOptions:
 
     kernel: str = "event"
     execution: str = "replay"
-    hotloop: str = "soa"  # core stepping implementation (bit-identical pair)
     trace: str = "off"
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
@@ -92,10 +90,6 @@ class SimOptions:
         if self.execution not in _EXECUTIONS:
             raise ValueError(
                 f"unknown execution mode {self.execution!r}; use 'replay' or 'dual'"
-            )
-        if self.hotloop not in _HOTLOOPS:
-            raise ValueError(
-                f"unknown hot loop {self.hotloop!r}; use 'soa' or 'object'"
             )
         if self.trace not in TRACE_LEVELS:
             raise ValueError(
@@ -120,8 +114,7 @@ class SimOptions:
         """Resolve options from the environment, explicit values winning.
 
         The *only* place ``REPRO_KERNEL`` / ``REPRO_EXEC`` /
-        ``REPRO_HOTLOOP`` / ``REPRO_TRACE`` / ``REPRO_TRACE_CAPACITY``
-        are consulted.
+        ``REPRO_TRACE`` / ``REPRO_TRACE_CAPACITY`` are consulted.
         ``overrides`` mirror the dataclass fields; ``None`` values mean
         "not specified" and fall through to the environment (and from
         there to the field default), so argparse results can be passed
@@ -135,7 +128,6 @@ class SimOptions:
         values: dict[str, Any] = {
             "kernel": env.get("REPRO_KERNEL") or cls.kernel,
             "execution": env.get("REPRO_EXEC") or cls.execution,
-            "hotloop": env.get("REPRO_HOTLOOP") or cls.hotloop,
             "trace": env.get("REPRO_TRACE") or cls.trace,
         }
         capacity = env.get("REPRO_TRACE_CAPACITY", "").strip()
@@ -152,11 +144,9 @@ def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
 
     Telemetry is excluded *by design* (it must never change results —
     ``tests/exec/test_jobs.py`` pins this), and ``kernel`` /
-    ``execution`` / ``hotloop`` are excluded by their bit-identity
-    contracts: a sample is the same sample however it was computed, so a
-    cache populated under ``REPRO_EXEC=dual`` serves ``replay`` runs,
-    one populated under ``REPRO_HOTLOOP=object`` serves ``soa`` runs,
-    and vice versa.  The result-affecting policy axis is
+    ``execution`` are excluded by their bit-identity contracts: a sample
+    is the same sample however it was computed, so a cache populated
+    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.  The result-affecting policy axis is
     :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is
     hashed via :func:`~repro.exec.jobs.config_payload`.
     ``max_cycles`` and ``seed`` are not consumed by

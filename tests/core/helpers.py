@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.isa import Program, assemble
+from repro.isa import Instruction, Program, assemble
+from repro.isa.decode import flags_of
+from repro.pipeline.flat import M_INJECTED
+from repro.pipeline.ooo_core import OoOCore
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import (
     CacheStyle,
@@ -19,6 +22,7 @@ from repro.sim.config import (
     apply_env_coherence,
     apply_env_protection,
 )
+from tests.pipeline.helpers import build_core
 
 # REPRO_COHERENCE retargets the whole integration suite at another
 # memory backend (the CI matrix leg); unset leaves the shared-L2 default.
@@ -70,3 +74,36 @@ def build(
     # for tests that pin explicit pair_policies.
     system_config = apply_env_protection(system_config)
     return CMPSystem(system_config, programs)
+
+
+def ring_core() -> OoOCore:
+    """A bare core whose flat ring unit tests write gate entries into."""
+    return build_core(assemble("halt"))[0]
+
+
+def put_entry(
+    core: OoOCore,
+    seq: int,
+    inst: Instruction,
+    *,
+    injected: bool = False,
+    result: int | None = None,
+    addr: int | None = None,
+    store_value: int | None = None,
+    actual_next: int | None = None,
+) -> int:
+    """Write one completed instruction into ``core``'s ring; returns its slot.
+
+    The slot is ``seq`` modulo the ring size; squash it with
+    ``core.f_seq[slot] = -1``.
+    """
+    slot = seq & core._f_smask
+    core.f_seq[slot] = seq
+    core.f_inst[slot] = inst
+    core.f_flags[slot] = flags_of(inst, core.sc_mode)
+    core.f_mask[slot] = M_INJECTED if injected else 0
+    core.f_res[slot] = result
+    core.f_addr[slot] = addr
+    core.f_sval[slot] = store_value
+    core.f_anext[slot] = actual_next
+    return slot

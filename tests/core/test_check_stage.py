@@ -1,4 +1,9 @@
-"""Unit tests for the check gate and strict oracle gate."""
+"""Unit tests for the check gate and strict oracle gate.
+
+Entries are completed instructions written into a real core's ring
+slots (``tests.core.helpers.put_entry``) and offered through the flat
+protocol; a squash frees the slot (``f_seq[slot] = -1``).
+"""
 
 import pytest
 
@@ -7,120 +12,132 @@ from repro.core.check_stage import RETIRE_TIME_SWEEP_AT, CheckGate
 from repro.core.faults import FaultInjector
 from repro.core.strict import StrictCheckGate
 from repro.isa import Instruction, Op
-from repro.pipeline.rob import DynInstr
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, RedundancyConfig, parse_policy
 from repro.sim.options import SimOptions
 from repro.workloads.micro import ComputeKernel
-from tests.core.helpers import SMALL
+from tests.core.helpers import SMALL, put_entry, ring_core
 
 
-def make_entry(seq, op=Op.ADD, injected=False, result=1, serializing=False):
+@pytest.fixture
+def core():
+    return ring_core()
+
+
+def make_entry(core, seq, op=Op.ADD, injected=False, result=1):
+    """Write a completed ``op`` into ``core``'s ring; returns its slot."""
     if op is Op.ADD:
         inst = Instruction(op, rd=1, rs1=2, rs2=3)
     else:
         inst = Instruction(op)
-    entry = DynInstr(seq, seq, inst, injected=injected)
-    entry.result = result
-    entry.serializing = serializing or inst.is_serializing
-    return entry
+    return put_entry(core, seq, inst, injected=injected, result=result)
+
+
+def seqs(core, popped):
+    return [packed >> core._f_sbits for packed in popped]
 
 
 class TestCheckGate:
-    def test_interval_closes_at_interval_length(self):
+    def test_interval_closes_at_interval_length(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=2))
-        gate.offer(make_entry(0), now=0)
+        gate.offer_f(core, make_entry(core, 0), now=0)
         assert gate.peek_closed() is None
-        gate.offer(make_entry(1), now=1)
+        gate.offer_f(core, make_entry(core, 1), now=1)
         record = gate.peek_closed()
         assert record is not None and record.count == 2
 
-    def test_serializing_closes_interval_early(self):
+    def test_serializing_closes_interval_early(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=50))
-        gate.offer(make_entry(0), now=0)
-        gate.offer(make_entry(1, op=Op.MEMBAR, result=None), now=1)
+        gate.offer_f(core, make_entry(core, 0), now=0)
+        gate.offer_f(core, make_entry(core, 1, op=Op.MEMBAR, result=None), now=1)
         record = gate.peek_closed()
         assert record is not None and record.count == 2
 
-    def test_halt_closes_interval(self):
+    def test_halt_closes_interval(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=50))
-        gate.offer(make_entry(0, op=Op.HALT, result=None), now=0)
+        gate.offer_f(core, make_entry(core, 0, op=Op.HALT, result=None), now=0)
         record = gate.peek_closed()
         assert record is not None and record.has_halt
 
-    def test_entries_wait_for_clear(self):
+    def test_entries_wait_for_clear(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
-        gate.offer(make_entry(0), now=0)
-        assert gate.pop_retirable(now=100, limit=4) == []
+        gate.offer_f(core, make_entry(core, 0), now=0)
+        assert not gate.has_retirable_f(core, now=100)
+        assert gate.pop_retirable_f(core, now=100, limit=4) == []
         record = gate.pop_closed()
         gate.clear_interval(record.index, retire_time=10)
-        assert gate.pop_retirable(now=9, limit=4) == []
-        popped = gate.pop_retirable(now=10, limit=4)
-        assert len(popped) == 1 and popped[0].seq == 0
+        assert not gate.has_retirable_f(core, now=9)
+        assert gate.pop_retirable_f(core, now=9, limit=4) == []
+        assert gate.has_retirable_f(core, now=10)
+        popped = gate.pop_retirable_f(core, now=10, limit=4)
+        assert len(popped) == 1 and seqs(core, popped) == [0]
 
-    def test_injected_entries_transparent(self):
+    def test_injected_entries_transparent(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1, comparison_latency=10))
-        user = make_entry(0)
-        handler_load = make_entry(1, op=Op.NOP, injected=True, result=None)
-        gate.offer(user, now=0)
-        gate.offer(handler_load, now=0)
+        user = make_entry(core, 0)
+        handler_load = make_entry(core, 1, op=Op.NOP, injected=True, result=None)
+        gate.offer_f(core, user, now=0)
+        gate.offer_f(core, handler_load, now=0)
         # The injected instruction cannot retire past the unchecked user entry.
-        assert gate.pop_retirable(now=100, limit=4) == []
+        assert gate.pop_retirable_f(core, now=100, limit=4) == []
         record = gate.pop_closed()
         assert record.count == 1  # handler not fingerprinted
         gate.clear_interval(record.index, retire_time=5)
-        popped = gate.pop_retirable(now=5, limit=4)
-        assert [e.seq for e in popped] == [0, 1]
+        popped = gate.pop_retirable_f(core, now=5, limit=4)
+        assert seqs(core, popped) == [0, 1]
 
-    def test_injected_serializing_pays_comparison_latency(self):
+    def test_injected_serializing_pays_comparison_latency(self, core):
         """Handler traps/MMU ops stall a full comparison latency (Sec 4.4)."""
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1, comparison_latency=10))
-        handler_trap = make_entry(0, op=Op.TRAP, injected=True, result=None)
-        gate.offer(handler_trap, now=20)
-        assert gate.pop_retirable(now=29, limit=4) == []
-        assert len(gate.pop_retirable(now=30, limit=4)) == 1
+        handler_trap = make_entry(core, 0, op=Op.TRAP, injected=True, result=None)
+        gate.offer_f(core, handler_trap, now=20)
+        assert not gate.has_retirable_f(core, now=29)
+        assert gate.pop_retirable_f(core, now=29, limit=4) == []
+        assert gate.has_retirable_f(core, now=30)
+        assert len(gate.pop_retirable_f(core, now=30, limit=4)) == 1
 
-    def test_single_step_closes_every_instruction(self):
+    def test_single_step_closes_every_instruction(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=50))
         gate.single_step = True
-        gate.offer(make_entry(0), now=0)
+        gate.offer_f(core, make_entry(core, 0), now=0)
         assert gate.peek_closed() is not None
 
-    def test_timeout_close(self):
+    def test_timeout_close(self, core):
         config = RedundancyConfig(fingerprint_interval=10)
         gate = CheckGate(config)
-        gate.offer(make_entry(0), now=0)
+        gate.offer_f(core, make_entry(core, 0), now=0)
         gate.maybe_timeout_close(now=5)
         assert gate.peek_closed() is None
         gate.maybe_timeout_close(now=100)
         record = gate.peek_closed()
         assert record is not None and record.count == 1
 
-    def test_flush_resets_everything(self):
+    def test_flush_resets_everything(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
-        gate.offer(make_entry(0), now=0)
+        gate.offer_f(core, make_entry(core, 0), now=0)
         gate.flush()
         assert gate.peek_closed() is None
-        assert gate.pop_retirable(now=100, limit=4) == []
+        assert gate.pop_retirable_f(core, now=100, limit=4) == []
         # Interval numbering restarts from zero after recovery.
-        gate.offer(make_entry(1), now=5)
+        gate.offer_f(core, make_entry(core, 1), now=5)
         assert gate.peek_closed().index == 0
 
-    def test_squashed_entries_skipped(self):
+    def test_squashed_entries_skipped(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
-        entry = make_entry(0)
-        gate.offer(entry, now=0)
+        slot = make_entry(core, 0)
+        gate.offer_f(core, slot, now=0)
         record = gate.pop_closed()
         gate.clear_interval(record.index, retire_time=0)
-        entry.squashed = True
-        assert gate.pop_retirable(now=10, limit=4) == []
+        core.f_seq[slot] = -1  # squash
+        assert gate.has_retirable_f(core, now=10)  # the pop discards it
+        assert gate.pop_retirable_f(core, now=10, limit=4) == []
 
-    def test_identical_streams_produce_identical_records(self):
+    def test_identical_streams_produce_identical_records(self, core):
         config = RedundancyConfig(fingerprint_interval=3)
         gate_a, gate_b = CheckGate(config), CheckGate(config)
         for gate in (gate_a, gate_b):
             for seq in range(6):
-                gate.offer(make_entry(seq, result=seq * 7), now=seq)
+                gate.offer_f(core, make_entry(core, seq, result=seq * 7), now=seq)
         while True:
             a, b = gate_a.peek_closed(), gate_b.peek_closed()
             if a is None:
@@ -130,33 +147,33 @@ class TestCheckGate:
             gate_a.pop_closed()
             gate_b.pop_closed()
 
-    def test_different_values_produce_different_fingerprints(self):
+    def test_different_values_produce_different_fingerprints(self, core):
         config = RedundancyConfig(fingerprint_interval=1)
         gate_a, gate_b = CheckGate(config), CheckGate(config)
-        gate_a.offer(make_entry(0, result=1), now=0)
-        gate_b.offer(make_entry(0, result=2), now=0)
+        gate_a.offer_f(core, make_entry(core, 0, result=1), now=0)
+        gate_b.offer_f(core, make_entry(core, 0, result=2), now=0)
         assert gate_a.peek_closed().fingerprint != gate_b.peek_closed().fingerprint
 
 
 class TestStrictGate:
-    def test_self_clears_after_latency(self):
+    def test_self_clears_after_latency(self, core):
         gate = StrictCheckGate(RedundancyConfig(fingerprint_interval=1, comparison_latency=10))
-        gate.offer(make_entry(0), now=5)
-        assert gate.pop_retirable(now=14, limit=4) == []
-        assert len(gate.pop_retirable(now=15, limit=4)) == 1
+        gate.offer_f(core, make_entry(core, 0), now=5)
+        assert gate.pop_retirable_f(core, now=14, limit=4) == []
+        assert len(gate.pop_retirable_f(core, now=15, limit=4)) == 1
 
-    def test_zero_latency_clears_immediately(self):
+    def test_zero_latency_clears_immediately(self, core):
         gate = StrictCheckGate(RedundancyConfig(fingerprint_interval=1, comparison_latency=0))
-        gate.offer(make_entry(0), now=5)
-        assert len(gate.pop_retirable(now=5, limit=4)) == 1
+        gate.offer_f(core, make_entry(core, 0), now=5)
+        assert len(gate.pop_retirable_f(core, now=5, limit=4)) == 1
 
-    def test_interval_batching(self):
+    def test_interval_batching(self, core):
         gate = StrictCheckGate(RedundancyConfig(fingerprint_interval=4, comparison_latency=10))
         for seq in range(3):
-            gate.offer(make_entry(seq), now=seq)
-        assert gate.pop_retirable(now=50, limit=8) == []  # interval still open
-        gate.offer(make_entry(3), now=3)
-        assert len(gate.pop_retirable(now=13, limit=8)) == 4
+            gate.offer_f(core, make_entry(core, seq), now=seq)
+        assert gate.pop_retirable_f(core, now=50, limit=8) == []  # interval still open
+        gate.offer_f(core, make_entry(core, 3), now=3)
+        assert len(gate.pop_retirable_f(core, now=13, limit=8)) == 4
 
 
 def _long_run(policy: str, fault_interval: int = 0) -> tuple[dict, int, int]:

@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.check_stage import CheckGate
 from repro.core.fingerprint import FingerprintAccumulator, fingerprint_words
 from repro.isa import Instruction, Op
-from repro.pipeline.rob import DynInstr
+from repro.sim.config import RedundancyConfig
+from tests.core.helpers import put_entry, ring_core
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -90,41 +92,43 @@ class TestTwoStage:
 
 
 class TestInstructionUpdates:
-    def _entry(self, inst, result=None, addr=None, store_value=None, actual_next=None):
-        entry = DynInstr(0, 0, inst)
-        entry.result = result
-        entry.addr = addr
-        entry.store_value = store_value
-        entry.actual_next = actual_next
-        return entry
+    """The update words ``CheckGate.offer_f`` captures into a fingerprint.
 
-    def _digest(self, entry):
-        acc = FingerprintAccumulator()
-        acc.add_instruction(entry)
-        return acc.digest()
+    Each digest is the fingerprint of a one-instruction interval, offered
+    from a real core's ring the way the pipeline offers it.
+    """
+
+    def _digest(self, inst, **fields):
+        core = ring_core()
+        gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
+        gate.offer_f(core, put_entry(core, 0, inst, **fields), now=0)
+        return gate.peek_closed().fingerprint
 
     def test_register_update_captured(self):
         inst = Instruction(Op.ADD, rd=1, rs1=2, rs2=3)
-        a = self._digest(self._entry(inst, result=5))
-        b = self._digest(self._entry(inst, result=6))
-        assert a != b
+        assert self._digest(inst, result=5) != self._digest(inst, result=6)
 
     def test_store_address_and_value_captured(self):
         inst = Instruction(Op.STORE, rs1=1, rs2=2)
-        base = self._entry(inst, addr=0x100, store_value=7)
-        other_addr = self._entry(inst, addr=0x108, store_value=7)
-        other_value = self._entry(inst, addr=0x100, store_value=8)
-        assert self._digest(base) != self._digest(other_addr)
-        assert self._digest(base) != self._digest(other_value)
+        base = self._digest(inst, addr=0x100, store_value=7)
+        other_addr = self._digest(inst, addr=0x108, store_value=7)
+        other_value = self._digest(inst, addr=0x100, store_value=8)
+        assert base != other_addr
+        assert base != other_value
 
     def test_branch_target_captured(self):
         inst = Instruction(Op.BEQ, rs1=1, rs2=2, target=5)
-        taken = self._entry(inst, actual_next=5)
-        not_taken = self._entry(inst, actual_next=1)
-        assert self._digest(taken) != self._digest(not_taken)
+        assert self._digest(inst, actual_next=5) != self._digest(inst, actual_next=1)
+
+    def test_load_address_not_captured(self):
+        """A load contributes its register result only (Section 4.3)."""
+        inst = Instruction(Op.LOAD, rd=1, rs1=2)
+        base = self._digest(inst, result=7, addr=0x100)
+        assert self._digest(inst, result=7, addr=0x108) == base
+        assert self._digest(inst, result=8, addr=0x100) != base
 
     def test_nop_contributes_nothing(self):
-        assert self._digest(self._entry(Instruction(Op.NOP))) == 0
+        assert self._digest(Instruction(Op.NOP)) == 0
 
 
 class TestNarrowWidths:

@@ -10,6 +10,7 @@ from repro.exec.benchreport import (
     check_regression,
     run_bench,
     run_kernel_comparison,
+    run_retire_gate_micro,
 )
 from repro.harness import QUICK
 
@@ -97,3 +98,10 @@ class TestRunBench:
         # The tentpole claim: cycle skipping wins on at least one
         # memory-latency-dominated artifact.
         assert max(c.speedup for c in comparisons) >= 2.0
+
+    def test_retire_gate_micro_reuses_its_scratch_buffer(self):
+        micro = run_retire_gate_micro(cycles=200)
+        assert [m.name for m in micro] == ["immediate", "strict-check"]
+        for m in micro:
+            assert m.scratch_reused, m.name
+            assert m.ops > 0 and m.ops_per_s > 0, m.name

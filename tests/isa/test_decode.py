@@ -1,11 +1,12 @@
 """Decode-table equivalence: the F_* bitmask vs the Instruction it summarizes.
 
-The structure-of-arrays hot loop (``REPRO_HOTLOOP=soa``) trusts one int
-bitmask per static instruction instead of chasing ``Instruction``
-attributes per dynamic instance.  These tests pin the mask to the object
-view over every opcode and operand shape, in both consistency modes, so
-the two hot loops can never read different classifications for the same
-instruction.
+The pipeline's flat ring trusts one int bitmask per static instruction
+instead of chasing ``Instruction`` attributes per dynamic instance.
+These tests pin the mask to the object view over every opcode and
+operand shape, in both consistency modes, so the decoded hot path and
+the cold paths that read ``Instruction`` predicates (injected handlers,
+fault targeting, bandwidth metering) can never read different
+classifications for the same instruction.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def test_store_bit_excludes_atomics() -> None:
 
     Atomics report ``is_store`` (they write memory) but never occupy the
     store buffer — they serialize instead.  The mask must keep the two
-    routes as distinct as the object loop's ``op is Op.STORE`` checks.
+    routes as distinct as an ``op is Op.STORE`` check.
     """
     store = flags_of(Instruction(Op.STORE, rs1=1, rs2=2), sc_mode=False)
     assert store & F_STORE

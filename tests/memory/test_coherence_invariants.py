@@ -87,16 +87,15 @@ def test_vocal_coherence_under_random_traffic(ops):
         addr = line * 64 + word * 8
         port = ports[core]
         if kind == "load":
-            access = port.load(addr, now)
-            if access.retry:
+            access = port.load_f(addr, now)
+            if access is None:  # no MSHR free: retry later
                 continue
-            assert access.value == reference.get(addr, 0), (
-                f"vocal load {addr:#x} saw {access.value}, expected "
+            assert access[0] == reference.get(addr, 0), (
+                f"vocal load {addr:#x} saw {access[0]}, expected "
                 f"{reference.get(addr, 0)}"
             )
         elif kind == "store":
-            access = port.store(addr, value, now)
-            if access.retry:
+            if port.store_f(addr, value, now) is None:
                 continue
             reference[addr] = value
         elif kind == "rmw":
@@ -108,9 +107,9 @@ def test_vocal_coherence_under_random_traffic(ops):
             port.rmw_write(addr, new_value)
             reference[addr] = new_value
         elif kind == "mute_load":
-            ports[MUTE_ID].load(addr, now)  # may be stale: no value check
+            ports[MUTE_ID].load_f(addr, now)  # may be stale: no value check
         elif kind == "mute_store":
-            ports[MUTE_ID].store(addr, value, now)  # invisible to others
+            ports[MUTE_ID].store_f(addr, value, now)  # invisible to others
         else:  # sync between vocal `core` and the mute
             reply = controller.synchronizing_access(core, MUTE_ID, line, now)
             assert reply.data[word] == reference.get(line * 64 + word * 8, 0)
@@ -121,11 +120,11 @@ def test_vocal_coherence_under_random_traffic(ops):
     # Final sweep: every written word is still readable, coherently.
     for addr, expected in reference.items():
         now += 50
-        access = ports[0].load(addr, now)
-        if access.retry:
+        access = ports[0].load_f(addr, now)
+        if access is None:
             now += 200
-            access = ports[0].load(addr, now)
-        assert access.value == expected
+            access = ports[0].load_f(addr, now)
+        assert access[0] == expected
 
 
 def build_snoopy():
@@ -154,12 +153,11 @@ def test_vocal_coherence_on_snoopy_bus(ops):
         addr = line * 64 + word * 8
         port = ports[core]
         if kind == "load":
-            access = port.load(addr, now)
-            if not access.retry:
-                assert access.value == reference.get(addr, 0)
+            access = port.load_f(addr, now)
+            if access is not None:
+                assert access[0] == reference.get(addr, 0)
         elif kind == "store":
-            access = port.store(addr, value, now)
-            if not access.retry:
+            if port.store_f(addr, value, now) is not None:
                 reference[addr] = value
         elif kind == "rmw":
             access = port.rmw_read(addr, now)
@@ -168,9 +166,9 @@ def test_vocal_coherence_on_snoopy_bus(ops):
                 port.rmw_write(addr, access.value + 1)
                 reference[addr] = access.value + 1
         elif kind == "mute_load":
-            ports[MUTE_ID].load(addr, now)
+            ports[MUTE_ID].load_f(addr, now)
         elif kind == "mute_store":
-            ports[MUTE_ID].store(addr, value, now)
+            ports[MUTE_ID].store_f(addr, value, now)
         else:
             reply = bus.synchronizing_access(core, MUTE_ID, line, now)
             assert reply.data[word] == reference.get(line * 64 + word * 8, 0)
@@ -196,11 +194,11 @@ def test_mute_traffic_never_leaks(ops):
         now += 30
         addr = line * 64 + word * 8
         if kind in ("mute_load", "mute_store"):
-            ports[MUTE_ID].store(addr, poison, now)
+            ports[MUTE_ID].store_f(addr, poison, now)
         elif kind == "load":
-            ports[core].load(addr, now)
+            ports[core].load_f(addr, now)
         elif kind == "store":
-            ports[core].store(addr, value & 0xFFFF, now)
+            ports[core].store_f(addr, value & 0xFFFF, now)
 
     for line in range(N_LINES):
         l2_line = controller.cache.lookup(line)

@@ -33,31 +33,35 @@ class TestVocalPort:
     def test_load_miss_then_hit(self):
         (port,), memory, _, stats = make_ports()
         memory.load_image({0x800: 7})
-        miss = port.load(0x800, now=0)
-        assert miss.value == 7 and miss.miss and miss.done >= 50
-        hit = port.load(0x808, now=miss.done)
-        assert not hit.miss and hit.done == miss.done + L1_TINY.load_to_use
+        value, done = port.load_f(0x800, now=0)
+        assert value == 7 and done >= 50
+        assert stats["core0.l1_load_misses"] == 1
+        value, hit_done = port.load_f(0x808, now=done)
+        assert hit_done == done + L1_TINY.load_to_use
+        assert stats["core0.l1_load_misses"] == 1  # a hit
+        assert stats["core0.l1_load_hits"] == 1
 
     def test_mshr_exhaustion_forces_retry(self):
         (port,), _, _, stats = make_ports()
-        assert not port.load(0 * 64, now=0).retry
-        assert not port.load(1 * 64, now=0).retry
-        assert port.load(2 * 64, now=0).retry  # only 2 MSHRs
+        assert port.load_f(0 * 64, now=0) is not None
+        assert port.load_f(1 * 64, now=0) is not None
+        assert port.load_f(2 * 64, now=0) is None  # only 2 MSHRs
         assert stats["core0.mshr_stalls"] == 1
 
     def test_store_silent_when_owned(self):
-        (port,), _, _, _ = make_ports()
-        port.load(0x100, now=0)  # E state (only core)
-        result = port.store(0x100, 5, now=10)
-        assert result.done == 11 and not result.miss
-        assert port.load(0x100, now=12).value == 5
+        (port,), _, _, stats = make_ports()
+        port.load_f(0x100, now=0)  # E state (only core)
+        assert port.store_f(0x100, 5, now=10) == 11
+        assert stats["core0.l1_store_hits"] == 1
+        assert stats["core0.l1_store_upgrades"] == 0
+        assert port.load_f(0x100, now=12)[0] == 5
 
     def test_store_upgrade_when_shared(self):
-        ports, _, controller, _ = make_ports(n_vocal=2)
-        ports[0].load(0x100, now=0)
-        ports[1].load(0x100, now=0)  # both S now
-        result = ports[0].store(0x100, 9, now=10)
-        assert result.miss  # upgrade transaction
+        ports, _, controller, stats = make_ports(n_vocal=2)
+        ports[0].load_f(0x100, now=0)
+        ports[1].load_f(0x100, now=0)  # both S now
+        assert ports[0].store_f(0x100, 9, now=10) is not None
+        assert stats["core0.l1_store_upgrades"] == 1  # upgrade transaction
         assert ports[1].l1.lookup(0x100 // 64) is None  # invalidated
 
     def test_rmw_acquires_write_permission(self):
@@ -66,14 +70,14 @@ class TestVocalPort:
         access = port.rmw_read(0x300, now=0)
         assert access.value == 40
         port.rmw_write(0x300, 41)
-        assert port.load(0x300, now=100).value == 41
+        assert port.load_f(0x300, now=100)[0] == 41
         assert port.l1.lookup(0x300 // 64).state == LineState.MODIFIED
 
     def test_dtlb_interface(self):
         (port,), _, _, _ = make_ports()
-        assert not port.dtlb_hit(0x1234)
+        assert not port.tlbs.dtlb.lookup(0x1234)
         port.dtlb_fill(0x1234)
-        assert port.dtlb_hit(0x1234)
+        assert port.tlbs.dtlb.lookup(0x1234)
 
 
 class TestMutePort:
@@ -81,15 +85,15 @@ class TestMutePort:
         ports, memory, _, _ = make_ports(n_vocal=1, n_mute=1)
         memory.load_image({0x800: 3})
         mute = ports[1]
-        access = mute.load(0x800, now=0)
-        assert access.value == 3
+        value, _ = mute.load_f(0x800, now=0)
+        assert value == 3
         assert mute.l1.lookup(0x800 // 64).state == LineState.EXCLUSIVE
 
     def test_mute_store_writes_locally_only(self):
         ports, memory, controller, _ = make_ports(n_vocal=1, n_mute=1)
         mute = ports[1]
-        mute.store(0x800, 42, now=0)
-        assert mute.load(0x800, now=50).value == 42
+        mute.store_f(0x800, 42, now=0)
+        assert mute.load_f(0x800, now=50)[0] == 42
         # Invisible to the rest of the system.
         assert memory.read_word(0x800) == 0
         assert controller.directory.peek(0x800 // 64) is None or (
@@ -99,22 +103,22 @@ class TestMutePort:
     def test_mute_eviction_data_lost(self):
         ports, _, _, stats = make_ports(n_vocal=1, n_mute=1)
         mute = ports[1]
-        mute.store(0x0, 9, now=0)
+        mute.store_f(0x0, 9, now=0)
         # L1 is 512B/2-way = 4 sets; lines 0,4,8 share set 0.  Space the
         # accesses out so each miss completes (only 2 MSHRs).
-        assert not mute.load(4 * 64, now=100).retry
-        assert not mute.load(8 * 64, now=200).retry  # evicts dirty line 0
+        assert mute.load_f(4 * 64, now=100) is not None
+        assert mute.load_f(8 * 64, now=200) is not None  # evicts dirty line 0
         assert stats["l2.mute_evicts_dropped"] >= 1
         # Reading it again gets the coherent (zero) value, not 9.
-        assert mute.load(0x0, now=400).value == 0
+        assert mute.load_f(0x0, now=400)[0] == 0
 
     def test_null_phantom_garbage_values(self):
         ports, memory, _, _ = make_ports(n_vocal=1, n_mute=1, phantom=PhantomStrength.NULL)
         memory.load_image({0x800: 3})
-        access = ports[1].load(0x800, now=0)
-        assert access.value != 3  # arbitrary data on every L1 miss
+        value, _ = ports[1].load_f(0x800, now=0)
+        assert value != 3  # arbitrary data on every L1 miss
 
     def test_vocal_and_mute_see_same_value_without_races(self):
         ports, memory, _, _ = make_ports(n_vocal=1, n_mute=1)
         memory.load_image({0x800: 3})
-        assert ports[0].load(0x800, now=0).value == ports[1].load(0x800, now=0).value
+        assert ports[0].load_f(0x800, now=0)[0] == ports[1].load_f(0x800, now=0)[0]
