@@ -9,7 +9,7 @@ completed samples from ``.repro-cache/`` instead of re-simulating; set
 ``REPRO_NO_CACHE=1`` to force fresh simulation.
 
 Scale selection: set ``REPRO_SCALE`` to ``quick`` (default), ``standard``
-or ``paper`` before invoking ``pytest benchmarks/ --benchmark-only``.
+or ``paper`` before invoking ``pytest benchmarks/``.
 """
 
 from __future__ import annotations

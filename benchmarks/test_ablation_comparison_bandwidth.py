@@ -12,7 +12,7 @@ from repro.sim.config import Mode
 from repro.workloads import by_name
 
 
-def test_comparison_bandwidth(benchmark, scale):
+def test_comparison_bandwidth(scale):
     workload = by_name("DB2 OLTP")
 
     def measure():
@@ -34,7 +34,7 @@ def test_comparison_bandwidth(benchmark, scale):
             out[interval] = meter
         return out
 
-    meters = benchmark.pedantic(measure, rounds=1, iterations=1)
+    meters = measure()
     meter = meters[1]
     print()
     print(

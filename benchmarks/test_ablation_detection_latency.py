@@ -57,11 +57,11 @@ def _measure(fp_interval: int, scale) -> tuple[int, int, float]:
     return len(injector.records), len(latencies), mean
 
 
-def test_detection_latency(benchmark, scale):
+def test_detection_latency(scale):
     def campaign():
         return {interval: _measure(interval, scale) for interval in INTERVALS}
 
-    results = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    results = campaign()
     print()
     print(
         render_table(

@@ -49,7 +49,7 @@ def _campaign(victim: str, interval: int, config) -> dict:
     }
 
 
-def test_fault_campaign(benchmark, scale):
+def test_fault_campaign(scale):
     config = scale.config.replace(n_logical=1).with_redundancy(
         mode=Mode.REUNION, comparison_latency=10
     )
@@ -60,7 +60,7 @@ def test_fault_campaign(benchmark, scale):
             _campaign("mute", interval=45, config=config),
         ]
 
-    results = benchmark.pedantic(campaign, rounds=1, iterations=1)
+    results = campaign()
     print()
     print(
         render_table(

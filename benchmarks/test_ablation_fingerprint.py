@@ -25,7 +25,7 @@ def _aliasing(bits: int, two_stage: bool, rng: random.Random) -> float:
     return collisions / TRIALS
 
 
-def test_fingerprint_aliasing(benchmark):
+def test_fingerprint_aliasing():
     rng = random.Random(2006)
 
     def measure():
@@ -36,7 +36,7 @@ def test_fingerprint_aliasing(benchmark):
             rows.append((bits, one, two, 2 ** -(bits - 1)))
         return rows
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = measure()
     print()
     print(
         render_table(

@@ -18,7 +18,7 @@ from repro.workloads import by_name
 INTERVALS = (1, 4, 16, 50)
 
 
-def test_fingerprint_interval(benchmark, scale):
+def test_fingerprint_interval(scale):
     workload = by_name("DB2 OLTP")
     # The paper's claim is conditioned on its 256-entry RUU and 64-entry
     # store buffer; the scaled defaults are too small to absorb
@@ -42,7 +42,7 @@ def test_fingerprint_interval(benchmark, scale):
             points.append(runner.normalized_ipc(config, workload))
         return points
 
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    points = sweep()
     print()
     print(
         render_series(

@@ -33,7 +33,7 @@ def _throughput(latency: int, interrupts: bool, scale) -> float:
     return (system.user_instructions() - start) / scale.measure
 
 
-def test_interrupt_cost(benchmark, scale):
+def test_interrupt_cost(scale):
     def sweep():
         quiet, noisy = [], []
         for latency in LATENCIES:
@@ -41,7 +41,7 @@ def test_interrupt_cost(benchmark, scale):
             noisy.append(_throughput(latency, interrupts=True, scale=scale))
         return quiet, noisy
 
-    quiet, noisy = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    quiet, noisy = sweep()
     relative = [n / q if q else 0.0 for q, n in zip(quiet, noisy)]
     print()
     print(

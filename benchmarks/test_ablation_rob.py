@@ -16,7 +16,7 @@ from repro.workloads import by_name
 ROB_SIZES = (32, 64, 128)
 
 
-def test_rob_occupancy(benchmark, runner, scale):
+def test_rob_occupancy(runner, scale):
     workload = by_name("em3d")  # memory-parallel scientific workload
 
     def sweep():
@@ -36,7 +36,7 @@ def test_rob_occupancy(benchmark, runner, scale):
             points.append(sum(ratios) / len(ratios))
         return points
 
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    points = sweep()
     print()
     print(
         render_series(

@@ -16,7 +16,7 @@ from repro.workloads import by_name
 WORKLOADS = ["Apache", "DB2 OLTP", "ocean"]
 
 
-def test_snoopy_vs_shared(benchmark, runner, scale):
+def test_snoopy_vs_shared(runner, scale):
     def measure():
         rows = []
         for name in WORKLOADS:
@@ -37,7 +37,7 @@ def test_snoopy_vs_shared(benchmark, runner, scale):
             rows.append(row)
         return rows
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = measure()
     print()
     print(
         render_table(

@@ -1,6 +1,6 @@
 """Benchmark: regenerate Figure 5 (baseline Strict and Reunion performance).
 
-Run with ``pytest benchmarks/test_fig5_baseline.py --benchmark-only``.
+Run with ``pytest benchmarks/test_fig5_baseline.py``.
 Prints the per-workload normalized-IPC table and asserts the paper's
 shape: Strict >= Reunion, both close to 1.0, commercial penalties at
 least as large as scientific for Strict.
@@ -9,10 +9,8 @@ least as large as scientific for Strict.
 from repro.harness.fig5 import run_fig5
 
 
-def test_fig5(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_fig5(runner=runner), rounds=1, iterations=1
-    )
+def test_fig5(runner):
+    result = run_fig5(runner=runner)
     print()
     print(result.render())
 

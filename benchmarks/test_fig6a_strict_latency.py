@@ -8,10 +8,8 @@ from repro.harness.fig6 import run_fig6
 from repro.sim.config import Mode
 
 
-def test_fig6a(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_fig6(Mode.STRICT, runner=runner), rounds=1, iterations=1
-    )
+def test_fig6a(runner):
+    result = run_fig6(Mode.STRICT, runner=runner)
     print()
     print(result.render())
 

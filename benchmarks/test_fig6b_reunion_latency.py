@@ -10,10 +10,8 @@ from repro.harness.fig6 import run_fig6
 from repro.sim.config import Mode
 
 
-def test_fig6b(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_fig6(Mode.REUNION, runner=runner), rounds=1, iterations=1
-    )
+def test_fig6b(runner):
+    result = run_fig6(Mode.REUNION, runner=runner)
     print()
     print(result.render())
 

@@ -8,10 +8,8 @@ or below shared everywhere.
 from repro.harness.fig7 import run_fig7a
 
 
-def test_fig7a(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_fig7a(runner=runner), rounds=1, iterations=1
-    )
+def test_fig7a(runner):
+    result = run_fig7a(runner=runner)
     print()
     print(result.render())
 

@@ -8,10 +8,8 @@ sits far below TSO (over 60% loss at 40 cycles in the paper).
 from repro.harness.fig7 import run_sc_comparison
 
 
-def test_sc_vs_tso(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_sc_comparison(runner=runner), rounds=1, iterations=1
-    )
+def test_sc_vs_tso(runner):
+    result = run_sc_comparison(runner=runner)
     print()
     print(result.render())
 

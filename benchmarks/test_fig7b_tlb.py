@@ -9,10 +9,8 @@ the gap grows with the comparison latency.
 from repro.harness.fig7 import run_fig7b
 
 
-def test_fig7b(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_fig7b(runner=runner), rounds=1, iterations=1
-    )
+def test_fig7b(runner):
+    result = run_fig7b(runner=runner)
     print()
     print(result.render())
 

@@ -12,10 +12,8 @@ Shape criteria (the paper's conclusions):
 from repro.harness.table3 import run_table3
 
 
-def test_table3(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_table3(runner=runner), rounds=1, iterations=1
-    )
+def test_table3(runner):
+    result = run_table3(runner=runner)
     print()
     print(result.render())
 

@@ -17,6 +17,7 @@ import sys
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import (
+    CRC_POLYNOMIALS,
     DEFAULT_CONFIG,
     Consistency,
     Mode,
@@ -698,7 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="campaign sampling seed"
     )
     campaign_parser.add_argument(
-        "--bits", type=int, default=16, help="fingerprint CRC width"
+        "--bits",
+        type=int,
+        default=16,
+        choices=sorted(CRC_POLYNOMIALS),
+        help="fingerprint CRC width",
     )
     campaign_parser.add_argument(
         "--interval", type=int, default=8, help="fingerprint comparison interval"

@@ -125,7 +125,7 @@ class CheckGate:
         self._accum = accum
         # The paper configs close an interval per instruction, so _close
         # runs once per retired user instruction: with the 16-bit wide
-        # tables available, fold short word batches inline instead of
+        # tables available, fold each interval's words inline instead of
         # paying add_words' per-call preamble.
         self._fast_lt = (
             accum._lt if (accum._lt is not None and accum.two_stage) else None
@@ -148,8 +148,7 @@ class CheckGate:
         #: add_words` call when the interval closes.  CRC chaining is
         #: sequential over words, so hashing the concatenation at close is
         #: bit-identical to hashing per instruction — but pays the table/
-        #: mask attribute preamble once per interval and unlocks the numpy
-        #: gather path for long intervals.
+        #: mask attribute preamble once per interval.
         self._words: list[int] = []
         self._closed: deque[IntervalRecord] = deque()
         self._count = 0
@@ -328,12 +327,12 @@ class CheckGate:
         words = self._words
         if words:
             lt = self._fast_lt
-            if lt is not None and len(words) < 64:
+            if lt is not None:
                 # Inline the accumulator's two-stage 16-bit lt/mt fold
-                # (bit-identical to add_words; see fingerprint.add_word's
-                # wide-table branch) — short intervals don't amortize the
-                # batched path's preamble, and interval length 1 is the
-                # paper default.
+                # (bit-identical to add_words' wide-table branch): this
+                # runs once per retired instruction at the paper's
+                # interval length of 1, where add_words' call and
+                # preamble would not amortize.
                 crc = accum._crc
                 mt = self._fast_mt
                 for word in words:

@@ -17,10 +17,7 @@ aliasing probability — the trade the paper quantifies.
 
 from __future__ import annotations
 
-try:  # numpy accelerates table construction and large batches; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
+from repro.sim.config import CRC_POLYNOMIALS as _POLYS
 
 
 def _make_crc_table(poly: int, bits: int) -> list[int]:
@@ -39,19 +36,6 @@ def _make_crc_table(poly: int, bits: int) -> list[int]:
     return table
 
 
-#: CRC generator polynomials by width (CCITT-16, CRC-32, and small CRCs
-#: used only by aliasing experiments).  Widths below 8 take the
-#: bit-serial path in :class:`FingerprintAccumulator` — the byte-at-a-
-#: time table needs at least one full byte of CRC register.
-_POLYS = {
-    4: 0x3,  # CRC-4-ITU (x^4 + x + 1): the narrowest aliasing-study CRC
-    8: 0x07,
-    12: 0x80F,
-    16: 0x1021,
-    24: 0x864CFB,
-    32: 0x04C11DB7,
-}
-
 _TABLES: dict[int, list[int]] = {}
 
 #: Hot-path loop constants, hoisted once at import instead of being
@@ -61,10 +45,6 @@ _BYTE_SHIFTS_64 = tuple(range(0, 64, 8))
 
 
 def _table_for(bits: int) -> list[int]:
-    if bits not in _POLYS:
-        raise ValueError(f"no CRC polynomial for width {bits}; pick from {sorted(_POLYS)}")
-    if bits < 8:
-        raise ValueError(f"byte-at-a-time CRC table needs width >= 8, got {bits}")
     table = _TABLES.get(bits)
     if table is None:
         table = _make_crc_table(_POLYS[bits], bits)
@@ -73,11 +53,11 @@ def _table_for(bits: int) -> list[int]:
 
 
 #: Wide tables for the 16-bit CRC (the paper's configuration and the hot
-#: path): ``(LT16, MT16, MT16-as-ndarray-or-None)``, built lazily.
-_WIDE16: tuple | None = None
+#: path): ``(LT16, MT16)``, built lazily.
+_WIDE16: tuple[list[int], list[int]] | None = None
 
 
-def _wide_tables_16() -> tuple:
+def _wide_tables_16() -> tuple[list[int], list[int]]:
     """Halfword-at-a-time tables for the 16-bit CRC.
 
     One byte step is linear over GF(2) in its ``(crc, byte)`` input, so
@@ -89,36 +69,29 @@ def _wide_tables_16() -> tuple:
     two-stage absorb into two list lookups and one XOR; the equivalence
     is pinned against the byte path and the bit-serial reference in
     ``tests/core/test_fingerprint_batched.py``.
+
+    The same linearity builds each 65,536-entry table from two 256-entry
+    halves, ``T[(h << 8) | l] == T[h << 8] ^ T[l]``, so the build costs
+    1,024 ``step2`` calls plus one XOR per entry.
     """
     global _WIDE16
     if _WIDE16 is not None:
         return _WIDE16
     table = _table_for(16)
-    if _np is not None:
-        t = _np.array(table, dtype=_np.uint32)
-        c = _np.arange(65536, dtype=_np.uint32)
-        x = ((c << 8) ^ t[(c >> 8) & 0xFF]) & 0xFFFF
-        lt = ((x << 8) ^ t[(x >> 8) & 0xFF]) & 0xFFFF
-        m = _np.arange(65536, dtype=_np.uint32)
-        x = t[m & 0xFF]  # step(0, m_lo): register starts at zero
-        mt = ((x << 8) ^ t[((x >> 8) ^ (m >> 8)) & 0xFF]) & 0xFFFF
-        _WIDE16 = (lt.tolist(), mt.tolist(), mt.astype(_np.uint32))
-    else:  # pragma: no cover - exercised only without numpy
-        lt_list = []
-        mt_list = []
-        for v in range(65536):
-            x = ((v << 8) ^ table[(v >> 8) & 0xFF]) & 0xFFFF
-            lt_list.append(((x << 8) ^ table[(x >> 8) & 0xFF]) & 0xFFFF)
-            x = table[v & 0xFF]
-            mt_list.append(((x << 8) ^ table[((x >> 8) ^ (v >> 8)) & 0xFF]) & 0xFFFF)
-        _WIDE16 = (lt_list, mt_list, None)
+
+    def step2(crc: int, m: int) -> int:
+        crc = ((crc << 8) ^ table[((crc >> 8) ^ m) & 0xFF]) & 0xFFFF
+        return ((crc << 8) ^ table[((crc >> 8) ^ (m >> 8)) & 0xFF]) & 0xFFFF
+
+    lt_hi = [step2(b << 8, 0) for b in range(256)]
+    lt_lo = [step2(b, 0) for b in range(256)]
+    mt_hi = [step2(0, b << 8) for b in range(256)]
+    mt_lo = [step2(0, b) for b in range(256)]
+    _WIDE16 = (
+        [hi ^ lo for hi in lt_hi for lo in lt_lo],
+        [hi ^ lo for hi in mt_hi for lo in mt_lo],
+    )
     return _WIDE16
-
-
-#: Batch size at which ``add_words`` switches its space-compression fold
-#: to one vectorized numpy pass (below it, ndarray setup costs more than
-#: the plain loop saves).
-_NP_BATCH_MIN = 64
 
 
 class FingerprintAccumulator:
@@ -135,7 +108,6 @@ class FingerprintAccumulator:
         "_poly",
         "_lt",
         "_mt",
-        "_mt_np",
     )
 
     def __init__(self, bits: int = 16, two_stage: bool = True) -> None:
@@ -152,7 +124,6 @@ class FingerprintAccumulator:
         #: absorbs through the two-lookup wide step.
         self._lt = None
         self._mt = None
-        self._mt_np = None
         if bits < 8:
             # Narrow CRCs (aliasing experiments only) cannot hold a full
             # byte in the register, so they clock bit-serially; the
@@ -168,7 +139,7 @@ class FingerprintAccumulator:
         #: the per-word absorb loop carries no range() construction.
         self._byte_shifts = tuple(range(0, bits, 8))
         if bits == 16:
-            self._lt, self._mt, self._mt_np = _wide_tables_16()
+            self._lt, self._mt = _wide_tables_16()
 
     # -- narrow (bit-serial) path ------------------------------------------
     def _clock_bits(self, crc: int, value: int, nbits: int) -> int:
@@ -207,61 +178,19 @@ class FingerprintAccumulator:
     # -- raw update streams ------------------------------------------------
     def add_word(self, word: int) -> None:
         """Absorb one 64-bit state update."""
-        word &= _WORD_MASK_64
-        if self._table is None:
-            self._add_word_narrow(word)
-            return
-        lt = self._lt
-        if lt is not None:
-            # 16-bit wide step: two lookups per halfword of message.
-            mt = self._mt
-            crc = self._crc
-            if self.two_stage:
-                folded = (word ^ (word >> 16) ^ (word >> 32) ^ (word >> 48)) & 0xFFFF
-                crc = lt[crc] ^ mt[folded]
-            else:
-                crc = lt[crc] ^ mt[word & 0xFFFF]
-                crc = lt[crc] ^ mt[(word >> 16) & 0xFFFF]
-                crc = lt[crc] ^ mt[(word >> 32) & 0xFFFF]
-                crc = lt[crc] ^ mt[(word >> 48) & 0xFFFF]
-            self._crc = crc
-            return
-        crc = self._crc
-        table = self._table
-        top_shift = self._shift
-        mask = self._mask
-        if self.two_stage:
-            # Parity trees: fold 64 bits to `bits` bits in one stage,
-            # then feed the folded value to the CRC.
-            bits = self.bits
-            folded = word & mask
-            word >>= bits
-            while word:
-                folded ^= word & mask
-                word >>= bits
-            for shift in self._byte_shifts:
-                crc = (
-                    (crc << 8)
-                    ^ table[((crc >> top_shift) ^ (folded >> shift)) & 0xFF]
-                ) & mask
-        else:
-            for shift in _BYTE_SHIFTS_64:
-                crc = (
-                    (crc << 8)
-                    ^ table[((crc >> top_shift) ^ (word >> shift)) & 0xFF]
-                ) & mask
-        self._crc = crc
+        self.add_words((word,))
 
     def add_words(self, words) -> None:
-        """Absorb a batch of 64-bit state updates (hot-path entry point).
+        """Absorb a batch of 64-bit state updates, in order.
 
         The batched loop carries the CRC register in a local and hoists
         every table/mask/shift lookup out of the per-word work, so an
         interval's worth of updates costs one attribute-resolution
-        preamble instead of one per word.  Bit-identical to calling
-        :meth:`add_word` per element (the differential test in
-        ``tests/core/test_fingerprint_batched.py`` checks both against a
-        bit-serial shift-register reference).
+        preamble instead of one per word.  CRC chaining is sequential,
+        so any split of a batch gives the same digest; the differential
+        test in ``tests/core/test_fingerprint_batched.py`` checks every
+        width and front end against a bit-serial shift-register
+        reference.
         """
         if self._table is None:
             for word in words:
@@ -272,25 +201,10 @@ class FingerprintAccumulator:
             mt = self._mt
             crc = self._crc
             if self.two_stage:
-                if self._mt_np is not None and len(words) >= _NP_BATCH_MIN:
-                    # Vectorize the space-compression stage: fold every
-                    # word to its 16-bit parity in one numpy pass and
-                    # gather the message contributions in one table
-                    # gather; only the inherently serial register chain
-                    # stays in the loop (one lookup + one XOR per word).
-                    w = _np.array(
-                        [word & _WORD_MASK_64 for word in words], dtype=_np.uint64
-                    )
-                    folded = (w ^ (w >> 16) ^ (w >> 32) ^ (w >> 48)) & _np.uint64(0xFFFF)
-                    for mv in self._mt_np[folded].tolist():
-                        crc = lt[crc] ^ mv
-                else:
-                    for word in words:
-                        word &= _WORD_MASK_64
-                        folded = (
-                            word ^ (word >> 16) ^ (word >> 32) ^ (word >> 48)
-                        ) & 0xFFFF
-                        crc = lt[crc] ^ mt[folded]
+                for word in words:
+                    word &= _WORD_MASK_64
+                    folded = (word ^ (word >> 16) ^ (word >> 32) ^ (word >> 48)) & 0xFFFF
+                    crc = lt[crc] ^ mt[folded]
             else:
                 for word in words:
                     word &= _WORD_MASK_64
@@ -328,31 +242,6 @@ class FingerprintAccumulator:
                         ^ table[((crc >> top_shift) ^ (word >> shift)) & 0xFF]
                     ) & mask
         self._crc = crc
-
-    def _absorb(self, value: int) -> None:
-        if self._table is None:
-            self._crc = self._clock_bits(self._crc, value & self._mask, self.bits)
-            return
-        if self._lt is not None:
-            self._crc = self._lt[self._crc] ^ self._mt[value & 0xFFFF]
-            return
-        crc = self._crc
-        table = self._table
-        top_shift = self._shift
-        mask = self._mask
-        for shift in self._byte_shifts:
-            crc = (
-                (crc << 8) ^ table[((crc >> top_shift) ^ (value >> shift)) & 0xFF]
-            ) & mask
-        self._crc = crc
-
-    def _absorb_byte(self, byte: int) -> None:
-        if self._table is None:
-            self._crc = self._clock_bits(self._crc, byte & 0xFF, 8)
-            return
-        self._crc = (
-            (self._crc << 8) ^ self._table[((self._crc >> self._shift) ^ byte) & 0xFF]
-        ) & self._mask
 
     def digest(self) -> int:
         return self._crc

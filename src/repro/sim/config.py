@@ -220,6 +220,21 @@ class MemoryConfig:
             )
 
 
+#: CRC generator polynomials by fingerprint width (CCITT-16, CRC-32, and
+#: small CRCs used only by aliasing experiments).  Its keys are the only
+#: widths :class:`RedundancyConfig` accepts.  Widths below 8 clock
+#: bit-serially in :class:`~repro.core.fingerprint.FingerprintAccumulator`
+#: (the byte-at-a-time table needs a full byte of CRC register).
+CRC_POLYNOMIALS = {
+    4: 0x3,  # CRC-4-ITU (x^4 + x + 1): the narrowest aliasing-study CRC
+    8: 0x07,
+    12: 0x80F,
+    16: 0x1021,
+    24: 0x864CFB,
+    32: 0x04C11DB7,
+}
+
+
 @dataclass(frozen=True)
 class RedundancyConfig:
     """Reunion / redundant-execution parameters (Sections 3-4)."""
@@ -239,8 +254,11 @@ class RedundancyConfig:
             raise ValueError("comparison latency cannot be negative")
         if self.fingerprint_interval < 1:
             raise ValueError("fingerprint interval must be >= 1")
-        if not 4 <= self.fingerprint_bits <= 64:
-            raise ValueError("fingerprint width must be in [4, 64] bits")
+        if self.fingerprint_bits not in CRC_POLYNOMIALS:
+            raise ValueError(
+                f"no CRC polynomial for fingerprint width {self.fingerprint_bits}; "
+                f"pick from {sorted(CRC_POLYNOMIALS)}"
+            )
 
 
 #: Protection modes a pair can run under (see :class:`ProtectionPolicy`).

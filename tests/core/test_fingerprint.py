@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.check_stage import CheckGate
-from repro.core.fingerprint import FingerprintAccumulator, fingerprint_words
+from repro.core.fingerprint import (
+    FingerprintAccumulator,
+    _table_for,
+    _wide_tables_16,
+    fingerprint_words,
+)
 from repro.isa import Instruction, Op
-from repro.sim.config import RedundancyConfig
+from repro.sim.config import CRC_POLYNOMIALS, RedundancyConfig
 from tests.core.helpers import put_entry, ring_core
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -23,7 +28,8 @@ class TestBasics:
         assert fingerprint_words([1, 2]) != fingerprint_words([2, 1])
 
     def test_width_respected(self):
-        for bits in (8, 12, 16, 24, 32):
+        # Every width the config accepts builds an accumulator.
+        for bits in sorted(CRC_POLYNOMIALS):
             digest = fingerprint_words([0xDEADBEEF, 42], bits=bits)
             assert 0 <= digest < (1 << bits)
 
@@ -89,6 +95,27 @@ class TestTwoStage:
         assert fingerprint_words([value], two_stage=True) == fingerprint_words(
             [folded], two_stage=True
         )
+
+
+class TestWideTables:
+    def test_halfword_tables_match_two_byte_steps_exhaustively(self):
+        """Every entry of LT16 and MT16 against two explicit byte steps.
+
+        The module builds each table from two 256-entry halves by GF(2)
+        linearity; this reference computes all 65,536 entries of both
+        one at a time, straight from the byte table.
+        """
+        table = _table_for(16)
+        lt_ref = []
+        mt_ref = []
+        for v in range(65536):
+            x = ((v << 8) ^ table[(v >> 8) & 0xFF]) & 0xFFFF
+            lt_ref.append(((x << 8) ^ table[(x >> 8) & 0xFF]) & 0xFFFF)
+            x = table[v & 0xFF]
+            mt_ref.append(((x << 8) ^ table[((x >> 8) ^ (v >> 8)) & 0xFF]) & 0xFFFF)
+        lt, mt = _wide_tables_16()
+        assert lt == lt_ref
+        assert mt == mt_ref
 
 
 class TestInstructionUpdates:

@@ -1,7 +1,8 @@
 """Property-based coherence checking.
 
 Random sequences of memory operations from several vocal cores (plus a
-mute) run against the shared controller while a flat reference model
+mute) run against each coherence backend — the shared controller, the
+snoopy bus and the home-node directory — while a flat reference model
 tracks the architecturally-correct value of every word.  Invariants:
 
 * **vocal value coherence** — every vocal load returns exactly the
@@ -141,11 +142,73 @@ def build_snoopy():
     return bus, memory, ports
 
 
-@given(ops=st.lists(operation, min_size=1, max_size=60))
-@settings(max_examples=40, deadline=None)
-def test_vocal_coherence_on_snoopy_bus(ops):
-    """The same linearizability property on the snoopy organization."""
-    bus, memory, ports = build_snoopy()
+def build_directory():
+    from repro.memory.directory import DirectoryBackend
+    from repro.sim.config import BusConfig, CoherenceStyle
+
+    stats = Stats()
+    memory = MainMemory(latency=10)
+    backend = DirectoryBackend(
+        BusConfig(
+            snoop_latency=2,
+            transfer_latency=3,
+            bus_occupancy=1,
+            mshrs=4,
+            coherence=CoherenceStyle.DIRECTORY,
+            dir_banks=2,
+            link_latency=2,
+        ),
+        memory,
+        stats,
+    )
+    ports = [
+        CoreMemPort(i, L1_TINY, TLB_ANY, backend, stats, is_mute=(i == MUTE_ID))
+        for i in range(N_VOCAL + 1)
+    ]
+    return backend, memory, ports
+
+
+def exclusive_holders(ports, line_addr):
+    """Vocal cores whose L1 holds ``line_addr`` in M or E."""
+    return [
+        p.core_id
+        for p in ports[:N_VOCAL]
+        if (l := p.l1.lookup(line_addr)) is not None
+        and l.state in (LineState.MODIFIED, LineState.EXCLUSIVE)
+    ]
+
+
+def check_single_writer(bus, ports):
+    """Single-writer invariant from cache inspection alone (no directory)."""
+    for line_addr in range(N_LINES):
+        exclusive = exclusive_holders(ports, line_addr)
+        assert len(exclusive) <= 1, f"line {line_addr}: {exclusive}"
+
+
+def check_home_entries(backend, ports):
+    """Home-node entries against the vocal L1s after every operation."""
+    for line_addr in range(N_LINES):
+        bank = backend.banks[backend.fabric.home_bank(line_addr)]
+        entry = bank.peek(line_addr)
+        holders = set(entry.holders()) if entry else set()
+        for port in ports[:N_VOCAL]:
+            if port.l1.lookup(line_addr) is not None:
+                assert port.core_id in holders, (
+                    f"vocal {port.core_id} holds line {line_addr} unknown to its home"
+                )
+        exclusive = exclusive_holders(ports, line_addr)
+        assert len(exclusive) <= 1, f"line {line_addr}: {exclusive}"
+        if exclusive:
+            owner = entry.owner()
+            assert owner == exclusive[0], (
+                f"line {line_addr}: exclusive holder {exclusive[0]} is not owner {owner}"
+            )
+        assert MUTE_ID not in holders, f"line {line_addr}: mute in {holders}"
+
+
+def run_private_cache_traffic(build, check, ops):
+    """Replay ``ops`` on a private-cache backend against the reference."""
+    bus, memory, ports = build()
     reference: dict[int, int] = {}
     now = 0
     for kind, core, line, word, value in ops:
@@ -172,15 +235,21 @@ def test_vocal_coherence_on_snoopy_bus(ops):
         else:
             reply = bus.synchronizing_access(core, MUTE_ID, line, now)
             assert reply.data[word] == reference.get(line * 64 + word * 8, 0)
-        # Single-writer invariant from cache inspection alone.
-        for line_addr in range(N_LINES):
-            exclusive = [
-                p.core_id
-                for p in ports[:N_VOCAL]
-                if (l := p.l1.lookup(line_addr)) is not None
-                and l.state in (LineState.MODIFIED, LineState.EXCLUSIVE)
-            ]
-            assert len(exclusive) <= 1, f"line {line_addr}: {exclusive}"
+        check(bus, ports)
+
+
+@given(ops=st.lists(operation, min_size=1, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_vocal_coherence_on_snoopy_bus(ops):
+    """The same linearizability property on the snoopy organization."""
+    run_private_cache_traffic(build_snoopy, check_single_writer, ops)
+
+
+@given(ops=st.lists(operation, min_size=1, max_size=60))
+@settings(max_examples=40, deadline=None)
+def test_vocal_coherence_on_directory(ops):
+    """The same property on the directory MSI backend, plus its home entries."""
+    run_private_cache_traffic(build_directory, check_home_entries, ops)
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=40))

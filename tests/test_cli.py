@@ -210,6 +210,12 @@ class TestCampaign:
         assert main(["campaign", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_width_without_polynomial_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "compute-kernel", "--bits", "20"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 20" in capsys.readouterr().err
+
 
 class TestParser:
     def test_requires_command(self):
