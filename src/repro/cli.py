@@ -342,17 +342,17 @@ def cmd_campaign(args) -> int:
         return 2
     try:
         policy = parse_policy(args.policy) if args.policy else None
+        config = campaign_config(
+            fingerprint_bits=args.bits,
+            fingerprint_interval=args.interval,
+            comparison_latency=args.latency,
+            coherence=args.coherence,
+            n_logical=args.pairs,
+            policy=policy,
+        )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    config = campaign_config(
-        fingerprint_bits=args.bits,
-        fingerprint_interval=args.interval,
-        comparison_latency=args.latency,
-        coherence=args.coherence,
-        n_logical=args.pairs,
-        policy=policy,
-    )
     progress = None
     if sys.stderr.isatty():  # pragma: no cover - interactive nicety
         total = len(plan_campaign(args.workload, args.injections, seed=args.seed, config=config))

@@ -54,17 +54,23 @@ class IntervalRecord(NamedTuple):
     """A closed fingerprint interval, ready for comparison.
 
     A NamedTuple rather than a dataclass: one is built per retired user
-    instruction at the paper's interval length of 1, and tuple
-    construction is C-speed where a ``__init__`` frame is not.
+    instruction at the paper's interval length of 1, so
+    :meth:`CheckGate._close` builds it with :data:`_new_record`, at C
+    speed, where a ``__init__`` (or the NamedTuple's own ``__new__``)
+    would run a Python frame.
     """
 
     index: int
     fingerprint: int
     count: int  # user instructions summarized
     close_cycle: int
-    serializing: bool
     has_sync: bool  # contains a synchronizing-request instruction
     has_halt: bool
+
+
+#: ``_new_record(IntervalRecord, fields)`` builds a record from a field
+#: tuple, skipping the NamedTuple's Python-level ``__new__``.
+_new_record = tuple.__new__
 
 
 class ProtectionState:
@@ -123,9 +129,9 @@ class CheckGate:
             config.fingerprint_bits, config.two_stage_compression
         )
         self._accum = accum
-        # The paper configs close an interval per instruction, so _close
-        # runs once per retired user instruction: with the 16-bit wide
-        # tables available, fold each interval's words inline instead of
+        # The paper configs close an interval per instruction, so offer_f
+        # folds once per retired user instruction: with the 16-bit wide
+        # tables available, fold a lone update word inline instead of
         # paying add_words' per-call preamble.
         self._fast_lt = (
             accum._lt if (accum._lt is not None and accum.two_stage) else None
@@ -143,13 +149,6 @@ class CheckGate:
         self._pending: deque[tuple[int, int | None, int]] = deque()
         #: Reused pop_retirable_f output buffer (valid until the next pop).
         self._scratch: list = []
-        #: Update words of the currently-open interval, captured at offer
-        #: time and hashed in one batched :meth:`FingerprintAccumulator.
-        #: add_words` call when the interval closes.  CRC chaining is
-        #: sequential over words, so hashing the concatenation at close is
-        #: bit-identical to hashing per instruction — but pays the table/
-        #: mask attribute preamble once per interval.
-        self._words: list[int] = []
         self._closed: deque[IntervalRecord] = deque()
         self._count = 0
         self._has_sync = False
@@ -207,30 +206,42 @@ class CheckGate:
             # of the queue — see pop_retirable_f.
             self._pending.append((packed, None, now))
             return
-        # Capture this instruction's architectural-update words — result,
+        # Fold this instruction's architectural-update words — result,
         # store address and value, atomic address, branch target, in that
-        # order — into the open interval's buffer; the hash happens at
-        # _close.  Words are captured *now*, so a later squash of a
-        # checked entry leaves the fingerprint unchanged.
+        # order — into the open interval's CRC.  Words are folded *now*,
+        # so a later squash of a checked entry leaves the fingerprint
+        # unchanged; CRC chaining is sequential over words, so folding
+        # per offer equals hashing the interval's words at close.
         flags = core.f_flags[slot]
-        words = self._words
-        if flags & F_WRITES:
-            result = core.f_res[slot]
-            if result is not None:
-                words.append(result)
+        if flags & F_WRITES:  # never with F_CONTROL
+            word = core.f_res[slot]
+        elif flags & F_CONTROL:
+            word = core.f_anext[slot]
+        else:
+            word = None
         if flags & _F_STORE_STREAM:
+            words = [] if word is None else [word]
             addr = core.f_addr[slot]
             if addr is not None:
                 words.append(addr)
                 store_value = core.f_sval[slot]
                 if store_value is not None:
                     words.append(store_value)
-            if flags & F_ATOMIC and addr is not None:
-                words.append(addr)
-        if flags & F_CONTROL:
-            actual_next = core.f_anext[slot]
-            if actual_next is not None:
-                words.append(actual_next)
+                if flags & F_ATOMIC:
+                    words.append(addr)
+            self._accum.add_words(words)
+        elif word is not None:
+            lt = self._fast_lt
+            if lt is None:
+                self._accum.add_words((word,))
+            else:
+                # add_words' two-stage 16-bit lt/mt fold, inlined for the
+                # one-word instructions (ALU ops, loads, control flow).
+                accum = self._accum
+                word &= _WORD_MASK_64
+                accum._crc = lt[accum._crc] ^ self._fast_mt[
+                    (word ^ (word >> 16) ^ (word >> 32) ^ (word >> 48)) & 0xFFFF
+                ]
         if mask & M_FAULTED:
             obs = self.obs
             if obs is not None:
@@ -324,38 +335,12 @@ class CheckGate:
             self._skip_close(now)
             return
         accum = self._accum
-        words = self._words
-        if words:
-            lt = self._fast_lt
-            if lt is not None:
-                # Inline the accumulator's two-stage 16-bit lt/mt fold
-                # (bit-identical to add_words' wide-table branch): this
-                # runs once per retired instruction at the paper's
-                # interval length of 1, where add_words' call and
-                # preamble would not amortize.
-                crc = accum._crc
-                mt = self._fast_mt
-                for word in words:
-                    word &= _WORD_MASK_64
-                    crc = lt[crc] ^ mt[
-                        (word ^ (word >> 16) ^ (word >> 32) ^ (word >> 48))
-                        & 0xFFFF
-                    ]
-                accum._crc = crc
-            else:
-                accum.add_words(words)
-            words.clear()
-        # Positional construction: this runs once per retired user
-        # instruction at the paper's interval length of 1.
+        index = self._index
+        fingerprint = accum._crc
         self._closed.append(
-            IntervalRecord(
-                self._index,
-                accum._crc,
-                self._count,
-                now,
-                False,
-                self._has_sync,
-                self._has_halt,
+            _new_record(
+                IntervalRecord,
+                (index, fingerprint, self._count, now, self._has_sync, self._has_halt),
             )
         )
         obs = self.obs
@@ -363,29 +348,28 @@ class CheckGate:
             self._emit(
                 "fingerprint.close",
                 now,
-                index=self._index,
+                index=index,
                 count=self._count,
-                fingerprint=self._closed[-1].fingerprint,
+                fingerprint=fingerprint,
             )
         accum._crc = 0  # reset(), inlined
         self._count = 0
         self._has_sync = False
         self._has_halt = False
-        self._index += 1
+        self._index = index + 1
         self.intervals_closed += 1
 
     def _skip_close(self, now: int) -> None:
-        """Close an *unchecked* interval: retire immediately, hash nothing.
+        """Close an *unchecked* interval: retire immediately, send nothing.
 
-        The captured update words are discarded unhashed (the
-        accumulator CRC is untouched — it is always 0 between closes),
-        the interval never enters ``_closed``, and its instructions get
-        ``now`` as their retire time, modeling fingerprint exchange
-        switched off for this interval.  ``fingerprint.skip`` is the
+        The CRC its update words folded into is zeroed unsent (it is
+        always 0 between closes), the interval never enters ``_closed``,
+        and its instructions get ``now`` as their retire time, modeling
+        fingerprint exchange switched off for this interval.  ``fingerprint.skip`` is the
         attribution anchor letting the campaign classifier mark SDCs
         that escaped through a coverage gap (rather than CRC aliasing).
         """
-        self._words.clear()
+        self._accum._crc = 0
         self._retire_time[self._index] = now
         if self.obs is not None:
             self._emit("fingerprint.skip", now, index=self._index, count=self._count)
@@ -439,24 +423,6 @@ class CheckGate:
             pending.popleft()
             out.append(packed)
         return out
-
-    def has_retirable_f(self, core, now: int) -> bool:
-        """Allocation-free precheck mirroring :meth:`pop_retirable_f`'s
-        head test; a squashed head counts as retirable (the pop discards
-        it)."""
-        pending = self._pending
-        if not pending:
-            return False
-        packed, index, offered = pending[0]
-        if core.f_seq[packed & core._f_smask] != packed >> core._f_sbits:
-            return True  # squashed head: pop discards it
-        if index is None:
-            return (
-                not core.f_flags[packed & core._f_smask] & F_SER
-                or now >= offered + self._cmp_latency
-            )
-        retire_at = self._retire_time.get(index)
-        return retire_at is not None and retire_at <= now
 
     def next_release_f(self, core, now: int) -> int:
         """Conservative horizon: when could this gate next release work?
@@ -521,7 +487,6 @@ class CheckGate:
         self._closed.clear()
         self._retire_time.clear()
         self._accum.reset()
-        self._words.clear()
         self._count = 0
         self._has_sync = False
         self._has_halt = False

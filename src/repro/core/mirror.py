@@ -43,7 +43,7 @@ observable between replay and dual mode to keep this honest.
 
 from __future__ import annotations
 
-from repro.core.check_stage import CheckGate, IntervalRecord
+from repro.core.check_stage import CheckGate
 from repro.pipeline.ooo_core import OoOCore
 
 #: OoOCore counters a mirror sync copies vocal -> mute.
@@ -122,7 +122,6 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
 
     # -- backend scalars ------------------------------------------------
     mute._next_seq = vocal._next_seq
-    mute._check_pending = vocal._check_pending
     mute.single_step = vocal.single_step
     mute.drain = type(vocal.drain)(vocal.drain)
     mute.sb_count = vocal.sb_count
@@ -145,7 +144,6 @@ _FLAT_COLUMNS = (
     "f_sval",
     "f_pred",
     "f_anext",
-    "f_ccyc",
     "f_fill",
     "f_flags",
     "f_mask",
@@ -175,6 +173,7 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
     mute.ready = list(vocal.ready)
     mute.completions = list(vocal.completions)
     mute._store_entries = type(vocal._store_entries)(vocal._store_entries)
+    mute._parked = {store: list(loads) for store, loads in vocal._parked.items()}
     mute._ser_heap = list(vocal._ser_heap)
     mute.rename = dict(vocal.rename)
     mute._unchecked = type(vocal._unchecked)(vocal._unchecked)
@@ -190,20 +189,9 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
 
 def _materialize_gate(vocal_gate: CheckGate, mute_gate: CheckGate) -> None:
     # _pending holds immutable (packed, index, offered) tuples over the
-    # columns copied above.
+    # columns copied above, and _closed immutable IntervalRecords.
     mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
-    mute_gate._closed = type(vocal_gate._closed)(
-        IntervalRecord(
-            index=r.index,
-            fingerprint=r.fingerprint,
-            count=r.count,
-            close_cycle=r.close_cycle,
-            serializing=r.serializing,
-            has_sync=r.has_sync,
-            has_halt=r.has_halt,
-        )
-        for r in vocal_gate._closed
-    )
+    mute_gate._closed = type(vocal_gate._closed)(vocal_gate._closed)
     mute_gate._retire_time = dict(vocal_gate._retire_time)
     mute_gate._count = vocal_gate._count
     mute_gate.users_offered = vocal_gate.users_offered
@@ -212,5 +200,4 @@ def _materialize_gate(vocal_gate: CheckGate, mute_gate: CheckGate) -> None:
     mute_gate._index = vocal_gate._index
     mute_gate._last_offer = vocal_gate._last_offer
     mute_gate._accum._crc = vocal_gate._accum._crc
-    mute_gate._words = list(vocal_gate._words)
     mute_gate.single_step = vocal_gate.single_step

@@ -13,37 +13,23 @@ timing — while still modelling the fundamental costs of checking:
   compared and retired (the penalty that dominates commercial workloads).
 
 Implementation: a :class:`CheckGate` whose partner always produces a
-matching fingerprint at exactly the same cycle.
+matching fingerprint at exactly the same cycle, so every interval clears
+as it closes.
 """
 
 from __future__ import annotations
 
 from repro.core.check_stage import CheckGate
-from repro.sim.config import RedundancyConfig
 
 
 class StrictCheckGate(CheckGate):
     """A check gate compared against an identically-timed virtual partner."""
 
-    def __init__(self, config: RedundancyConfig) -> None:
-        super().__init__(config)
-        self._latency = config.comparison_latency
-
-    def _self_compare(self) -> None:
-        while self._closed:
-            record = self.pop_closed()
-            # The virtual partner's fingerprint matches, generated at the
-            # same cycle: retirement happens one comparison latency later.
-            self.clear_interval(record.index, record.close_cycle + self._latency)
-
-    def offer_f(self, core, slot: int, now: int) -> None:
-        super().offer_f(core, slot, now)
-        self._self_compare()
-
-    def close_open(self, now: int) -> None:
-        super().close_open(now)
-        self._self_compare()
-
-    def maybe_timeout_close(self, now: int) -> None:
-        super().maybe_timeout_close(now)
-        self._self_compare()
+    def _close(self, now: int) -> None:
+        super()._close(now)
+        # The virtual partner's fingerprint matches, generated at the
+        # same cycle: retirement happens one comparison latency later
+        # (clear_interval, inlined).
+        record = self._closed.pop()
+        self._retire_time[record.index] = now + self._cmp_latency
+        self.fingerprints_compared += 1

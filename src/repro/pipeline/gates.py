@@ -54,13 +54,6 @@ class RetireGate(Protocol):
         mid-batch squashes younger refs still in the returned batch.
         """
 
-    def has_retirable_f(self, core, now: int) -> bool:
-        """Cheap allocation-free precheck: would ``pop_retirable_f`` act?
-
-        True whenever ``pop_retirable_f(core, now, ...)`` would return
-        refs *or* discard squashed ones.
-        """
-
     def next_release_f(self, core, now: int) -> int:
         """Earliest cycle >= ``now`` at which this gate could release work.
 
@@ -118,9 +111,6 @@ class ImmediateGate:
         while queue and len(out) < limit:
             out.append(queue.popleft())
         return out
-
-    def has_retirable_f(self, core, now: int) -> bool:
-        return bool(self._queue)
 
     def close_open(self, now: int) -> None:
         pass  # no intervals without checking

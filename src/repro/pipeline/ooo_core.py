@@ -29,6 +29,7 @@ Key behaviours the evaluation depends on:
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable
 
@@ -129,6 +130,11 @@ class OoOCore:
         self.ready: list[int] = []
         self.completions: list[tuple[int, int]] = []  # (cycle, packed) heap
         self._store_entries: deque[int] = deque()
+        #: Loads parked on an older store whose address is unknown, keyed
+        #: by the store's packed ref: the store's issue splices them back
+        #: into the ready scan (see _flat_issue).  Every key is a live,
+        #: unissued store; squash drops the lists of squashed stores.
+        self._parked: dict[int, list[int]] = {}
         self._ser_heap: list[int] = []
         self._next_seq = 0
 
@@ -164,7 +170,6 @@ class OoOCore:
 
         self.halted = False
         self.stall_fetch_until = 0
-        self._check_pending = 0  # offered-but-unretired prefix of the ROB
         #: The not-yet-offered suffix of the ROB (same slots, same
         #: order).  Kept separately so the per-cycle check-boundary tests
         #: in _flat_retire / _flat_issue_serializing / next_event are
@@ -289,11 +294,10 @@ class OoOCore:
         self.f_sval = [None] * cap
         self.f_pred = [None] * cap
         self.f_anext = [None] * cap
-        self.f_ccyc = [-1] * cap
         self.f_fill = [None] * cap
         self.f_flags = [0] * cap  # decode F_* masks
         self.f_mask = [0] * cap  # packed booleans (repro.pipeline.flat M_*)
-        self.f_wo = [-1] * cap  # wait_on: packed ref of the blocking store
+        self.f_wo = [-1] * cap  # wait_on: the store a load is parked on
         self.f_pp = [-1] * cap  # prev_producer: displaced rename packed ref
         self.f_row = [-1] * cap  # decode row (-1 for injected/cold fetches)
         #: Dependents edge lists, reused across slot generations: each
@@ -320,7 +324,6 @@ class OoOCore:
             self.f_sval,
             self.f_pred,
             self.f_anext,
-            self.f_ccyc,
             self.f_fill,
             self.f_flags,
             self.f_mask,
@@ -365,13 +368,22 @@ class OoOCore:
                 # -ROB serializing scan would be a guaranteed no-op.
                 self._flat_issue_serializing(now)
         fq = self.fetch_queue
-        if fq and fq[0][0] <= now:
+        if fq and fq[0][0] <= now and len(rob) < self._c_rob_size:
             self._flat_dispatch(now)
         self._do_fetch_soa(now)
 
     def _flat_issue(self, now: int) -> None:
         """Issue stage: serializing ops at the ROB head, then the ready
-        list in program order (ALU ops, branches, jumps and nops inline)."""
+        list in program order (ALU ops, branches, jumps and nops inline).
+
+        The scan stops at the first ref younger than the oldest in-flight
+        serializing instruction (Section 4.4: nothing younger may issue)
+        and as soon as the issue budget is spent; the unscanned tail
+        stays in ``ready`` as it is.  Loads blocked behind a store with
+        an unknown address are not in ``ready`` at all: they wait in
+        ``_parked`` until that store issues.
+        """
+        sbits = self._f_sbits
         if self._ser_heap:
             self._flat_issue_serializing(now)
             ser_limit = self._flat_oldest_ser()
@@ -383,6 +395,12 @@ class OoOCore:
         if not ready:
             return
         ready.sort()  # packed order == program (seq) order
+        # The first packed ref the scan may not reach (every live ref
+        # lies below ``_next_seq << sbits``).
+        if ser_limit is None:
+            stop = self._next_seq << sbits
+        else:
+            stop = (ser_limit + 1) << sbits
         (
             f_seq,
             f_pc,
@@ -392,20 +410,19 @@ class OoOCore:
             f_v1,
             f_v2,
             f_res,
-            f_addr,
+            _,
             _,
             _,
             f_anext,
             _,
-            _,
             f_flags,
             _,
-            f_wo,
+            _,
             _,
             _,
         ) = self._f_cols
         smask = self._f_smask
-        sbits = self._f_sbits
+        parked = self._parked
         issue_budget = self._c_issue_width
         load_ports = self._c_load_ports
         alu_latency = self._c_alu_lat
@@ -419,41 +436,41 @@ class OoOCore:
         remaining: list[int] = []
         defer = remaining.append
         for packed in ready:
+            if packed >= stop:
+                break
             slot = packed & smask
             if f_seq[slot] != packed >> sbits or f_state[slot] != 0:
                 continue  # squashed, or already issued on an earlier scan
             f = f_flags[slot]
-            if (
-                issue_budget == 0
-                or f & _F_SER_HALT
-                or (ser_limit is not None and packed >> sbits > ser_limit)
-            ):
+            if f & _F_SER_HALT:
                 defer(packed)
                 continue
             if f & F_LOAD:
                 if load_ports == 0:
                     defer(packed)
                     continue
-                blocker = f_wo[slot]
-                if (
-                    blocker >= 0
-                    and f_seq[blocker & smask] == blocker >> sbits
-                    and f_addr[blocker & smask] is None
-                ):
-                    # Memoized disambiguation block: don't burn a load port
-                    # (or the _flat_issue_load call) on a known "wait".
-                    defer(packed)
-                    continue
                 outcome = self._flat_issue_load(slot, packed, now)
-                if outcome == 2:
-                    return  # TLB trap: pipeline flushed, ready list rebuilt
-                if outcome == 1:
-                    defer(packed)
-                    continue
+                if outcome:
+                    if outcome == 1:
+                        defer(packed)
+                    elif outcome == 2:
+                        return  # TLB trap: pipeline flushed, ready list rebuilt
+                    continue  # 1 = retry next cycle, 3 = parked
                 load_ports -= 1
             elif f & F_STORE:
                 if not self._flat_issue_store(slot, packed, now):
                     return  # TLB trap flush
+                if parked:
+                    waiters = parked.pop(packed, None)
+                    if waiters is not None:
+                        # Its parked loads are all younger: splice them
+                        # into the unscanned tail, in seq order, so they
+                        # may still issue in this scan (the loop reads
+                        # the spliced list).
+                        at = bisect_right(ready, packed)
+                        waiters += ready[at:]
+                        waiters.sort()
+                        ready[at:] = waiters
             else:
                 # ALU / branch / jump / nop: _issue_simple over columns.
                 latency = alu_latency
@@ -495,10 +512,17 @@ class OoOCore:
                     tracer.issue(self._view(slot), now)
                 heappush(completions, (now + latency, packed))
             issue_budget -= 1
+            if not issue_budget:
+                stop = packed + 1
+                break
+        else:
+            self.ready = remaining
+            return
+        remaining += ready[bisect_left(ready, stop):]
         self.ready = remaining
 
     def _flat_issue_load(self, slot: int, packed: int, now: int) -> int:
-        """Try to issue a load: 0 = done, 1 = wait, 2 = trap."""
+        """Try to issue a load: 0 = done, 1 = wait, 2 = trap, 3 = parked."""
         f_addr = self.f_addr
         addr = f_addr[slot]
         if addr is None:
@@ -517,20 +541,14 @@ class OoOCore:
             self.sync_request = self._view(slot)
             return 0
 
-        blocker = self.f_wo[slot]
-        if blocker >= 0:
-            smask = self._f_smask
-            if (
-                self.f_seq[blocker & smask] == blocker >> self._f_sbits
-                and f_addr[blocker & smask] is None
-            ):
-                return 1  # memoized "blocked" (see f_wo)
-            self.f_wo[slot] = -1
-
         if self._store_entries or self.drain or self._drain_inflight is not None:
             forwarded = self._flat_forward(slot, packed, addr)
         else:
             forwarded = None
+        if forwarded == "parked":
+            # Wait, off the ready list, on the store _flat_forward named.
+            self._parked.setdefault(self.f_wo[slot], []).append(packed)
+            return 3
         if forwarded == "blocked":
             return 1
         if isinstance(forwarded, int):
@@ -586,9 +604,10 @@ class OoOCore:
     def _flat_forward(self, slot: int, packed: int, addr):
         """Store-to-load forwarding across ROB stores and the drain queue.
 
-        Returns a value when forwarding succeeds, "blocked" when an older
-        store is unresolved (conservative disambiguation), or None when
-        the load may go to memory.
+        Returns a value when forwarding succeeds, "parked" when an older
+        store's address is still unknown (conservative disambiguation;
+        that store's ref goes to ``f_wo``), "blocked" when the matching
+        store has no value yet, or None when the load may go to memory.
         """
         f_seq = self.f_seq
         smask = self._f_smask
@@ -603,8 +622,8 @@ class OoOCore:
                 continue  # younger than the load
             store_addr = f_addr[ss]
             if store_addr is None:
-                self.f_wo[slot] = sp  # memoize: skip rescans until resolved
-                return "blocked"
+                self.f_wo[slot] = sp  # the parking key
+                return "parked"
             if store_addr == addr:
                 value = f_sval[ss]
                 if value is None:
@@ -659,6 +678,9 @@ class OoOCore:
             f_state[slot] = 1
             self._flat_sched(packed, now + self.core_cfg.mmuop_latency, now)
         elif op is Op.STORE:  # SC-mode serializing store
+            # No load is parked on it, so there is nothing to wake: the
+            # serializing limit in _flat_issue holds every younger load
+            # back before it could park.
             self._flat_issue_store(slot, packed, now)
         elif op in (Op.ATOMIC, Op.CAS):
             self._flat_issue_atomic(slot, packed, now)
@@ -737,11 +759,10 @@ class OoOCore:
             f_sval,
             f_pred,
             f_anext,
-            f_ccyc,
-            f_fill,
+            _,
             f_flags,
             f_mask,
-            f_wo,
+            _,
             f_pp,
             f_deps,
         ) = self._f_cols
@@ -795,9 +816,10 @@ class OoOCore:
             # before writing must be reset here.  Columns proven
             # write-before-read for this instruction class are skipped —
             # f_addr/f_sval are only read for memory ops (forwarding,
-            # fingerprint words, fault targeting), f_wo only for loads,
-            # f_fill only when M_INJECTED is set (never on this path),
-            # and f_deps is cleared at completion/squash, not here.
+            # fingerprint words, fault targeting), f_wo only right after
+            # _flat_forward wrote it, f_fill only when M_INJECTED is set
+            # (never on this path), and f_deps is cleared at
+            # completion/squash, not here.
             f_seq[slot] = seq
             f_pc[slot] = pc
             f_inst[slot] = d_inst[row]
@@ -805,14 +827,11 @@ class OoOCore:
             f_mask[slot] = 0
             f_res[slot] = None
             f_pred[slot] = fetched[4]
-            f_ccyc[slot] = -1
             f_flags[slot] = f
             f_row[slot] = row
             if f & F_MEM:
                 f_addr[slot] = None
                 f_sval[slot] = None
-                if f & F_LOAD:
-                    f_wo[slot] = -1
 
             # Operand capture.  (Decoded MOVI rows take the register-0
             # path — f_v1/f_v2 become 0 instead of the cold path's
@@ -912,11 +931,9 @@ class OoOCore:
         self.f_sval[slot] = None
         self.f_pred[slot] = fetched[4]
         self.f_anext[slot] = None
-        self.f_ccyc[slot] = -1
         self.f_fill[slot] = fetched[5]
         flags = flags_of(inst, self.sc_mode)
         self.f_flags[slot] = flags
-        self.f_wo[slot] = -1
         self.f_pp[slot] = -1
         self.f_row[slot] = -1
         self.f_deps[slot].clear()
@@ -1014,7 +1031,6 @@ class OoOCore:
             _,
             _,
             _,
-            f_ccyc,
             _,
             f_flags,
             _,
@@ -1032,7 +1048,6 @@ class OoOCore:
             if f_seq[slot] != packed >> sbits:
                 continue  # squashed
             f_state[slot] = 2  # DynState.COMPLETED
-            f_ccyc[slot] = now
             if tracer is not None:
                 tracer.complete(self._view(slot), now)
             # Edges are cleared here (or at squash) rather than on slot
@@ -1111,7 +1126,6 @@ class OoOCore:
                 resume = actual_next if actual_next is not None else self.f_pc[slot] + 1
                 self._flat_service_interrupt(self.f_seq[slot], resume)
                 break
-        self._check_pending += offered
 
     def _flat_retire_one(self, slot: int, now: int) -> None:
         """Update architectural state for one checked slot.
@@ -1122,7 +1136,6 @@ class OoOCore:
         retired-but-live slot.
         """
         self.rob.popleft()
-        self._check_pending -= 1
         f_seq = self.f_seq
         seq = f_seq[slot]
         flags = self.f_flags[slot]
@@ -1254,6 +1267,7 @@ class OoOCore:
         f_pp = self.f_pp
         unchecked = self._unchecked
         rename = self.rename
+        parked = self._parked
         tracer = self.tracer
         while rob and f_seq[rob[-1]] >= first_bad_seq:
             slot = rob.pop()
@@ -1265,13 +1279,14 @@ class OoOCore:
                 view = self._f_views[slot]
                 view._q = seq
                 tracer.squash(view)
-            if f_state[slot] == 3:  # DynState.IN_CHECK
-                self._check_pending -= 1
-            elif unchecked and unchecked[-1] == slot:
+            if unchecked and unchecked[-1] == slot:
                 unchecked.pop()
             flags = f_flags[slot]
-            if flags & F_STORE and f_state[slot] != 4:
-                self.sb_count -= 1
+            if flags & F_STORE:
+                if f_state[slot] != 4:
+                    self.sb_count -= 1
+                # The loads parked on it are younger: squashed too.
+                parked.pop((seq << sbits) | slot, None)
             if flags & F_WRITES:
                 rd = self.f_inst[slot].rd
                 if rename.get(rd) == (seq << sbits) | slot:
@@ -1328,7 +1343,9 @@ class OoOCore:
         # Issue: a nonempty ready list is rescanned every cycle.  This is
         # the cheapest and by far the most common "busy" signal, so it is
         # tested before anything else (ordering is free: every branch
-        # either returns ``now`` or only lowers ``wake``).
+        # either returns ``now`` or only lowers ``wake``).  Parked loads
+        # are not in it: only their store's issue moves them, an event
+        # the rest of this horizon already covers.
         if self.ready:
             return now
         wake = NEVER
@@ -1619,11 +1636,11 @@ class OoOCore:
         self.rename.clear()
         self.ready.clear()
         self._store_entries.clear()
+        self._parked.clear()
         self._ser_heap.clear()
         self.drain.clear()
         self._drain_inflight = None
         self.sb_count = 0
-        self._check_pending = 0
         self._unchecked.clear()
         self.sync_request = None
         self.single_step = False
@@ -1675,7 +1692,6 @@ class OoOCore:
         self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
         self.gate.flush()
         self.completions.clear()
-        self._check_pending = 0
         self._unchecked.clear()
         self.pc = resume_pc
         self.fetch_stalled = False

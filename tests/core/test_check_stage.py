@@ -62,13 +62,10 @@ class TestCheckGate:
     def test_entries_wait_for_clear(self, core):
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
         gate.offer_f(core, make_entry(core, 0), now=0)
-        assert not gate.has_retirable_f(core, now=100)
         assert gate.pop_retirable_f(core, now=100, limit=4) == []
         record = gate.pop_closed()
         gate.clear_interval(record.index, retire_time=10)
-        assert not gate.has_retirable_f(core, now=9)
         assert gate.pop_retirable_f(core, now=9, limit=4) == []
-        assert gate.has_retirable_f(core, now=10)
         popped = gate.pop_retirable_f(core, now=10, limit=4)
         assert len(popped) == 1 and seqs(core, popped) == [0]
 
@@ -91,9 +88,7 @@ class TestCheckGate:
         gate = CheckGate(RedundancyConfig(fingerprint_interval=1, comparison_latency=10))
         handler_trap = make_entry(core, 0, op=Op.TRAP, injected=True, result=None)
         gate.offer_f(core, handler_trap, now=20)
-        assert not gate.has_retirable_f(core, now=29)
         assert gate.pop_retirable_f(core, now=29, limit=4) == []
-        assert gate.has_retirable_f(core, now=30)
         assert len(gate.pop_retirable_f(core, now=30, limit=4)) == 1
 
     def test_single_step_closes_every_instruction(self, core):
@@ -129,8 +124,8 @@ class TestCheckGate:
         record = gate.pop_closed()
         gate.clear_interval(record.index, retire_time=0)
         core.f_seq[slot] = -1  # squash
-        assert gate.has_retirable_f(core, now=10)  # the pop discards it
         assert gate.pop_retirable_f(core, now=10, limit=4) == []
+        assert gate.waiting == 0  # the pop discarded the squashed head
 
     def test_identical_streams_produce_identical_records(self, core):
         config = RedundancyConfig(fingerprint_interval=3)

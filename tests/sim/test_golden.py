@@ -1,13 +1,14 @@
 """Pinned result digests: the regression oracle for the one pipeline.
 
-Each scenario runs a single Reunion pair on the flat-ring pipeline and
-reduces everything ``tests.sim.test_replay_exec._observe`` covers —
-statistics, final register files, retire and cycle counts, per-gate
-interval counters, recovery logs — to one SHA-256 digest.  Every cell
-of the kernel (naive, event) x execution (dual, replay) matrix must
-land on the same pin, because both knobs carry bit-identity contracts;
-the pin itself catches any behaviour change that moves all four cells
-together.
+Each scenario runs one logical processor on the flat-ring pipeline (a
+Reunion pair under TSO, except the Strict, non-redundant and SC
+cold-path runs of ``OTHER_MODELS``) and reduces everything
+``tests.sim.test_replay_exec._observe`` covers — statistics, final
+register files, retire and cycle counts, per-gate interval counters,
+recovery logs — to one SHA-256 digest.  Every cell of the kernel
+(naive, event) x execution (dual, replay) matrix must land on the same
+pin, because both knobs carry bit-identity contracts; the pin itself
+catches any behaviour change that moves all four cells together.
 
 The config is spelled out here rather than taken from
 ``tests.core.helpers.SMALL``, which ``REPRO_COHERENCE`` rewrites, and
@@ -34,6 +35,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.opcodes import Op
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import (
+    Consistency,
     CoreConfig,
     L1Config,
     L2Config,
@@ -71,12 +73,28 @@ PINS = {
     "cold-0": "1a5ca8b78559209fc42630c92834c156fe0fa7fc98202cc2eef06d275a61a8f7",
     "cold-1": "1e2625c62939c244caa75b2be9cacc6c302432344c667c981f273da8479b065f",
     "cold-2": "783b862db0d0d437fc7c5c0a6166bc0b3119a61b50fa76a27da46432915f44bc",
+    "strict": "efaf3f533e15cee502ad23fb1894750d189d32737f2e5a12ad5097f71e7ad0dd",
+    "nonredundant": "2e54f6b4b995f9881d909ede78f65bebd3570aaa3b3d9426cd0c2c76b4caa392",
+    "sc": "f1b67f54a24ba97c62894e619d44aafb83d3d52d2697de79dd5688cdfde5d61c",
+}
+
+#: Cold-path runs of the other execution models, as ``name -> (seed,
+#: mode, consistency)``: Strict's gate and the non-redundant pipeline
+#: have no pair, and SC makes every store serialize.
+OTHER_MODELS = {
+    "strict": (3, Mode.STRICT, Consistency.TSO),
+    "nonredundant": (4, Mode.NONREDUNDANT, Consistency.TSO),
+    "sc": (5, Mode.REUNION, Consistency.SC),
 }
 
 
-def _config(fingerprint_interval: int = 8) -> SystemConfig:
-    return GOLDEN_BASE.with_redundancy(
-        mode=Mode.REUNION,
+def _config(
+    fingerprint_interval: int = 8,
+    mode: Mode = Mode.REUNION,
+    consistency: Consistency = Consistency.TSO,
+) -> SystemConfig:
+    return GOLDEN_BASE.replace(consistency=consistency).with_redundancy(
+        mode=mode,
         comparison_latency=10,
         fingerprint_interval=fingerprint_interval,
         phantom=PhantomStrength.GLOBAL,
@@ -140,15 +158,21 @@ def _fuzz_program(seed: int):
     return program
 
 
-def _cold(seed: int, options: SimOptions) -> CMPSystem:
+def _cold(
+    seed: int,
+    options: SimOptions,
+    mode: Mode = Mode.REUNION,
+    consistency: Consistency = Consistency.TSO,
+) -> CMPSystem:
     """One run forcing every view-materializing cold path at once.
 
     Branch mispredicts (squash rollback), synthetic ITLB misses (trap
     squash + injected handler), DTLB misses (software-walk injection),
     an external interrupt replicated mid-run, and mid-interval fault
-    injection on the mute with the resulting detections and recoveries.
-    The rng still draws a kernel and an execution mode, so the later
-    draws keep their order; ``options`` overrides both.
+    injection on the mute with the resulting detections and recoveries
+    (only where there is a mute).  The rng still draws a kernel and an
+    execution mode, so the later draws keep their order; ``options``
+    overrides both.
     """
     rng = random.Random(0x5EED ^ seed)
     program = _fuzz_program(seed)
@@ -162,11 +186,12 @@ def _cold(seed: int, options: SimOptions) -> CMPSystem:
     fault_target = rng.choice(["result", "store_addr", "branch_target"])
     horizon = 20_000
     system = CMPSystem(
-        _config(fingerprint_interval=interval), [program], [itlb], options=options
+        _config(interval, mode, consistency), [program], [itlb], options=options
     )
-    FaultInjector(
-        interval=fault_interval, seed=fault_seed, target=fault_target
-    ).attach(system.cores[1])
+    if system.pairs:
+        FaultInjector(
+            interval=fault_interval, seed=fault_seed, target=fault_target
+        ).attach(system.cores[1])
     system.run(interrupt_at)
     system.post_interrupt(0)
     system.run(horizon - interrupt_at)
@@ -183,8 +208,11 @@ def _scenario(name: str, options: SimOptions) -> CMPSystem:
         system = _run(assemble(MIXED), options, injector=(40, 11, target))
         assert system.pairs[0].recoveries > 0  # the plan actually fired
         return system
-    seed = int(name[len("cold-"):])
-    system = _cold(seed, options)
+    if name in OTHER_MODELS:
+        seed, mode, consistency = OTHER_MODELS[name]
+        system = _cold(seed, options, mode, consistency)
+    else:
+        system = _cold(int(name[len("cold-"):]), options)
     # Prove each cold path fired: a scenario that silently stopped
     # reaching one would otherwise keep its pin on an easier run.
     vocal = system.cores[0]
@@ -192,7 +220,8 @@ def _scenario(name: str, options: SimOptions) -> CMPSystem:
     assert vocal.dtlb_misses > 0
     assert vocal.itlb_misses > 0
     assert vocal.interrupts_serviced == 1
-    assert system.pairs[0].recoveries > 0
+    for pair in system.pairs:
+        assert pair.recoveries > 0
     return system
 
 

@@ -210,6 +210,20 @@ class TestCampaign:
         assert main(["campaign", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--interval", "0", "fingerprint interval must be >= 1"),
+            ("--latency", "-1", "comparison latency cannot be negative"),
+            ("--pairs", "0", "at least one logical processor"),
+        ],
+    )
+    def test_out_of_range_number_is_a_usage_error(self, capsys, flag, value, message):
+        assert main(["campaign", "compute-kernel", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_width_without_polynomial_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["campaign", "compute-kernel", "--bits", "20"])
