@@ -10,8 +10,10 @@ interval closes when it reaches the configured length, at serializing
 instructions, at HALT, or — during re-execution — after every single
 instruction.  A closed interval's fingerprint is "sent" to the partner;
 the pair controller (or the strict oracle) later marks the interval
-cleared with a retire time, and the gate releases its instructions to
-architectural retirement.
+cleared with a retire time, and the core's retire walk releases its
+instructions from the ROB head to architectural retirement.  The gate
+keeps no queue: each offered slot's interval index goes into the core's
+``f_chk`` column, and the gate keeps one retire time per interval.
 
 Injected instructions (software TLB handlers) pass through transparently:
 they retire as soon as everything older has cleared, contribute nothing
@@ -43,11 +45,14 @@ _WORD_MASK_64 = (1 << 64) - 1
 #: (``Instruction.is_store``: plain stores *and* atomics).
 _F_STORE_STREAM = F_STORE | F_ATOMIC
 
-#: ``CheckGate._retire_time`` size at which an interval close sweeps out
-#: the entries no pending instruction can read again.  One entry is
-#: written per closed interval, so without the sweep a gate's host
-#: memory grows with run length.
-RETIRE_TIME_SWEEP_AT = 4_096
+#: ``CheckGate.retire_at`` holds this many ring capacities' worth of
+#: intervals.  The intervals whose retire time can still be read or
+#: written span at most: one ROB's worth with in-check instructions, the
+#: open interval, and fewer than one ROB's worth that a retirement-time
+#: squash left closed but uncompared (their instructions are gone, the
+#: comparison still writes).  Indices are consecutive, so two ring
+#: capacities cover them all without two live intervals sharing a slot.
+RETIRE_WINDOW_ROBS = 2
 
 
 class IntervalRecord(NamedTuple):
@@ -119,9 +124,13 @@ class ProtectionState:
 
 
 class CheckGate:
-    """One core's side of the output-comparison machinery."""
+    """One core's side of the output-comparison machinery.
 
-    def __init__(self, config: RedundancyConfig) -> None:
+    ``ring_capacity`` is the core's ring size (``OoOCore._f_cap``); it
+    sizes the retire-time list.
+    """
+
+    def __init__(self, config: RedundancyConfig, ring_capacity: int) -> None:
         from repro.core.fingerprint import FingerprintAccumulator
 
         self.config = config
@@ -139,23 +148,23 @@ class CheckGate:
         self._fast_mt = accum._mt
         #: Partial-interval timeout (see maybe_timeout_close), hoisted out
         #: of the per-cycle path — as are the interval length and the
-        #: comparison latency, which offer_f / pop_retirable_f would
-        #: otherwise chase through two attributes per instruction.
+        #: comparison latency, which offer_f would otherwise chase
+        #: through two attributes per instruction.
         self._timeout_limit = max(8, config.fingerprint_interval // 2)
         self._interval_len = config.fingerprint_interval
         self._cmp_latency = config.comparison_latency
-        # (packed flat-ROB ref, interval index or None for injected
-        # pass-through, offer cycle)
-        self._pending: deque[tuple[int, int | None, int]] = deque()
-        #: Reused pop_retirable_f output buffer (valid until the next pop).
-        self._scratch: list = []
         self._closed: deque[IntervalRecord] = deque()
         self._count = 0
         self._has_sync = False
         self._has_halt = False
         self._index = 0
         self._last_offer = 0
-        self._retire_time: dict[int, int] = {}
+        #: Retire time of interval ``k`` at ``retire_at[k & retire_mask]``,
+        #: NEVER while it is open or uncompared: every close resets the
+        #: next interval's slot, and flush resets slot 0.
+        size = RETIRE_WINDOW_ROBS * ring_capacity
+        self.retire_at = [NEVER] * size
+        self.retire_mask = size - 1
         self.single_step = False
         #: True when a LogicalPair drives this gate (and therefore calls
         #: maybe_timeout_close every pair step).  The cycle-skipping
@@ -197,14 +206,16 @@ class CheckGate:
 
         ``slot`` is the instruction's live slot in ``core``'s flat ring.
         """
-        packed = (core.f_seq[slot] << core._f_sbits) | slot
         mask = core.f_mask[slot]
         if mask & M_INJECTED:
             # Injected handler instructions are not fingerprinted (they
-            # keep the vocal/mute user streams aligned), but serializing
-            # ones still pay a full comparison-latency stall at the front
-            # of the queue — see pop_retirable_f.
-            self._pending.append((packed, None, now))
+            # keep the vocal/mute user streams aligned) and clear at a
+            # fixed cycle.  Serializing ones (traps, MMU operations) wait
+            # out a comparison latency first: Section 4.4 applies to them
+            # exactly as to user code.
+            if core.f_flags[slot] & F_SER:
+                now += self._cmp_latency
+            core.f_chk[slot] = -1 - now
             return
         # Fold this instruction's architectural-update words — result,
         # store address and value, atomic address, branch target, in that
@@ -253,19 +264,20 @@ class CheckGate:
                     "fault.absorb",
                     now,
                     self.obs_source,
-                    seq=packed >> core._f_sbits,
+                    seq=core.f_seq[slot],
                     interval=self._index,
                 )
-        self._count += 1
+        self._count = count = self._count + 1
         self.users_offered += 1
-        self._has_sync = self._has_sync or bool(mask & M_SYNC)
+        if mask & M_SYNC:
+            self._has_sync = True
         is_halt = flags & F_HALT
         if is_halt:
             self._has_halt = True
-        self._pending.append((packed, self._index, now))
+        core.f_chk[slot] = self._index
         self._last_offer = now
         if (
-            self._count >= self._interval_len
+            count >= self._interval_len
             or flags & F_SER
             or is_halt
             or self.single_step
@@ -297,34 +309,12 @@ class CheckGate:
         if self.echo is not None:
             self.echo.append((kind, now, args))
 
-    def _sweep_retire_time(self) -> None:
-        """Drop the retire times no pending instruction can read again.
-
-        Pending interval indices never decrease, so every key below the
-        oldest one still pending (the open interval's when nothing is)
-        belongs to an interval whose instructions have all left the
-        gate.  Keys are closed intervals, so the live ones lie below
-        ``_index``.
-        """
-        floor = self._index
-        for _, index, _ in self._pending:
-            if index is not None:
-                floor = index
-                break
-        retire_time = self._retire_time
-        self._retire_time = {
-            index: retire_time[index]
-            for index in range(floor, self._index)
-            if index in retire_time
-        }
-
     def _close(self, now: int) -> None:
-        if len(self._retire_time) >= RETIRE_TIME_SWEEP_AT:
-            self._sweep_retire_time()
+        index = self._index
         if (
             not self._check_all
             and not self.single_step
-            and not self._policy_state.checked(self._index)
+            and not self._policy_state.checked(index)
         ):
             # Unchecked interval under a partial protection policy: no
             # hash, no exchange, no comparison latency — the batch
@@ -335,7 +325,6 @@ class CheckGate:
             self._skip_close(now)
             return
         accum = self._accum
-        index = self._index
         fingerprint = accum._crc
         self._closed.append(
             _new_record(
@@ -356,7 +345,8 @@ class CheckGate:
         self._count = 0
         self._has_sync = False
         self._has_halt = False
-        self._index = index + 1
+        self._index = index = index + 1
+        self.retire_at[index & self.retire_mask] = NEVER
         self.intervals_closed += 1
 
     def _skip_close(self, now: int) -> None:
@@ -370,84 +360,38 @@ class CheckGate:
         that escaped through a coverage gap (rather than CRC aliasing).
         """
         self._accum._crc = 0
-        self._retire_time[self._index] = now
+        index = self._index
+        retire_at = self.retire_at
+        retire_at[index & self.retire_mask] = now
         if self.obs is not None:
-            self._emit("fingerprint.skip", now, index=self._index, count=self._count)
+            self._emit("fingerprint.skip", now, index=index, count=self._count)
         self._count = 0
         self._has_sync = False
         self._has_halt = False
-        self._index += 1
+        self._index = index = index + 1
+        retire_at[index & self.retire_mask] = NEVER
         self.intervals_closed += 1
         self.intervals_unchecked += 1
-
-    def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        """Packed refs cleared for retirement, oldest first.
-
-        The returned list is the reused scratch buffer: valid until the
-        next pop, consumed immediately by every caller (retire loop,
-        recovery drain), never retained.  Callers seq-re-validate each ref (a
-        TRAP/interrupt retire mid-batch squashes younger refs still in
-        the batch).
-        """
-        out = self._scratch
-        out.clear()
-        pending = self._pending
-        if not pending:
-            return out
-        f_seq = core.f_seq
-        smask = core._f_smask
-        sbits = core._f_sbits
-        f_flags = core.f_flags
-        while pending and len(out) < limit:
-            packed, index, offered = pending[0]
-            if f_seq[packed & smask] != packed >> sbits:
-                pending.popleft()  # squashed after offer
-                continue
-            if index is None:
-                # Injected handler instruction.  Serializing ones (the
-                # handler's traps and MMU operations) must be compared
-                # with the partner before younger instructions proceed —
-                # Section 4.4 applies to them exactly as to user code —
-                # so they wait a full comparison latency at the front.
-                if (
-                    f_flags[packed & smask] & F_SER
-                    and now < offered + self._cmp_latency
-                ):
-                    break
-                pending.popleft()
-                out.append(packed)
-                continue
-            retire_at = self._retire_time.get(index)
-            if retire_at is None or retire_at > now:
-                break
-            pending.popleft()
-            out.append(packed)
-        return out
 
     def next_release_f(self, core, now: int) -> int:
         """Conservative horizon: when could this gate next release work?
 
-        Mirrors every ``now``-dependent branch of :meth:`pop_retirable_f`
-        plus the interval timeout in :meth:`maybe_timeout_close`.  A
-        closed-but-uncompared interval contributes nothing here — the
-        comparison is the pair controller's event, reported by
-        ``LogicalPair.next_event`` — but once :meth:`clear_interval` has
-        run, the head's retire time is a known future cycle.
+        Mirrors every ``now``-dependent branch of the core's retire walk
+        (``OoOCore._flat_walk``) plus the interval timeout in
+        :meth:`maybe_timeout_close`.  A closed-but-uncompared interval
+        contributes nothing here — the comparison is the pair
+        controller's event, reported by ``LogicalPair.next_event`` — but
+        once :meth:`clear_interval` has run, the head's retire time is a
+        known future cycle.  Offers a retirement-time squash dropped
+        (``core._dropped``) are discarded by the very next walk.
         """
+        if core._dropped:
+            return now
         wake = NEVER
-        pending = self._pending
-        if pending:
-            packed, index, offered = pending[0]
-            if core.f_seq[packed & core._f_smask] != packed >> core._f_sbits:
-                return now
-            if index is None:
-                if core.f_flags[packed & core._f_smask] & F_SER:
-                    release = offered + self._cmp_latency
-                    return release if release > now else now
-                return now
-            retire_at = self._retire_time.get(index)
-            if retire_at is not None:
-                return retire_at if retire_at > now else now
+        if core._n_check:
+            at = core._clear_at(core.rob[0])
+            if at < NEVER:
+                return at if at > now else now
         if self._count and self.paired:
             # The pair controller will force-close a lingering partial
             # interval one cycle past the timeout limit.
@@ -468,7 +412,7 @@ class CheckGate:
 
     def clear_interval(self, index: int, retire_time: int) -> None:
         """Comparison matched: interval ``index`` may retire at ``retire_time``."""
-        self._retire_time[index] = retire_time
+        self.retire_at[index & self.retire_mask] = retire_time
         self.fingerprints_compared += 1
 
     @property
@@ -476,16 +420,10 @@ class CheckGate:
         """User instructions in the currently-open interval."""
         return self._count
 
-    @property
-    def waiting(self) -> int:
-        """Instructions buffered in check (resource-occupancy metric)."""
-        return len(self._pending)
-
     def flush(self) -> None:
         """Recovery: drop all pending state and restart interval numbering."""
-        self._pending.clear()
         self._closed.clear()
-        self._retire_time.clear()
+        self.retire_at[0] = NEVER
         self._accum.reset()
         self._count = 0
         self._has_sync = False

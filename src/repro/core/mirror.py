@@ -150,6 +150,7 @@ _FLAT_COLUMNS = (
     "f_wo",
     "f_pp",
     "f_row",
+    "f_chk",
 )
 
 
@@ -176,7 +177,8 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
     mute._parked = {store: list(loads) for store, loads in vocal._parked.items()}
     mute._ser_heap = list(vocal._ser_heap)
     mute.rename = dict(vocal.rename)
-    mute._unchecked = type(vocal._unchecked)(vocal._unchecked)
+    mute._n_check = vocal._n_check
+    mute._dropped = vocal._dropped
     sync_request = vocal.sync_request
     if sync_request is None:
         mute.sync_request = None
@@ -188,11 +190,10 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
 
 
 def _materialize_gate(vocal_gate: CheckGate, mute_gate: CheckGate) -> None:
-    # _pending holds immutable (packed, index, offered) tuples over the
-    # columns copied above, and _closed immutable IntervalRecords.
-    mute_gate._pending = type(vocal_gate._pending)(vocal_gate._pending)
+    # _closed holds immutable IntervalRecords; the in-check entries'
+    # clearance travelled with the f_chk column above.
     mute_gate._closed = type(vocal_gate._closed)(vocal_gate._closed)
-    mute_gate._retire_time = dict(vocal_gate._retire_time)
+    mute_gate.retire_at[:] = vocal_gate.retire_at
     mute_gate._count = vocal_gate._count
     mute_gate.users_offered = vocal_gate.users_offered
     mute_gate._has_sync = vocal_gate._has_sync

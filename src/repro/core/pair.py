@@ -86,8 +86,8 @@ class LogicalPair:
         #: resolved and threaded by CMPSystem.
         self.policy = policy if policy is not None else ProtectionPolicy()
 
-        vocal.gate = CheckGate(config.redundancy)
-        mute.gate = CheckGate(config.redundancy)
+        vocal.gate = CheckGate(config.redundancy, vocal._f_cap)
+        mute.gate = CheckGate(config.redundancy, mute._f_cap)
         vocal.gate.paired = True
         mute.gate.paired = True
         vocal.pair_sync_atomics = True
@@ -330,12 +330,13 @@ class LogicalPair:
         closed = vocal_gate._closed
         if closed:
             latency = self.redundancy.comparison_latency
-            retire_time = vocal_gate._retire_time
+            retire_at = vocal_gate.retire_at
+            retire_mask = vocal_gate.retire_mask
             obs = self.obs
             compared = 0
             while closed:
                 a = closed.popleft()
-                retire_time[a.index] = a.close_cycle + latency
+                retire_at[a.index & retire_mask] = a.close_cycle + latency
                 compared += 1
                 if obs is not None:
                     # The virtual mute's interval is identical by
@@ -473,8 +474,10 @@ class LogicalPair:
         obs = self.obs
         vocal_closed = vocal_gate._closed
         mute_closed = mute_gate._closed
-        vocal_retire = vocal_gate._retire_time
-        mute_retire = mute_gate._retire_time
+        vocal_retire = vocal_gate.retire_at
+        mute_retire = mute_gate.retire_at
+        # Both gates share one config, so one mask indexes both lists.
+        retire_mask = vocal_gate.retire_mask
         # Both sides have a closed interval, so at least one comparison
         # happens below: the cores' cached skip horizons predate the
         # retire times being set here.
@@ -502,9 +505,9 @@ class LogicalPair:
                 )
             if matched:
                 # clear_interval on both gates, inlined.
-                vocal_retire[a.index] = ready
+                vocal_retire[a.index & retire_mask] = ready
                 vocal_gate.fingerprints_compared += 1
-                mute_retire[b.index] = ready
+                mute_retire[b.index & retire_mask] = ready
                 mute_gate.fingerprints_compared += 1
                 if self.state is PairState.SINGLE_STEP and (a.has_sync or a.has_halt):
                     # Recovery has made forward progress through the
@@ -540,8 +543,9 @@ class LogicalPair:
         """Döbel-style load-adaptive protection, decided at comparison points.
 
         Runs right after a mismatch-free comparison batch, NORMAL state
-        only.  Load is the vocal's check-stage backlog (instructions
-        buffered behind fingerprint exchange).  When it reaches
+        only.  Load is the vocal's check-stage backlog
+        (``OoOCore.check_backlog``: instructions buffered behind
+        fingerprint exchange, see its docstring).  When it reaches
         ``off_threshold``, the next ``off_intervals`` fingerprint
         intervals — numbered from the *larger* of the two gates' next
         interval index, so neither side has closed any of them yet and
@@ -560,7 +564,7 @@ class LogicalPair:
         if index < state.skip_until:
             return  # an off-window is still scheduled or active
         policy = self.policy
-        backlog = len(vocal_gate._pending)
+        backlog = self.vocal.check_backlog
         if self._dyn_paused:
             if backlog > policy.on_threshold:
                 # Still loaded: extend the pause with a fresh window.

@@ -14,22 +14,42 @@ timing — while still modelling the fundamental costs of checking:
 
 Implementation: a :class:`CheckGate` whose partner always produces a
 matching fingerprint at exactly the same cycle, so every interval clears
-as it closes.
+as it closes: the close writes its retire time directly and sends
+nothing.
 """
 
 from __future__ import annotations
 
 from repro.core.check_stage import CheckGate
+from repro.pipeline.gates import NEVER
 
 
 class StrictCheckGate(CheckGate):
     """A check gate compared against an identically-timed virtual partner."""
 
     def _close(self, now: int) -> None:
-        super()._close(now)
         # The virtual partner's fingerprint matches, generated at the
-        # same cycle: retirement happens one comparison latency later
-        # (clear_interval, inlined).
-        record = self._closed.pop()
-        self._retire_time[record.index] = now + self._cmp_latency
+        # same cycle: retirement happens one comparison latency later.
+        # Never paired, so never single-stepped or partially protected.
+        index = self._index
+        retire_at = self.retire_at
+        mask = self.retire_mask
+        retire_at[index & mask] = now + self._cmp_latency
+        retire_at[(index + 1) & mask] = NEVER
         self.fingerprints_compared += 1
+        accum = self._accum
+        obs = self.obs
+        if obs is not None and obs.full:
+            self._emit(
+                "fingerprint.close",
+                now,
+                index=index,
+                count=self._count,
+                fingerprint=accum._crc,
+            )
+        accum._crc = 0  # reset(), inlined
+        self._count = 0
+        self._has_sync = False
+        self._has_halt = False
+        self._index = index + 1
+        self.intervals_closed += 1

@@ -161,21 +161,19 @@ class ProtectionScenario:
 
 @dataclass
 class RetireGateMicro:
-    """Throughput of the retire-gate offer/pop path, gate machinery only.
+    """Throughput of the offer/retire path, gate and retire walk only.
 
-    ``pop_retirable_f`` sits on the per-cycle retire path and hands back a
-    reused per-gate scratch buffer instead of allocating a fresh list.
-    ``scratch_reused`` pins that contract (the pop must return the *same*
-    list object every call); ``ops_per_s`` is the instruction throughput
-    of a bare offer→pop loop, floored against the baseline in
-    :func:`check_regression` exactly like the phase sweeps.
+    ``ops_per_s`` is the instruction throughput of a bare loop of
+    ``offer_f`` calls and the core's ROB-head retire walk, floored
+    against the baseline in :func:`check_regression` exactly like the
+    phase sweeps.  Reports written before the walk replaced the gates'
+    pop call also carry a ``scratch_reused`` flag; loading drops it.
     """
 
     name: str
-    ops: int  # instructions pushed through offer -> pop
+    ops: int  # instructions offered and retired
     wall_s: float
     ops_per_s: float
-    scratch_reused: bool
 
 
 @dataclass
@@ -245,7 +243,12 @@ class BenchReport:
                 ProtectionScenario(**s)
                 for s in payload.get("protection_scenario", [])
             ],
-            micro=[RetireGateMicro(**m) for m in payload.get("micro", [])],
+            micro=[
+                RetireGateMicro(
+                    **{k: v for k, v in m.items() if k != "scratch_reused"}
+                )
+                for m in payload.get("micro", [])
+            ],
             cache_micro=[
                 CacheBackendMicro(**m) for m in payload.get("cache_micro", [])
             ],
@@ -347,15 +350,14 @@ class BenchReport:
         if self.micro:
             lines += [
                 "",
-                "retire-gate micro (bare offer/pop loop, gate machinery only):",
-                f"{'gate':<28}{'ops':>10}{'wall s':>10}{'ops/s':>14}{'scratch':>9}",
-                "-" * 71,
+                "retire-gate micro (bare offer/retire loop, gate and walk only):",
+                f"{'gate':<28}{'ops':>10}{'wall s':>10}{'ops/s':>14}",
+                "-" * 62,
             ]
             for micro in self.micro:
                 lines.append(
                     f"{micro.name:<28}{micro.ops:>10,}{micro.wall_s:>10.3f}"
                     f"{micro.ops_per_s:>14,.0f}"
-                    f"{'reused' if micro.scratch_reused else 'ALLOC':>9}"
                 )
         if self.cache_micro:
             lines += [
@@ -679,21 +681,19 @@ def run_protection_scenario(
 def run_retire_gate_micro(
     cycles: int = 30_000, width: int = 4
 ) -> list[RetireGateMicro]:
-    """Time the retire-gate offer/pop path in isolation.
+    """Time the offer/retire path in isolation.
 
-    The retire loop pops the gate every cycle it has work, so
-    ``pop_retirable_f`` overhead is pure per-retired-instruction tax.
-    This micro drives the immediate gate (non-redundant retirement) and
-    the strict check gate (fingerprint close + self-compare + latency
-    queue — the full check-stage data path without needing a partner
-    core) through ``offer_f`` / ``pop_retirable_f`` over a real core's
-    ring, its slots filled with completed ALU instructions and recycled
-    as they retire.  It also pins the scratch-buffer contract: the pop
-    must hand back the *same* list object every call, never a fresh
-    allocation.
+    Every retired instruction is offered to the gate once and retired by
+    the core's ROB-head walk once, so their overhead is pure
+    per-retired-instruction tax.  This micro drives the immediate gate
+    (non-redundant retirement) and the strict check gate (fingerprint
+    close + self-compare + comparison latency — the full check-stage data
+    path without needing a partner core) over a real core's ring: each
+    cycle appends up to ``width`` completed ALU instructions to the ROB,
+    offers them, and walks the ROB head.  After the timed window it
+    retires whatever is still in check, and raises if an offered
+    instruction never retired.
     """
-    from collections import deque
-
     from repro.core.strict import StrictCheckGate
     from repro.isa.decode import flags_of
     from repro.pipeline.gates import ImmediateGate
@@ -707,53 +707,58 @@ def run_retire_gate_micro(
         DEFAULT_CONFIG.replace(n_logical=1), [program], options=SimOptions()
     ).cores[0]
     # Steady-state ALU writers only: serializing/HALT entries would close
-    # intervals early and measure interval churn instead of the pop path.
+    # intervals early and measure interval churn instead of the walk.
     insts = [inst for inst in program.instructions if inst.is_alu]
-    slots = range(core._f_cap)
-    for slot in slots:
+    cap = core._f_cap
+    for slot in range(cap):
         inst = insts[slot % len(insts)]
-        core.f_seq[slot] = slot
         core.f_inst[slot] = inst
         core.f_flags[slot] = flags_of(inst, core.sc_mode)
         core.f_res[slot] = (slot * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
     smask = core._f_smask
+    rob = core.rob
+    rob_append = rob.append
+    f_seq = core.f_seq
 
+    strict_config = RedundancyConfig(mode=Mode.STRICT, comparison_latency=10)
     gates = [
         ("immediate", ImmediateGate()),
-        (
-            "strict-check",
-            StrictCheckGate(
-                RedundancyConfig(mode=Mode.STRICT, comparison_latency=10)
-            ),
-        ),
+        ("strict-check", StrictCheckGate(strict_config, cap)),
     ]
     results: list[RetireGateMicro] = []
     for name, gate in gates:
-        free = deque(slots)
-        popped = 0
-        scratch_reused = True
-        first: list | None = None
+        core.gate = gate
+        offer = gate.offer_f
+        walk = core._flat_walk
+        before = core.total_retired
+        seq = 0
         start = time.perf_counter()
         for now in range(cycles):
-            for _ in range(width):
-                if not free:
-                    break
-                gate.offer_f(core, free.popleft(), now)
-            out = gate.pop_retirable_f(core, now, width)
-            if first is None:
-                first = out
-            elif out is not first:
-                scratch_reused = False
-            popped += len(out)
-            free.extend(packed & smask for packed in out)
+            room = cap - len(rob)
+            offers = width if width < room else room
+            for _ in range(offers):
+                slot = seq & smask
+                f_seq[slot] = seq
+                rob_append(slot)
+                offer(core, slot, now)
+                seq += 1
+            core._n_check += offers
+            walk(now, width)
         wall = time.perf_counter() - start
+        # Untimed: close the open interval and retire everything left.
+        gate.close_open(cycles)
+        core.drain_cleared(cycles + strict_config.comparison_latency)
+        if rob or core.total_retired - before != seq:
+            raise RuntimeError(
+                f"{name}: {seq} instructions offered, "
+                f"{core.total_retired - before} retired"
+            )
         results.append(
             RetireGateMicro(
                 name=name,
-                ops=popped,
+                ops=seq,
                 wall_s=wall,
-                ops_per_s=popped / wall if wall else 0.0,
-                scratch_reused=scratch_reused,
+                ops_per_s=seq / wall if wall else 0.0,
             )
         )
     return results
@@ -1016,11 +1021,6 @@ def check_regression(
             )
     baseline_micro = {micro.name: micro for micro in baseline.micro}
     for micro in current.micro:
-        if not micro.scratch_reused:
-            problems.append(
-                f"{micro.name}: pop_retirable_f allocated a fresh list "
-                "(scratch-buffer contract broken)"
-            )
         base = baseline_micro.get(micro.name)
         if base is None or base.ops_per_s <= 0:
             continue

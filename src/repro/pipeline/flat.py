@@ -39,7 +39,6 @@ class DynState:
     ISSUED = 1  # executing
     COMPLETED = 2  # result available, waiting to enter check/retire
     IN_CHECK = 3  # offered to the retire gate (fingerprint sent)
-    RETIRED = 4  # architectural state updated
 
 
 #: Packed-boolean bits of the ``f_mask`` column (one int per slot).

@@ -16,12 +16,12 @@ state:
 Keeping the gate abstract lets one pipeline implementation serve all
 three execution models, which is exactly the paper's dual-use argument.
 The gates read the core's flat ring directly, through the ``*_f``
-methods.
+methods, and hold no queue of their own: the ROB's in-check prefix is
+the pending queue, and the core retires from its head.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Protocol
 
 from repro.pipeline.flat import M_INJECTED
@@ -34,25 +34,24 @@ NEVER = 1 << 62
 class RetireGate(Protocol):
     """What the core needs from a retirement-checking policy.
 
-    The core identifies in-flight instructions by ring slot, or by
-    packed int reference ``(seq << core._f_sbits) | slot``, into its
-    column arrays (see :mod:`repro.pipeline.flat`).  A ref whose slot
-    seq no longer matches names a squashed (or retired) instruction.
+    The core identifies in-flight instructions by ring slot into its
+    column arrays (see :mod:`repro.pipeline.flat`).  The ROB's oldest
+    ``core._n_check`` entries are *in check*: offered to the gate, not
+    yet retired.  At offer the gate writes each one's clearance into the
+    ``f_chk`` column — an interval index ``k >= 0``, cleared once
+    ``retire_at[k & retire_mask] <= now``, or a fixed cycle ``c`` stored
+    as ``-1 - c`` — and the core's retire walk releases the ROB head
+    while the head is cleared.
     """
+
+    #: Retire time per interval, indexed by ``interval & retire_mask``;
+    #: :data:`NEVER` while the interval is open or uncompared.
+    retire_at: list[int]
+    retire_mask: int
 
     def offer_f(self, core, slot: int, now: int) -> None:
         """The instruction in live ring slot ``slot`` (oldest, completed)
-        enters the check stage."""
-
-    def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        """Packed refs cleared for architectural retirement, oldest first.
-
-        The returned list is a per-gate scratch buffer, valid only until
-        the next ``pop_retirable_f`` call on this gate — callers consume
-        it immediately and never retain it.  Callers must re-validate
-        each ref's seq before acting on it: a TRAP or interrupt retired
-        mid-batch squashes younger refs still in the returned batch.
-        """
+        enters the check stage; the gate stamps ``core.f_chk[slot]``."""
 
     def next_release_f(self, core, now: int) -> int:
         """Earliest cycle >= ``now`` at which this gate could release work.
@@ -87,39 +86,31 @@ class RetireGate(Protocol):
 class ImmediateGate:
     """Non-redundant retirement: no checking, no added latency."""
 
-    __slots__ = ("_queue", "_scratch", "users_offered")
+    __slots__ = ("users_offered",)
+
+    #: Every entry clears at its offer cycle, so the retire walk never
+    #: reads an interval's retire time.
+    retire_at: tuple = ()
+    retire_mask = 0
 
     def __init__(self) -> None:
-        #: Offered packed refs, oldest first.
-        self._queue: deque[int] = deque()
-        #: Reused pop_retirable_f output buffer (valid until the next pop).
-        self._scratch: list[int] = []
         #: Cumulative user instructions offered (interrupt offer boundary).
         self.users_offered = 0
 
     def offer_f(self, core, slot: int, now: int) -> None:
         if not core.f_mask[slot] & M_INJECTED:
             self.users_offered += 1
-        self._queue.append((core.f_seq[slot] << core._f_sbits) | slot)
-
-    def pop_retirable_f(self, core, now: int, limit: int) -> list[int]:
-        # Queued refs may have gone stale (squashed after offer); the
-        # caller re-validates seqs.
-        out = self._scratch
-        out.clear()
-        queue = self._queue
-        while queue and len(out) < limit:
-            out.append(queue.popleft())
-        return out
+        core.f_chk[slot] = -1 - now
 
     def close_open(self, now: int) -> None:
         pass  # no intervals without checking
 
     def flush(self) -> None:
-        self._queue.clear()
+        pass  # nothing is held outside the core's ROB
 
     def next_release_f(self, core, now: int) -> int:
-        # Queued entries retire on the very next step; otherwise nothing.
-        return now if self._queue else NEVER
+        # Offered entries retire on the very next step; otherwise nothing.
+        # (At most one width is ever in check, so a squash drops none.)
+        return now if core._n_check else NEVER
 
     open_count = 0  # no fingerprint intervals without checking

@@ -89,7 +89,6 @@ class OoOCore:
         config: SystemConfig,
         program: Program,
         port: CoreMemPort,
-        gate: RetireGate | None = None,
         synthetic_itlb: Callable[[int], bool] | None = None,
     ) -> None:
         self.core_id = core_id
@@ -106,7 +105,8 @@ class OoOCore:
         self.issue_width = config.core.width
         self.program = program
         self.port = port
-        self.gate: RetireGate = gate if gate is not None else ImmediateGate()
+        #: Swapped for a checking gate by Strict and Reunion systems.
+        self.gate: RetireGate = ImmediateGate()
         self.synthetic_itlb = synthetic_itlb
         self.sc_mode = config.consistency is Consistency.SC
         self.sw_tlb = config.tlb.mode is TLBMode.SOFTWARE
@@ -170,11 +170,13 @@ class OoOCore:
 
         self.halted = False
         self.stall_fetch_until = 0
-        #: The not-yet-offered suffix of the ROB (same slots, same
-        #: order).  Kept separately so the per-cycle check-boundary tests
-        #: in _flat_retire / _flat_issue_serializing / next_event are
-        #: O(1) head peeks instead of O(depth) deque indexing.
-        self._unchecked: deque[int] = deque()
+        #: Length of the ROB's in-check prefix (offered, not retired):
+        #: ``rob[_n_check]`` is the oldest unoffered entry.
+        self._n_check = 0
+        #: In-check victims of a retirement-time squash that the retire
+        #: walk had not reached; counted until the next walk (see
+        #: check_backlog).
+        self._dropped = 0
 
         #: Per-core skip cache for the event kernel: every cycle strictly
         #: before this one is a proven no-op for this core (same contract
@@ -300,6 +302,9 @@ class OoOCore:
         self.f_wo = [-1] * cap  # wait_on: the store a load is parked on
         self.f_pp = [-1] * cap  # prev_producer: displaced rename packed ref
         self.f_row = [-1] * cap  # decode row (-1 for injected/cold fetches)
+        #: In-check clearance, stamped by the gate at offer: an interval
+        #: index >= 0, or a fixed retire cycle c stored as -1 - c.
+        self.f_chk = [0] * cap
         #: Dependents edge lists, reused across slot generations: each
         #: edge is ``(consumer_packed << 1) | (operand - 1)``.
         self.f_deps = [[] for _ in range(cap)]
@@ -651,9 +656,9 @@ class OoOCore:
         f_state = self.f_state
         f_pend = self.f_pend
         f_flags = self.f_flags
-        unchecked = self._unchecked
-        if unchecked:
-            waiting = unchecked[0]
+        n_check = self._n_check
+        if n_check < len(rob):
+            waiting = rob[n_check]
             if (
                 f_flags[waiting] & _F_SER_HALT
                 and f_pend[waiting] == 0
@@ -774,7 +779,6 @@ class OoOCore:
         f_row = self.f_row
         ready_append = self.ready.append
         rob_append = rob.append
-        unchecked_append = self._unchecked.append
         tracer = self.tracer
         single_step = self.single_step
         fq_popleft = fq.popleft
@@ -898,7 +902,6 @@ class OoOCore:
                 f_anext[slot] = None
 
             rob_append(slot)
-            unchecked_append(slot)
             if tracer is not None:
                 tracer.dispatch(self._view(slot), now)
             if pending == 0:
@@ -980,7 +983,6 @@ class OoOCore:
             self.f_anext[slot] = inst.target
 
         self.rob.append(slot)
-        self._unchecked.append(slot)
         if self.tracer is not None:
             self.tracer.dispatch(self._view(slot), now)
         if pending == 0:
@@ -1080,40 +1082,41 @@ class OoOCore:
                     self._redirect_fetch(actual_next)
 
     def _flat_retire(self, now: int) -> None:
-        """Retire the refs the gate has cleared, then offer completed ones."""
+        """Retire the ROB's cleared head, then offer completed entries."""
+        self._dropped = 0  # this walk discards the offers a squash dropped
+        rob = self.rob
+        if self._n_check:
+            # _clear_at, inlined: the walk's setup is skipped on the many
+            # cycles whose head is still waiting for its comparison.
+            chk = self.f_chk[rob[0]]
+            gate = self.gate
+            at = gate.retire_at[chk & gate.retire_mask] if chk >= 0 else -1 - chk
+            if at <= now:
+                self._flat_walk(now, self._c_width)
+        n_check = self._n_check
+        n_rob = len(rob)
+        f_state = self.f_state
+        if n_check == n_rob or f_state[rob[n_check]] != 2:
+            return  # oldest unoffered entry not done: nothing to offer
         width = self._c_width
         gate = self.gate
-        released = gate.pop_retirable_f(self, now, width)
-        if released:
-            f_seq = self.f_seq
-            smask = self._f_smask
-            sbits = self._f_sbits
-            for packed in released:
-                if f_seq[packed & smask] != packed >> sbits:
-                    continue  # squashed mid-batch (TRAP/interrupt retire)
-                self._flat_retire_one(packed & smask, now)
-        unchecked = self._unchecked
-        if not unchecked:
-            return
-        f_state = self.f_state
-        if f_state[unchecked[0]] != 2:
-            return  # head of the unchecked region not done: nothing to offer
-        offered = 0
-        f_mask = self.f_mask
         gate_offer = gate.offer_f
-        while unchecked and offered < width:
-            slot = unchecked[0]
+        f_mask = self.f_mask
+        interrupts = self._interrupts
+        offered = 0
+        while n_check < n_rob and offered < width:
+            slot = rob[n_check]
             if f_state[slot] != 2:
                 break
-            unchecked.popleft()
             f_state[slot] = 3  # DynState.IN_CHECK
             gate_offer(self, slot, now)
+            n_check += 1
             offered += 1
             if (
-                self._interrupts
+                interrupts
                 and not self.single_step
                 and not f_mask[slot] & M_INJECTED
-                and gate.users_offered >= self._interrupts[0][0]
+                and gate.users_offered >= interrupts[0][0]
             ):
                 # Service at the in-order offer boundary: no younger
                 # entry has reached the gate yet, so the squash below
@@ -1122,96 +1125,119 @@ class OoOCore:
                 # a different pipeline depth — pick the identical stream
                 # point (gate.users_offered is a pure function of the
                 # correct-path instruction stream).
+                self._n_check = n_check
                 actual_next = self.f_anext[slot]
                 resume = actual_next if actual_next is not None else self.f_pc[slot] + 1
                 self._flat_service_interrupt(self.f_seq[slot], resume)
-                break
+                return
+        self._n_check = n_check
 
-    def _flat_retire_one(self, slot: int, now: int) -> None:
-        """Update architectural state for one checked slot.
-
-        The gate releases strictly in offer order, so ``slot`` is always
-        the ROB head here.  Frees the ring slot; the TRAP / interrupt /
-        TLB flush paths run after the free so the ring never holds a
-        retired-but-live slot.
+    def _flat_walk(self, now: int, budget: int) -> None:
+        """Retire in-check ROB head entries while ``f_chk`` says they are
+        cleared by ``now``, at most ``budget``, updating architectural
+        state inline.  Each slot is freed before the TRAP / TLB paths
+        run; their squash empties the ROB and so ends the walk.
         """
-        self.rob.popleft()
-        f_seq = self.f_seq
-        seq = f_seq[slot]
-        flags = self.f_flags[slot]
-        mask = self.f_mask[slot]
-        self.f_state[slot] = 4  # DynState.RETIRED
-        if self.tracer is not None:
-            self.tracer.retire(self._view(slot), now)
-        self.total_retired += 1
-        if flags & F_STORE:
-            store_entries = self._store_entries
-            if store_entries and store_entries[0] == (seq << self._f_sbits) | slot:
-                store_entries.popleft()
-            self.drain.append((self.f_addr[slot], self.f_sval[slot]))
-            # sb_count is released when the drain completes.
-        elif flags & F_HALT:
-            self.halted = True
-
-        if flags & F_WRITES:
-            # Clear the displaced-producer link so retired slots never
-            # chain-retain their predecessors.
-            self.f_pp[slot] = -1
-            rd = self.f_inst[slot].rd
-            result = self.f_res[slot]
-            if result is not None and rd != 0:
-                # RegisterFile.write, inlined.
-                self.arf._regs[rd] = result & WORD_MASK
-            rename = self.rename
-            if rename.get(rd) == (seq << self._f_sbits) | slot:
-                del rename[rd]
-
-        if mask & M_INJECTED:
-            self.injected_retired += 1
-            fill_addr = self.f_fill[slot]
-            f_seq[slot] = -1  # free the ring slot
-            if fill_addr is not None:
-                self.port.dtlb_fill(fill_addr)
-            return
-
-        self.user_retired += 1
-        if self.retire_hook is not None:
-            self.retire_hook(self._view(slot))
-        if flags & F_MEM:
-            self.user_mem_retired += 1
-        if flags & F_SER:
-            self.serializing_retired += 1
-
-        pc = self.f_pc[slot]
-        actual_next = self.f_anext[slot]
-        op = self.f_inst[slot].op
-        f_seq[slot] = -1  # free the ring slot before any flush below
-        if op is Op.TRAP:
-            # User-level traps redirect fetch through the trap vector:
-            # model as a full pipeline flush and refetch.
-            self._flat_squash_to(seq + 1)
-            self._redirect_fetch(pc + 1)
-        elif not self.single_step:
-            # External interrupts are serviced at the in-order *offer*
-            # boundary (see _flat_retire's offer loop), not here: at
-            # retire time younger entries have already entered the check
-            # gate, and squashing them would desynchronize interval
-            # contents across a heterogeneous pair.
-            sched = self.synthetic_itlb
+        gate = self.gate
+        retire_at = gate.retire_at
+        retire_mask = gate.retire_mask
+        rob = self.rob
+        rob_popleft = rob.popleft
+        f_chk = self.f_chk
+        (f_seq, f_pc, f_inst, _, _, _, _, f_res, f_addr, f_sval, _,
+         f_anext, f_fill, f_flags, f_mask, _, f_pp, _) = self._f_cols
+        sbits = self._f_sbits
+        arf_regs = self.arf._regs  # RegisterFile.write, inlined
+        rename = self.rename
+        tracer = self.tracer
+        retire_hook = self.retire_hook
+        # External interrupts are serviced at the in-order *offer*
+        # boundary (see _flat_retire), not here: at retire time younger
+        # entries have already entered the check gate, and squashing
+        # them would desynchronize interval contents across a
+        # heterogeneous pair.  Synthetic ITLB misses are charged here,
+        # except during single-step re-execution.
+        sched = None if self.single_step else self.synthetic_itlb
+        if sched is not None:
+            # hashed_schedule exposes its memoized decision table; index
+            # it directly and call in only to extend it (or for
+            # table-less custom schedules).
+            table = getattr(sched, "table", ())
+            n_table = len(table)
+        n_check = self._n_check
+        stop = n_check if n_check < budget else budget
+        retired = 0
+        while retired < stop:
+            slot = rob[0]
+            chk = f_chk[slot]  # _clear_at, inlined
+            if (retire_at[chk & retire_mask] if chk >= 0 else -1 - chk) > now:
+                break
+            rob_popleft()
+            retired += 1
+            seq = f_seq[slot]
+            flags = f_flags[slot]
+            if tracer is not None:
+                tracer.retire(self._view(slot), now)
+            if flags & F_STORE:
+                store_entries = self._store_entries
+                if store_entries and store_entries[0] == (seq << sbits) | slot:
+                    store_entries.popleft()
+                self.drain.append((f_addr[slot], f_sval[slot]))
+                # sb_count is released when the drain completes.
+            elif flags & F_HALT:
+                self.halted = True
+            if flags & F_WRITES:
+                # Clear the displaced-producer link so retired slots never
+                # chain-retain their predecessors.
+                f_pp[slot] = -1
+                rd = f_inst[slot].rd
+                result = f_res[slot]
+                if result is not None and rd != 0:
+                    arf_regs[rd] = result & WORD_MASK
+                if rename.get(rd) == (seq << sbits) | slot:
+                    del rename[rd]
+            if f_mask[slot] & M_INJECTED:
+                self.injected_retired += 1
+                f_seq[slot] = -1  # free the ring slot
+                fill_addr = f_fill[slot]
+                if fill_addr is not None:
+                    self.port.dtlb_fill(fill_addr)
+                continue
+            self.user_retired += 1
+            if retire_hook is not None:
+                retire_hook(self._view(slot))
+            if flags & F_MEM:
+                self.user_mem_retired += 1
+            f_seq[slot] = -1  # free the ring slot before any flush below
+            if flags & F_SER:
+                self.serializing_retired += 1
+                if f_inst[slot].op is Op.TRAP:
+                    # User-level traps redirect fetch through the trap
+                    # vector: model as a full pipeline flush and refetch.
+                    # Nothing younger issues before a serializing
+                    # instruction retires, so nothing younger is in check.
+                    self._flat_squash_to(seq + 1)
+                    self._redirect_fetch(f_pc[slot] + 1)
+                    break
             if sched is not None:
-                # hashed_schedule exposes its memoized decision table;
-                # index it directly and call in only to extend it (or
-                # for table-less custom schedules).
                 idx = self.user_retired
-                table = getattr(sched, "table", None)
-                if table is not None and idx < len(table):
+                if idx < n_table:
                     miss = table[idx]
                 else:
                     miss = sched(idx)
+                    n_table = len(table)
                 if miss:
                     self.itlb_misses += 1
-                    resume = actual_next if actual_next is not None else pc + 1
-                    self._flat_take_synthetic_tlb_miss(seq, resume, now)
+                    actual_next = f_anext[slot]
+                    resume = actual_next if actual_next is not None else f_pc[slot] + 1
+                    self._n_check = n_check - retired
+                    self._flat_take_synthetic_tlb_miss(
+                        seq, resume, now, budget - retired
+                    )
+                    if not rob:
+                        break  # the software TLB squashed everything younger
+        self._n_check = min(n_check - retired, len(rob))  # a squash empties both
+        self.total_retired += retired
 
     def _flat_service_interrupt(self, seq: int, resume: int) -> None:
         """Squash past ``seq`` and inject the interrupt handler.
@@ -1229,9 +1255,20 @@ class OoOCore:
         self._injection_resume = resume
         self.fetch_stalled = False
 
-    def _flat_take_synthetic_tlb_miss(self, seq: int, resume: int, now: int) -> None:
-        """Instruction-fetch TLB miss charged at retirement of instr n."""
+    def _flat_take_synthetic_tlb_miss(self, seq, resume, now, budget) -> None:
+        """Instruction-fetch TLB miss charged at retirement of instr n.
+
+        The software TLB squashes every younger entry: an in-check victim
+        past the cleared run the walk could still retire this cycle
+        (``budget`` is its width left) is a dropped offer.
+        """
         if self.sw_tlb:
+            rob = self.rob
+            run = 0
+            limit = min(budget, self._n_check)
+            while run < limit and self._clear_at(rob[run]) <= now:
+                run += 1
+            self._dropped = self._n_check - run
             self._flat_squash_to(seq + 1)
             self._inject_handler(
                 page=self.user_retired, fill_addr=None, resume_pc=resume
@@ -1240,6 +1277,14 @@ class OoOCore:
             self.stall_fetch_until = max(
                 self.stall_fetch_until, now + self.config.tlb.hw_fill_latency
             )
+
+    def _clear_at(self, slot: int) -> int:
+        """When in-check ``slot`` may retire (NEVER: interval uncompared)."""
+        chk = self.f_chk[slot]
+        if chk < 0:
+            return -1 - chk
+        gate = self.gate
+        return gate.retire_at[chk & gate.retire_mask]
 
     def _flat_take_dtlb_trap(self, slot: int, now: int) -> None:
         """Software TLB miss on a data access: flush (inclusive) and run
@@ -1254,18 +1299,17 @@ class OoOCore:
         """Squash every entry from ``first_bad_seq`` on, youngest first.
 
         Freeing a victim's slot (seq -1) *is* the squash mark — every
-        packed ref to it everywhere (ready list, heaps, rename, gate
-        pending, deps edges) goes stale at once, and the ring tail
-        rewinds so the slots are immediately reusable.
+        packed ref to it everywhere (ready list, heaps, rename, deps
+        edges) goes stale at once, and the ring tail rewinds so the slots
+        are immediately reusable.  The in-check prefix is clamped to what
+        is left of the ROB.
         """
         rob = self.rob
         f_seq = self.f_seq
         smask = self._f_smask
         sbits = self._f_sbits
-        f_state = self.f_state
         f_flags = self.f_flags
         f_pp = self.f_pp
-        unchecked = self._unchecked
         rename = self.rename
         parked = self._parked
         tracer = self.tracer
@@ -1279,12 +1323,9 @@ class OoOCore:
                 view = self._f_views[slot]
                 view._q = seq
                 tracer.squash(view)
-            if unchecked and unchecked[-1] == slot:
-                unchecked.pop()
             flags = f_flags[slot]
             if flags & F_STORE:
-                if f_state[slot] != 4:
-                    self.sb_count -= 1
+                self.sb_count -= 1
                 # The loads parked on it are younger: squashed too.
                 parked.pop((seq << sbits) | slot, None)
             if flags & F_WRITES:
@@ -1300,6 +1341,8 @@ class OoOCore:
             # that never completed must drop its subscriber edges here.
             self.f_deps[slot].clear()
             f_seq[slot] = -1  # free
+        if self._n_check > len(rob):
+            self._n_check = len(rob)
         self._store_entries = deque(
             p for p in self._store_entries if f_seq[p & smask] == p >> sbits
         )
@@ -1371,9 +1414,10 @@ class OoOCore:
         f_state = self.f_state
         f_pend = self.f_pend
         f_flags = self.f_flags
-        unchecked = self._unchecked
-        if unchecked:
-            waiting = unchecked[0]
+        rob = self.rob
+        n_check = self._n_check
+        if n_check < len(rob):
+            waiting = rob[n_check]
             # Completed entries are offered to the gate width-per-cycle.
             if f_state[waiting] == 2:  # DynState.COMPLETED
                 return now
@@ -1393,7 +1437,6 @@ class OoOCore:
             return now
         if t < wake:
             wake = t
-        rob = self.rob
         if rob:
             head = rob[0]
             if (
@@ -1641,7 +1684,8 @@ class OoOCore:
         self.drain.clear()
         self._drain_inflight = None
         self.sb_count = 0
-        self._unchecked.clear()
+        self._n_check = 0
+        self._dropped = 0
         self.sync_request = None
         self.single_step = False
         self._interrupts.clear()
@@ -1663,16 +1707,16 @@ class OoOCore:
         reflects the full compared prefix before rollback.
         """
         self._skip_until = 0
-        f_seq = self.f_seq
-        smask = self._f_smask
-        sbits = self._f_sbits
-        while True:
-            cleared = self.gate.pop_retirable_f(self, now, 1 << 30)
-            if not cleared:
-                return
-            for packed in cleared:
-                if f_seq[packed & smask] == packed >> sbits:
-                    self._flat_retire_one(packed & smask, now)
+        if self._n_check:
+            self._flat_walk(now, 1 << 62)
+        self._dropped = 0
+
+    @property
+    def check_backlog(self) -> int:
+        """Instructions buffered in check: the in-check prefix plus the
+        offers the last retire walk's squash dropped (``dynamic``'s
+        load signal)."""
+        return self._n_check + self._dropped
 
     def next_retire_pc(self) -> int:
         """PC of the oldest unretired instruction (rollback target)."""
@@ -1692,7 +1736,8 @@ class OoOCore:
         self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
         self.gate.flush()
         self.completions.clear()
-        self._unchecked.clear()
+        self._n_check = 0
+        self._dropped = 0
         self.pc = resume_pc
         self.fetch_stalled = False
         self.halted = False

@@ -128,18 +128,16 @@ class CMPSystem:
                 is_mute=False,
                 phantom=config.redundancy.phantom,
             )
-            if mode is Mode.STRICT:
-                gate = StrictCheckGate(config.redundancy)
-            else:
-                gate = ImmediateGate()
             core = OoOCore(
                 logical,
                 config,
                 programs[logical],
                 port,
-                gate=gate,
                 synthetic_itlb=itlb_schedules[logical],
             )
+            if mode is Mode.STRICT:
+                # Sized from the core: its list covers the ring's intervals.
+                core.gate = StrictCheckGate(config.redundancy, core._f_cap)
             self.cores.append(core)
             self.vocal_cores.append(core)
 

@@ -297,8 +297,10 @@ class ProtectionPolicy:
     * ``unprotected`` — redundancy off: the mute core is parked
       (never stepped), no intervals are compared, no sync coupling.
     * ``dynamic`` — protection toggled per pair under load (Döbel-style
-      resource-aware replication): when the vocal's open-interval
-      backlog reaches ``off_threshold`` at a comparison point, the next
+      resource-aware replication): when the vocal's check-stage backlog
+      (``OoOCore.check_backlog``: every in-check instruction, plus the
+      offers a retirement-time squash dropped in its last retire walk)
+      reaches ``off_threshold`` at a comparison point, the next
       ``off_intervals`` intervals go unchecked; checking resumes once
       the backlog drains to ``on_threshold``.
 

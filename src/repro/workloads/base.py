@@ -73,6 +73,6 @@ def hashed_schedule(rate_per_kinstr: float, seed: int) -> ITLBSchedule | None:
         return table[index]
 
     # The retire stage indexes the table directly when it can (calling
-    # back in only to extend it) — see OoOCore._flat_retire_one.
+    # back in only to extend it) — see OoOCore._flat_walk.
     schedule.table = table
     return schedule

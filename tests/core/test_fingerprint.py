@@ -127,7 +127,7 @@ class TestInstructionUpdates:
 
     def _digest(self, inst, **fields):
         core = ring_core()
-        gate = CheckGate(RedundancyConfig(fingerprint_interval=1))
+        gate = CheckGate(RedundancyConfig(fingerprint_interval=1), core._f_cap)
         gate.offer_f(core, put_entry(core, 0, inst, **fields), now=0)
         return gate.peek_closed().fingerprint
 

@@ -99,9 +99,9 @@ class TestRunBench:
         # memory-latency-dominated artifact.
         assert max(c.speedup for c in comparisons) >= 2.0
 
-    def test_retire_gate_micro_reuses_its_scratch_buffer(self):
+    def test_retire_gate_micro_retires_every_offer(self):
+        # The micro raises if an offered instruction never retires.
         micro = run_retire_gate_micro(cycles=200)
         assert [m.name for m in micro] == ["immediate", "strict-check"]
         for m in micro:
-            assert m.scratch_reused, m.name
             assert m.ops > 0 and m.ops_per_s > 0, m.name

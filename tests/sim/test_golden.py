@@ -1,8 +1,8 @@
 """Pinned result digests: the regression oracle for the one pipeline.
 
 Each scenario runs one logical processor on the flat-ring pipeline (a
-Reunion pair under TSO, except the Strict, non-redundant and SC
-cold-path runs of ``OTHER_MODELS``) and reduces everything
+Reunion pair under TSO with a hardware TLB, except the cold-path runs
+of ``COLD_RUNS``) and reduces everything
 ``tests.sim.test_replay_exec._observe`` covers — statistics, final
 register files, retire and cycle counts, per-gate interval counters,
 recovery logs — to one SHA-256 digest.  Every cell of the kernel
@@ -45,6 +45,8 @@ from repro.sim.config import (
     RedundancyConfig,
     SystemConfig,
     TLBConfig,
+    TLBMode,
+    parse_policy,
 )
 from repro.sim.options import SimOptions
 from repro.workloads.base import hashed_schedule
@@ -76,15 +78,25 @@ PINS = {
     "strict": "efaf3f533e15cee502ad23fb1894750d189d32737f2e5a12ad5097f71e7ad0dd",
     "nonredundant": "2e54f6b4b995f9881d909ede78f65bebd3570aaa3b3d9426cd0c2c76b4caa392",
     "sc": "f1b67f54a24ba97c62894e619d44aafb83d3d52d2697de79dd5688cdfde5d61c",
+    "swtlb": "e7c70eeadfb0cc8d97f44ed70edb0612cc7ef47cb0212bac2c85e22313c4cf0e",
+    "swtlb-strict": "4c689ac9cd5bfd5b9b70d7b4e349f64c2295981350691a710cd1acf1836ffa1d",
+    "dynamic": "9900e0ce18d2d206e692aaa0040b31c62be220758b97f0f71efdd673bda6e769",
 }
 
-#: Cold-path runs of the other execution models, as ``name -> (seed,
-#: mode, consistency)``: Strict's gate and the non-redundant pipeline
-#: have no pair, and SC makes every store serialize.
-OTHER_MODELS = {
-    "strict": (3, Mode.STRICT, Consistency.TSO),
-    "nonredundant": (4, Mode.NONREDUNDANT, Consistency.TSO),
-    "sc": (5, Mode.REUNION, Consistency.SC),
+#: Cold-path runs beyond the ``cold-N`` Reunion pairs, as ``name ->
+#: (seed, _cold keyword arguments)``.  Strict's gate and the
+#: non-redundant pipeline have no pair, and SC makes every store
+#: serialize.  The software-TLB runs inject the miss handler into the
+#: pipeline: its serializing instructions stall the retire gate, and a
+#: synthetic ITLB miss squashes entries already offered to the gate.
+#: The ``dynamic`` pair's backlog counts those dropped offers.
+COLD_RUNS = {
+    "strict": (3, {"mode": Mode.STRICT}),
+    "nonredundant": (4, {"mode": Mode.NONREDUNDANT}),
+    "sc": (5, {"consistency": Consistency.SC}),
+    "swtlb": (6, {"tlb": TLBMode.SOFTWARE}),
+    "swtlb-strict": (7, {"mode": Mode.STRICT, "tlb": TLBMode.SOFTWARE}),
+    "dynamic": (10, {"tlb": TLBMode.SOFTWARE, "policy": "dynamic:6,3,8"}),
 }
 
 
@@ -92,13 +104,22 @@ def _config(
     fingerprint_interval: int = 8,
     mode: Mode = Mode.REUNION,
     consistency: Consistency = Consistency.TSO,
+    tlb: TLBMode = TLBMode.HARDWARE,
+    policy: str | None = None,
 ) -> SystemConfig:
-    return GOLDEN_BASE.replace(consistency=consistency).with_redundancy(
-        mode=mode,
-        comparison_latency=10,
-        fingerprint_interval=fingerprint_interval,
-        phantom=PhantomStrength.GLOBAL,
+    config = (
+        GOLDEN_BASE.replace(consistency=consistency)
+        .with_tlb(mode=tlb)
+        .with_redundancy(
+            mode=mode,
+            comparison_latency=10,
+            fingerprint_interval=fingerprint_interval,
+            phantom=PhantomStrength.GLOBAL,
+        )
     )
+    if policy is not None:
+        config = config.with_protection(parse_policy(policy))
+    return config
 
 
 def _digest(system: CMPSystem) -> str:
@@ -126,8 +147,9 @@ def _fuzz_program(seed: int):
     Loads pseudo-random memory words and branches on their low bit, so
     roughly half the conditional branches mispredict (squash path); the
     roving offset strides across a 32 KB footprint — double the config's
-    16-entry x 1 KB DTLB reach — so loads keep taking software TLB walks
-    (injected-handler path); the not-taken arms store, feeding the
+    16-entry x 1 KB DTLB reach — so loads keep missing the DTLB (software
+    walks, with the injected handler, only under ``TLBMode.SOFTWARE``;
+    hardware fills otherwise); the not-taken arms store, feeding the
     fingerprint store words and the ``store_addr`` fault target.
     """
     rng = random.Random(0xF022 ^ seed)
@@ -163,16 +185,20 @@ def _cold(
     options: SimOptions,
     mode: Mode = Mode.REUNION,
     consistency: Consistency = Consistency.TSO,
+    tlb: TLBMode = TLBMode.HARDWARE,
+    policy: str | None = None,
 ) -> CMPSystem:
     """One run forcing every view-materializing cold path at once.
 
-    Branch mispredicts (squash rollback), synthetic ITLB misses (trap
-    squash + injected handler), DTLB misses (software-walk injection),
-    an external interrupt replicated mid-run, and mid-interval fault
-    injection on the mute with the resulting detections and recoveries
-    (only where there is a mute).  The rng still draws a kernel and an
-    execution mode, so the later draws keep their order; ``options``
-    overrides both.
+    Branch mispredicts (squash rollback), synthetic ITLB misses, DTLB
+    misses, an external interrupt replicated mid-run (its handler is
+    injected), and mid-interval fault injection on the mute with the
+    resulting detections and recoveries (only where there is a mute).
+    Under the default hardware TLB the misses stall fetch or fill in
+    place; under ``TLBMode.SOFTWARE`` an ITLB miss squashes at
+    retirement and both kinds inject the software miss handler.  The
+    rng still draws a kernel and an execution mode, so the later draws
+    keep their order; ``options`` overrides both.
     """
     rng = random.Random(0x5EED ^ seed)
     program = _fuzz_program(seed)
@@ -186,7 +212,10 @@ def _cold(
     fault_target = rng.choice(["result", "store_addr", "branch_target"])
     horizon = 20_000
     system = CMPSystem(
-        _config(interval, mode, consistency), [program], [itlb], options=options
+        _config(interval, mode, consistency, tlb, policy),
+        [program],
+        [itlb],
+        options=options,
     )
     if system.pairs:
         FaultInjector(
@@ -208,9 +237,9 @@ def _scenario(name: str, options: SimOptions) -> CMPSystem:
         system = _run(assemble(MIXED), options, injector=(40, 11, target))
         assert system.pairs[0].recoveries > 0  # the plan actually fired
         return system
-    if name in OTHER_MODELS:
-        seed, mode, consistency = OTHER_MODELS[name]
-        system = _cold(seed, options, mode, consistency)
+    if name in COLD_RUNS:
+        seed, kwargs = COLD_RUNS[name]
+        system = _cold(seed, options, **kwargs)
     else:
         system = _cold(int(name[len("cold-"):]), options)
     # Prove each cold path fired: a scenario that silently stopped
@@ -222,6 +251,11 @@ def _scenario(name: str, options: SimOptions) -> CMPSystem:
     assert vocal.interrupts_serviced == 1
     for pair in system.pairs:
         assert pair.recoveries > 0
+    if system.config.tlb.mode is TLBMode.SOFTWARE:
+        # More than the interrupt handler's 5: TLB handlers retired too.
+        assert vocal.injected_retired > 5
+    if name == "dynamic":
+        assert system.pairs[0].protection_toggles > 0
     return system
 
 
