@@ -55,11 +55,15 @@ _POLL_INTERVAL = 0.005
 class ExecutionError(RuntimeError):
     """One or more jobs failed after exhausting their retries."""
 
-    def __init__(self, failures: list[str], manifest: RunManifest):
-        super().__init__(
-            f"{len(failures)} job(s) failed: " + "; ".join(failures[:3])
-            + ("; ..." if len(failures) > 3 else "")
-        )
+    def __init__(
+        self, failures: list[str], manifest: RunManifest, message: str | None = None
+    ):
+        if message is None:
+            message = (
+                f"{len(failures)} job(s) failed: " + "; ".join(failures[:3])
+                + ("; ..." if len(failures) > 3 else "")
+            )
+        super().__init__(message)
         self.failures = failures
         self.manifest = manifest
 
@@ -75,11 +79,12 @@ class ExecutionInterrupted(ExecutionError):
     """
 
     def __init__(self, signum: int, remaining: int, manifest: RunManifest):
-        failures = [
+        # No job failed, so the message is the interruption alone.
+        reason = (
             f"interrupted by {signal.Signals(signum).name}: "
             f"{remaining} job(s) not run"
-        ]
-        super().__init__(failures, manifest)
+        )
+        super().__init__([reason], manifest, message=reason)
         self.signum = signum
         self.remaining = remaining
 

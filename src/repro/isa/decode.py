@@ -26,6 +26,11 @@ Two bits are *dynamic*, not static properties of the opcode:
 
 Tables are cached on the (mutable) ``Program`` instance, keyed by
 ``sc_mode``; every core running the same program shares one table set.
+
+Instructions the core injects (the software-TLB fast-miss handler and
+the replicated interrupt handler) get rows too, appended past the
+wild-PC row ``n`` on first use (:meth:`DecodedProgram.row_of`), so every
+in-flight instruction carries a row and the pipeline has one front end.
 """
 
 from __future__ import annotations
@@ -115,38 +120,69 @@ class DecodedProgram:
     Row ``pc`` (for ``0 <= pc < n``) describes ``instructions[pc]``; row
     ``n`` is the out-of-range HALT that :meth:`Program.fetch` substitutes
     for wild PCs, so ``row = pc if 0 <= pc < n else n`` is branch-cheap
-    and total.  All arrays are plain Python lists of ints (or
-    ``Instruction`` references in :attr:`inst`): list indexing beats
-    numpy scalar access for single-row reads, and the hot loop reads one
-    row at a time.
+    and total.  Rows past ``n`` describe injected instructions
+    (:meth:`row_of`); no PC maps to them.  All arrays are plain Python
+    lists of ints (or ``Instruction`` references in :attr:`inst`): list
+    indexing beats numpy scalar access for single-row reads, and the hot
+    loop reads one row at a time.  The lists only ever grow in place, so
+    references the pipeline hoists stay current.
     """
 
     __slots__ = (
-        "n", "flags", "rs1", "rs2", "rd", "imm", "target", "inst",
-        "kern", "btake",
+        "n", "sc_mode", "flags", "rs1", "rs2", "rd", "imm", "target", "inst",
+        "kern", "btake", "_injected",
     )
 
     def __init__(self, program: Program, sc_mode: bool) -> None:
-        from repro.isa.semantics import ALU_KERNELS, BRANCH_KERNELS
-
         rows = list(program.instructions)
         rows.append(program.fetch(len(rows)))  # the out-of-range HALT
         self.n = len(rows) - 1
-        self.flags = [flags_of(inst, sc_mode) for inst in rows]
-        self.rs1 = [inst.rs1 for inst in rows]
-        self.rs2 = [inst.rs2 for inst in rows]
-        self.rd = [inst.rd for inst in rows]
-        self.imm = [inst.imm for inst in rows]
-        self.target = [inst.target for inst in rows]
-        self.inst = rows
+        self.sc_mode = sc_mode
+        self.flags = []
+        self.rs1 = []
+        self.rs2 = []
+        self.rd = []
+        self.imm = []
+        self.target = []
+        self.inst = []
+        self.kern = []
+        self.btake = []
+        self._injected: dict[Instruction, int] = {}
+        self._extend(rows)
+
+    def _extend(self, rows: list[Instruction]) -> None:
+        from repro.isa.semantics import ALU_KERNELS, BRANCH_KERNELS
+
+        sc_mode = self.sc_mode
+        self.flags += [flags_of(inst, sc_mode) for inst in rows]
+        self.rs1 += [inst.rs1 for inst in rows]
+        self.rs2 += [inst.rs2 for inst in rows]
+        self.rd += [inst.rd for inst in rows]
+        self.imm += [inst.imm for inst in rows]
+        self.target += [inst.target for inst in rows]
+        self.inst += rows
         # Pre-bound execute kernels (see repro.isa.semantics): one
         # ``kernel(a, b)`` closure per ALU row with the immediate baked
         # in, one shared resolver per branch row; None elsewhere.
-        self.kern = [
+        self.kern += [
             ALU_KERNELS[inst.op](inst.imm) if inst.is_alu else None
             for inst in rows
         ]
-        self.btake = [BRANCH_KERNELS.get(inst.op) for inst in rows]
+        self.btake += [BRANCH_KERNELS.get(inst.op) for inst in rows]
+
+    def row_of(self, inst: Instruction) -> int:
+        """The row of an injected instruction, appended past ``n``.
+
+        Memoized by value (``Instruction`` is frozen), so equal
+        instructions share a row and the table stays bounded by the
+        handlers' distinct instructions: TRAP, MMUOP, the interrupt
+        vector loads and two TSB loads per TSB line.
+        """
+        row = self._injected.get(inst)
+        if row is None:
+            row = self._injected[inst] = len(self.inst)
+            self._extend([inst])
+        return row
 
 
 def decode_program(program: Program, sc_mode: bool) -> DecodedProgram:

@@ -49,18 +49,12 @@ from repro.isa.decode import (
     F_WINDOW_END,
     F_WRITES,
     decode_program,
-    flags_of,
 )
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import WORD_MASK, RegisterFile
-from repro.isa.semantics import (
-    alu_result,
-    atomic_result,
-    branch_taken,
-    effective_address,
-)
+from repro.isa.semantics import atomic_result, effective_address
 from repro.memory.port import CoreMemPort
 from repro.pipeline.branch_predictor import BranchPredictor
 from repro.pipeline.flat import M_CONSUMED, M_INJECTED, FlatView
@@ -75,9 +69,9 @@ _F_SER_HALT = F_SER | F_HALT
 # A fetched instruction waiting for dispatch is a plain 7-tuple (cheaper
 # to build and copy than a slotted object at fetch-queue rates):
 #   (ready_cycle, pc, inst, injected, predicted_next, fill_addr, row)
-# ``row`` indexes the pre-decoded tables (see repro.isa.decode) and is
-# -1 for injected instructions and for the user instructions the cold
-# fetch path (_do_fetch) takes while a handler is being injected.
+# ``row`` indexes the pre-decoded tables (see repro.isa.decode): the PC
+# for user instructions, a row past the program's for injected handler
+# instructions, whose ``pc`` is the PC fetch resumes at.
 
 
 class OoOCore:
@@ -118,7 +112,8 @@ class OoOCore:
         # Frontend.
         self.pc = program.entry
         self.fetch_queue: deque[tuple] = deque()
-        self.injection: deque[tuple[Instruction, int | None]] = deque()
+        #: Injected handler instructions awaiting fetch: (row, fill_addr).
+        self.injection: deque[tuple[int, int | None]] = deque()
         self._injection_resume: int | None = None
         self.predictor = BranchPredictor(self.core_cfg.branch_predictor_entries)
         self.fetch_stalled = False  # set after fetching HALT
@@ -301,7 +296,7 @@ class OoOCore:
         self.f_mask = [0] * cap  # packed booleans (repro.pipeline.flat M_*)
         self.f_wo = [-1] * cap  # wait_on: the store a load is parked on
         self.f_pp = [-1] * cap  # prev_producer: displaced rename packed ref
-        self.f_row = [-1] * cap  # decode row (-1 for injected/cold fetches)
+        self.f_row = [0] * cap  # decode row (past the program's if injected)
         #: In-check clearance, stamped by the gate at offer: an interval
         #: index >= 0, or a fixed retire cycle c stored as -1 - c.
         self.f_chk = [0] * cap
@@ -344,7 +339,7 @@ class OoOCore:
         return view
 
     def _bind_decode(self) -> None:
-        d = decode_program(self.program, self.sc_mode)
+        d = self._decoded = decode_program(self.program, self.sc_mode)
         # Hoist bundle for fetch/dispatch/issue (see _f_cols): rebuilt
         # whenever the program is rebound (hard_reset), so it is always
         # current.
@@ -375,7 +370,7 @@ class OoOCore:
         fq = self.fetch_queue
         if fq and fq[0][0] <= now and len(rob) < self._c_rob_size:
             self._flat_dispatch(now)
-        self._do_fetch_soa(now)
+        self._do_fetch(now)
 
     def _flat_issue(self, now: int) -> None:
         """Issue stage: serializing ops at the ROB head, then the ready
@@ -480,34 +475,19 @@ class OoOCore:
                 # ALU / branch / jump / nop: _issue_simple over columns.
                 latency = alu_latency
                 if f & F_ALU:
-                    row = f_row[slot]
-                    if row >= 0:
-                        # Pre-bound kernel: no op dispatch, imm baked in.
-                        f_res[slot] = d_kern[row](
-                            f_v1[slot] or 0, f_v2[slot] or 0
-                        )
-                    else:  # injected/cold fetch: no decode row
-                        inst = f_inst[slot]
-                        f_res[slot] = alu_result(
-                            inst.op, f_v1[slot] or 0, f_v2[slot] or 0, inst.imm
-                        )
+                    # Pre-bound kernel: no op dispatch, imm baked in.
+                    f_res[slot] = d_kern[f_row[slot]](
+                        f_v1[slot] or 0, f_v2[slot] or 0
+                    )
                     if f & F_MUL:
                         latency = mul_latency
                 elif f & F_BRANCH:
                     row = f_row[slot]
-                    if row >= 0:
-                        f_anext[slot] = (
-                            d_target[row]
-                            if d_btake[row](f_v1[slot] or 0, f_v2[slot] or 0)
-                            else f_pc[slot] + 1
-                        )
-                    else:
-                        inst = f_inst[slot]
-                        f_anext[slot] = (
-                            inst.target
-                            if branch_taken(inst.op, f_v1[slot] or 0, f_v2[slot] or 0)
-                            else f_pc[slot] + 1
-                        )
+                    f_anext[slot] = (
+                        d_target[row]
+                        if d_btake[row](f_v1[slot] or 0, f_v2[slot] or 0)
+                        else f_pc[slot] + 1
+                    )
                 elif f & F_JUMP:
                     f_anext[slot] = f_inst[slot].target
                 if fault_hook is not None:
@@ -764,7 +744,7 @@ class OoOCore:
             f_sval,
             f_pred,
             f_anext,
-            _,
+            f_fill,
             f_flags,
             f_mask,
             _,
@@ -790,23 +770,6 @@ class OoOCore:
             if fetched[0] > now or len(rob) >= rob_size:
                 break
             row = fetched[6]
-            if row < 0:
-                # Injected handler instruction (or a post-injection user
-                # fetch from the shared path): no decode row.  The cold
-                # helper reads/writes the seq and tail attributes, so
-                # sync the locals around the call.
-                if fetched[2].op is Op.STORE and self.sb_count >= sb_size:
-                    break
-                if single_step and rob:
-                    break
-                fq_popleft()
-                self._next_seq = seq
-                self._f_tail = tail
-                self._flat_dispatch_cold(fetched, now)
-                seq = self._next_seq
-                tail = self._f_tail
-                dispatched += 1
-                continue
             f = d_flags[row]
             if f & F_STORE and self.sb_count >= sb_size:
                 break
@@ -821,14 +784,17 @@ class OoOCore:
             # write-before-read for this instruction class are skipped —
             # f_addr/f_sval are only read for memory ops (forwarding,
             # fingerprint words, fault targeting), f_wo only right after
-            # _flat_forward wrote it, f_fill only when M_INJECTED is set
-            # (never on this path), and f_deps is cleared at
-            # completion/squash, not here.
+            # _flat_forward wrote it, f_fill only when M_INJECTED is set,
+            # and f_deps is cleared at completion/squash, not here.
             f_seq[slot] = seq
             f_pc[slot] = pc
             f_inst[slot] = d_inst[row]
             f_state[slot] = 0  # DynState.DISPATCHED
-            f_mask[slot] = 0
+            if fetched[3]:  # an injected handler instruction
+                f_mask[slot] = M_INJECTED
+                f_fill[slot] = fetched[5]
+            else:
+                f_mask[slot] = 0
             f_res[slot] = None
             f_pred[slot] = fetched[4]
             f_flags[slot] = f
@@ -837,10 +803,8 @@ class OoOCore:
                 f_addr[slot] = None
                 f_sval[slot] = None
 
-            # Operand capture.  (Decoded MOVI rows take the register-0
-            # path — f_v1/f_v2 become 0 instead of the cold path's
-            # untouched None; both are unread for MOVI, so this is
-            # value-identical.)
+            # Operand capture.  (MOVI takes the register-0 path: f_v1 and
+            # f_v2 become 0, and neither is read.)
             pending = 0
             if f & F_NEEDS1:
                 reg = d_rs1[row]
@@ -910,110 +874,6 @@ class OoOCore:
             dispatched += 1
         self._next_seq = seq
         self._f_tail = tail
-
-    def _flat_dispatch_cold(self, fetched: tuple, now: int) -> None:
-        """Dispatch one row-less fetch (injected handlers and the user
-        fetches the cold path takes during an injection)."""
-        inst = fetched[2]
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        smask = self._f_smask
-        slot = (self._f_tail + 1) & smask
-        self._f_tail = slot
-        packed = (seq << self._f_sbits) | slot
-        self.f_seq[slot] = seq
-        self.f_pc[slot] = fetched[1]
-        self.f_inst[slot] = inst
-        self.f_state[slot] = 0
-        self.f_pend[slot] = 0
-        self.f_mask[slot] = M_INJECTED if fetched[3] else 0
-        self.f_v1[slot] = None
-        self.f_v2[slot] = None
-        self.f_res[slot] = None
-        self.f_addr[slot] = None
-        self.f_sval[slot] = None
-        self.f_pred[slot] = fetched[4]
-        self.f_anext[slot] = None
-        self.f_fill[slot] = fetched[5]
-        flags = flags_of(inst, self.sc_mode)
-        self.f_flags[slot] = flags
-        self.f_pp[slot] = -1
-        self.f_row[slot] = -1
-        self.f_deps[slot].clear()
-
-        # Capture operands / subscribe to producers, from the
-        # Instruction predicates (MOVI leaves f_v1/f_v2 None).
-        op = inst.op
-        pending = 0
-        if op is not Op.MOVI:
-            needs1 = inst.rs1 != 0 and (
-                inst.is_alu or inst.is_mem or inst.is_branch
-            )
-            needs2 = inst.rs2 != 0 and (
-                (inst.is_alu and not inst.imm_form)
-                or inst.is_branch
-                or op is Op.STORE
-                or op is Op.ATOMIC
-                or op is Op.CAS
-            )
-            if needs1:
-                pending += self._flat_capture(slot, packed, 1, inst.rs1)
-            else:
-                self.f_v1[slot] = 0 if inst.rs1 == 0 else self.arf.read(inst.rs1)
-            if needs2:
-                pending += self._flat_capture(slot, packed, 2, inst.rs2)
-            else:
-                self.f_v2[slot] = 0
-            self.f_pend[slot] = pending
-
-        if inst.writes_reg:
-            prev = self.rename.get(inst.rd)
-            self.f_pp[slot] = -1 if prev is None else prev
-            self.rename[inst.rd] = packed
-
-        if op is Op.STORE:
-            self.sb_count += 1
-            self._store_entries.append(packed)
-        if flags & _F_SER_HALT:
-            heapq.heappush(self._ser_heap, packed)
-
-        if not inst.is_control or op is Op.HALT:
-            self.f_anext[slot] = fetched[1] + 1
-        elif op is Op.JUMP:
-            self.f_anext[slot] = inst.target
-
-        self.rob.append(slot)
-        if self.tracer is not None:
-            self.tracer.dispatch(self._view(slot), now)
-        if pending == 0:
-            self.ready.append(packed)
-
-    def _flat_capture(self, slot: int, packed: int, which: int, reg: int) -> int:
-        """Capture one source operand; returns its pending contribution."""
-        producer = self.rename.get(reg)
-        smask = self._f_smask
-        live = (
-            producer is not None
-            and self.f_seq[producer & smask] == producer >> self._f_sbits
-        )
-        if not live:
-            value = self.arf.read(reg)
-            if which == 1:
-                self.f_v1[slot] = value
-            else:
-                self.f_v2[slot] = value
-            return 0
-        ps = producer & smask
-        self.f_mask[ps] |= M_CONSUMED
-        result = self.f_res[ps]
-        if result is not None:
-            if which == 1:
-                self.f_v1[slot] = result
-            else:
-                self.f_v2[slot] = result
-            return 0
-        self.f_deps[ps].append((packed << 1) | (which - 1))
-        return 1
 
     # -- flat completions / retire / squash ----------------------------
     def _flat_completions(self, now: int) -> None:
@@ -1248,12 +1108,7 @@ class OoOCore:
         _, handler = self._interrupts.popleft()
         self.interrupts_serviced += 1
         self._flat_squash_to(seq + 1)
-        self.fetch_queue.clear()
-        self.injection.clear()
-        for inst in handler:
-            self.injection.append((inst, None))
-        self._injection_resume = resume
-        self.fetch_stalled = False
+        self._inject(handler, resume)
 
     def _flat_take_synthetic_tlb_miss(self, seq, resume, now, budget) -> None:
         """Instruction-fetch TLB miss charged at retirement of instr n.
@@ -1270,9 +1125,7 @@ class OoOCore:
                 run += 1
             self._dropped = self._n_check - run
             self._flat_squash_to(seq + 1)
-            self._inject_handler(
-                page=self.user_retired, fill_addr=None, resume_pc=resume
-            )
+            self._inject(handler_sequence(self.user_retired), resume)
         else:
             self.stall_fetch_until = max(
                 self.stall_fetch_until, now + self.config.tlb.hw_fill_latency
@@ -1293,7 +1146,7 @@ class OoOCore:
         page = addr >> self.config.tlb.page_bits
         pc = self.f_pc[slot]
         self._flat_squash_to(self.f_seq[slot])
-        self._inject_handler(page=page, fill_addr=addr, resume_pc=pc)
+        self._inject(handler_sequence(page), pc, fill_addr=addr)
 
     def _flat_squash_to(self, first_bad_seq: int) -> None:
         """Squash every entry from ``first_bad_seq`` on, youngest first.
@@ -1484,13 +1337,13 @@ class OoOCore:
                 wake = t
         return wake
 
-    def _do_fetch_soa(self, now: int) -> None:
+    def _do_fetch(self, now: int) -> None:
+        """Fetch stage: injected handler rows first, then the program.
+
+        A pending handler drains before any user fetch, and fetch then
+        resumes at the interrupted PC within the same cycle.
+        """
         if self.halted or self.fetch_stalled or now < self.stall_fetch_until:
-            return
-        if self.injection:
-            # Handler injection mixes injected and user fetches within
-            # one cycle: take the cold shared path for the whole call.
-            self._do_fetch(now)
             return
         cc = self.core_cfg
         fq = self.fetch_queue
@@ -1501,23 +1354,39 @@ class OoOCore:
         if room > width:
             room = width
         d_flags, _, _, _, d_target, d_inst, d_n, _, _ = self._d_cols
+        mirror_watch = self.mirror_watch
+        append = fq.append
+        ready = now + cc.frontend_latency
+        fetched = 0
+        injection = self.injection
+        if injection:
+            if mirror_watch:
+                # Injected handlers perform loads: end the window.
+                self.mirror_trigger = True
+            resume = self._injection_resume
+            while injection and fetched < room:
+                row, fill_addr = injection.popleft()
+                append((ready, resume, d_inst[row], True, None, fill_addr, row))
+                fetched += 1
+            if injection:
+                return
+            self.pc = resume
+            self._injection_resume = None
         predictor = self.predictor
         p_table = predictor._table
         p_key = predictor._history & predictor._mask  # XOR pc per row below
         p_mask = predictor._mask
-        mirror_watch = self.mirror_watch
         single_step = self.single_step
-        append = fq.append
-        ready = now + cc.frontend_latency
         pc = self.pc
-        fetched = 0
         while fetched < room:
             row = pc if 0 <= pc < d_n else d_n
             f = d_flags[row]
             if mirror_watch and f & F_WINDOW_END:
                 # The first memory / serializing / halt instruction ends
-                # the mirror window (see _do_fetch for the full timing
-                # argument).
+                # the mirror window.  Fetch leads dispatch by a cycle and
+                # issue by two, so the pair controller (which runs after
+                # this core's step) materializes the mute strictly before
+                # this instruction can touch shared state.
                 self.mirror_trigger = True
             if f & F_BRANCH:
                 # Inlined gshare predict (predictor.update never runs
@@ -1594,71 +1463,23 @@ class OoOCore:
         self.sync_request = None
         self._flat_sched((entry._q << self._f_sbits) | entry._s, done)
 
-    # -- TLB traps -------------------------------------------------------------
-    def _inject_handler(self, page: int, fill_addr: int | None, resume_pc: int) -> None:
-        """Queue the software fast-miss handler for injection at fetch."""
-        self.fetch_queue.clear()
-        self.injection.clear()
-        sequence = handler_sequence(page)
-        for index, inst in enumerate(sequence):
-            is_last = index == len(sequence) - 1
-            self.injection.append((inst, fill_addr if is_last else None))
-        self._injection_resume = resume_pc
-        self.fetch_stalled = False
+    # -- handler injection -----------------------------------------------------
+    def _inject(
+        self, handler: list[Instruction], resume: int, fill_addr: int | None = None
+    ) -> None:
+        """Queue ``handler``'s decode rows for fetch, then resume at ``resume``.
 
-    # -- fetch ---------------------------------------------------------------------
-    def _do_fetch(self, now: int) -> None:
-        """Cold fetch from ``Instruction`` objects, without decode rows.
-
-        ``_do_fetch_soa`` hands it whole cycles while a handler is being
-        injected, since one cycle may then mix injected and user fetches.
+        Callers squash first, which empties the front end.  The last
+        instruction carries the DTLB fill a data-miss handler performs at
+        its retirement.
         """
-        if self.halted or now < self.stall_fetch_until:
-            return
-        width = self.core_cfg.width
-        cap = self.core_cfg.fetch_queue_size
-        fetched = 0
-        ready = now + self.core_cfg.frontend_latency
-        while fetched < width and len(self.fetch_queue) < cap and not self.fetch_stalled:
-            if self.injection:
-                inst, fill_addr = self.injection.popleft()
-                if self.mirror_watch:
-                    # Injected handlers perform loads; end the window.
-                    self.mirror_trigger = True
-                self.fetch_queue.append(
-                    (ready, self._injection_resume or 0, inst, True, None, fill_addr, -1)
-                )
-                if not self.injection and self._injection_resume is not None:
-                    self.pc = self._injection_resume
-                    self._injection_resume = None
-                fetched += 1
-                continue
-            inst = self.program.fetch(self.pc)
-            if self.mirror_watch and (
-                inst.is_mem or inst.is_serializing or inst.op is Op.HALT
-            ):
-                # The first memory / serializing / halt instruction ends
-                # the mirror window.  Fetch leads dispatch by a cycle and
-                # issue by two, so the pair controller (which runs after
-                # this core's step) materializes the mute strictly before
-                # this instruction can touch shared state.
-                self.mirror_trigger = True
-            predicted_next = None
-            pc = self.pc
-            if inst.is_branch:
-                taken = self.predictor.predict(pc)
-                predicted_next = inst.target if taken else pc + 1
-                self.pc = predicted_next
-            elif inst.op is Op.JUMP:
-                self.pc = inst.target
-            elif inst.op is Op.HALT:
-                self.fetch_stalled = True
-            else:
-                self.pc = pc + 1
-            self.fetch_queue.append((ready, pc, inst, False, predicted_next, None, -1))
-            fetched += 1
-            if self.single_step:
-                break
+        row_of = self._decoded.row_of
+        last = len(handler) - 1
+        self.injection.extend(
+            (row_of(inst), fill_addr if index == last else None)
+            for index, inst in enumerate(handler)
+        )
+        self._injection_resume = resume
 
     # -- squash / recovery -------------------------------------------------------------
     def _redirect_fetch(self, new_pc: int) -> None:
@@ -1668,8 +1489,9 @@ class OoOCore:
     def hard_reset(self, program: Program, now: int) -> None:
         """Reset all architectural and microarchitectural state for a new
         program — used when a core is repurposed (dual-use switching)."""
-        if self.rob:
-            self._flat_squash_to(self.f_seq[self.rob[0]])
+        # Squash even with an empty ROB: it also empties the front end,
+        # whose queued rows belong to the old program's tables.
+        self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
         self.gate.flush()
         # flush() deliberately preserves the cumulative offer count
         # (recovery re-offers must keep counting); a repurposed core

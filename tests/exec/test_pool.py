@@ -133,6 +133,8 @@ class TestSignalDrain:
         assert excinfo.value.signum == signal.SIGTERM
         assert excinfo.value.remaining == 2
         assert "SIGTERM" in excinfo.value.failures[0]
+        # Nothing failed: the message names the interruption alone.
+        assert str(excinfo.value) == "interrupted by SIGTERM: 2 job(s) not run"
         manifest = excinfo.value.manifest
         assert manifest.executed == 1
         # The completed job's result was cached before the drain returned.

@@ -4,15 +4,17 @@ The pipeline's flat ring trusts one int bitmask per static instruction
 instead of chasing ``Instruction`` attributes per dynamic instance.
 These tests pin the mask to the object view over every opcode and
 operand shape, in both consistency modes, so the decoded hot path and
-the cold paths that read ``Instruction`` predicates (injected handlers,
-fault targeting, bandwidth metering) can never read different
-classifications for the same instruction.
+the cold paths that read ``Instruction`` predicates (fault targeting,
+bandwidth metering) can never read different classifications for the
+same instruction.  Injected handler instructions decode into rows past
+the program's, under the same checks.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.pair import default_interrupt_handler
 from repro.isa.decode import (
     F_ALU,
     F_ATOMIC,
@@ -37,6 +39,7 @@ from repro.isa.decode import (
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
+from repro.pipeline.tlb_handler import TSB_LINES, handler_sequence
 
 
 def _corpus() -> list[Instruction]:
@@ -176,3 +179,35 @@ def test_decode_cache_is_per_program_and_mode() -> None:
     assert not a.flags[2] & F_SER
     other = _program()
     assert decode_program(other, sc_mode=False) is not a  # per-instance
+
+
+@pytest.mark.parametrize("sc_mode", [False, True])
+def test_injected_rows_sit_past_the_program(sc_mode: bool) -> None:
+    """Handler instructions decode into memoized rows no PC can reach."""
+    program = _program()
+    decoded = DecodedProgram(program, sc_mode)
+    handlers = [handler_sequence(page) for page in (0, 1, 7, 513, TSB_LINES + 7)]
+    handlers.append(default_interrupt_handler())
+    distinct = set()
+    for handler in handlers:
+        for inst in handler:
+            row = decoded.row_of(inst)
+            assert row > decoded.n, inst
+            assert decoded.flags[row] == flags_of(inst, sc_mode), inst
+            assert decoded.rs1[row] == inst.rs1
+            assert decoded.rs2[row] == inst.rs2
+            assert decoded.rd[row] == inst.rd
+            assert decoded.imm[row] == inst.imm
+            assert decoded.target[row] == inst.target
+            assert decoded.inst[row] == inst
+            distinct.add(inst)
+    # Equal instructions share a row: one TRAP and one MMUOP row serve
+    # every handler, and pages on one TSB line share their loads' rows.
+    assert len(decoded.inst) == decoded.n + 1 + len(distinct)
+    assert [decoded.row_of(inst) for inst in handler_sequence(7)] == [
+        decoded.row_of(inst) for inst in handler_sequence(TSB_LINES + 7)
+    ]
+    # The program's own rows are untouched.
+    for pc, inst in enumerate(program.instructions):
+        assert decoded.inst[pc] is inst
+    assert decoded.inst[decoded.n].op is Op.HALT

@@ -81,6 +81,8 @@ PINS = {
     "swtlb": "e7c70eeadfb0cc8d97f44ed70edb0612cc7ef47cb0212bac2c85e22313c4cf0e",
     "swtlb-strict": "4c689ac9cd5bfd5b9b70d7b4e349f64c2295981350691a710cd1acf1836ffa1d",
     "dynamic": "9900e0ce18d2d206e692aaa0040b31c62be220758b97f0f71efdd673bda6e769",
+    "swtlb-nonredundant": "63e3a74db06c33839daba66e34157e3f9dd841ed0ad1a6db9fa3c8afd35c612a",
+    "swtlb-sc": "c209f4c35ae561547da1ce0ec62424c0e6016c6262d0f727185d4220c1063378",
 }
 
 #: Cold-path runs beyond the ``cold-N`` Reunion pairs, as ``name ->
@@ -90,6 +92,9 @@ PINS = {
 #: pipeline: its serializing instructions stall the retire gate, and a
 #: synthetic ITLB miss squashes entries already offered to the gate.
 #: The ``dynamic`` pair's backlog counts those dropped offers.
+#: ``swtlb-nonredundant`` is Fig 7(b)'s baseline, whose ``ImmediateGate``
+#: clears injected entries at offer; ``swtlb-sc`` adds SC's serializing
+#: stores to the handler's serializing instructions.
 COLD_RUNS = {
     "strict": (3, {"mode": Mode.STRICT}),
     "nonredundant": (4, {"mode": Mode.NONREDUNDANT}),
@@ -97,6 +102,8 @@ COLD_RUNS = {
     "swtlb": (6, {"tlb": TLBMode.SOFTWARE}),
     "swtlb-strict": (7, {"mode": Mode.STRICT, "tlb": TLBMode.SOFTWARE}),
     "dynamic": (10, {"tlb": TLBMode.SOFTWARE, "policy": "dynamic:6,3,8"}),
+    "swtlb-nonredundant": (11, {"mode": Mode.NONREDUNDANT, "tlb": TLBMode.SOFTWARE}),
+    "swtlb-sc": (12, {"consistency": Consistency.SC, "tlb": TLBMode.SOFTWARE}),
 }
 
 

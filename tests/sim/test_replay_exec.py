@@ -21,8 +21,15 @@ from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import DEFAULT_CONFIG, Mode, PhantomStrength, parse_policy
+from repro.sim.config import (
+    DEFAULT_CONFIG,
+    Mode,
+    PhantomStrength,
+    TLBMode,
+    parse_policy,
+)
 from repro.sim.options import SimOptions
+from repro.workloads.base import hashed_schedule
 from repro.workloads.micro import ComputeKernel, PointerChase
 from tests.core.helpers import SMALL
 
@@ -354,6 +361,34 @@ class TestPartialPolicyMirror:
         assert _observe(dual) == _observe(mirrored)
         assert mirrored.pairs[0].mirror_cycles >= 400
         assert not mirrored.pairs[0].replay_enabled
+
+
+@pytest.mark.parametrize("kernel", ["naive", "event"])
+@pytest.mark.parametrize("spec", ["full", "interval-sampled:0.5", "dynamic:6,3,8"])
+def test_software_tlb_handler_ends_the_window(spec, kernel):
+    """A fast-miss handler injected mid-window ends it, bit-identical to dual.
+
+    ``ComputeKernel`` has no memory instruction, so the window stays open
+    until a synthetic ITLB miss under the software TLB injects the
+    handler: fetching its first instruction is the only trigger.
+    """
+    config = (
+        _config().with_tlb(mode=TLBMode.SOFTWARE).with_protection(parse_policy(spec))
+    )
+    dual, mirrored = (
+        CMPSystem(
+            config,
+            ComputeKernel().programs(1),
+            [hashed_schedule(rate_per_kinstr=5.0, seed=1)],
+            options=SimOptions.from_env(kernel=kernel, execution=execution),
+        )
+        for execution in ("dual", "replay")
+    )
+    for system in (dual, mirrored):
+        system.run(6_000)
+    assert _observe(dual) == _observe(mirrored)
+    assert mirrored.pairs[0].mirror_cycles > 0
+    assert mirrored.cores[0].injected_retired > 0
 
 
 class TestReplayScope:
