@@ -93,24 +93,10 @@ def run_campaign(
 
     golden = golden_reference(config, jobs[0].spec)
     cache = campaign_cache(resume, cache_root)
-    # A running experiment service takes the batch (the golden travels
-    # with the sweep — it is a pure function of the config, so every
-    # client computes the identical reference); fall back locally
-    # otherwise or if the daemon dies mid-sweep.
-    from repro.serve.client import ServiceUnavailable, service_pool
-
-    results = manifest = None
-    service = service_pool(golden=golden, client_id="campaign")
-    if service is not None:
-        try:
-            results, manifest = service.run(jobs, cache=cache, progress=progress)
-        except ServiceUnavailable:
-            results = manifest = None
-    if results is None:
-        pool = ExecutionPool(
-            workers=workers, timeout=timeout, run_job=CampaignRunner(golden)
-        )
-        results, manifest = pool.run(jobs, cache=cache, progress=progress)
+    pool = ExecutionPool(
+        workers=workers, timeout=timeout, run_job=CampaignRunner(golden)
+    )
+    results, manifest = pool.run(jobs, cache=cache, progress=progress)
     outcomes = [results[job.key] for job in jobs]
 
     stats = summarize(outcomes)

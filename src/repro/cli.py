@@ -450,51 +450,6 @@ def cmd_frontier(args) -> int:
     return 1 if problems else 0
 
 
-def cmd_serve(args) -> int:
-    """Run the experiment-service daemon (see repro.serve)."""
-    from repro.serve.server import main as serve_main
-
-    argv: list[str] = []
-    if args.socket:
-        argv += ["--socket", args.socket]
-    if args.host:
-        argv += ["--host", args.host]
-    if args.port is not None:
-        argv += ["--port", str(args.port)]
-    argv += ["--workers", str(args.serve_workers)]
-    if args.cache_root:
-        argv += ["--cache-root", args.cache_root]
-    if args.telemetry:
-        argv += ["--telemetry"]
-    if args.event_log:
-        argv += ["--event-log", args.event_log]
-    return serve_main(argv)
-
-
-def cmd_submit(args) -> int:
-    """Submit a reproduce sweep, preferring a running daemon.
-
-    Identical plans, identical output: the reproduce path already routes
-    its batch through :func:`repro.serve.client.service_pool` when a
-    daemon is reachable, so `submit` is `reproduce` plus an explicit
-    statement (on stderr) of which way the batch went — and a graceful
-    in-process fallback when no daemon is running.
-    """
-    from repro.serve.client import service_address, service_pool
-
-    address = service_address()
-    pool = service_pool(client_id="submit") if address else None
-    if pool is not None:
-        print(f"submitting via experiment service at {address}", file=sys.stderr)
-    else:
-        print(
-            "no experiment service running; executing in-process "
-            "(start one with `repro serve`)",
-            file=sys.stderr,
-        )
-    return cmd_reproduce(args)
-
-
 def cmd_cache(args) -> int:
     """Cache maintenance: stats, age-based gc, verify/quarantine."""
     from repro.exec.cache import (
@@ -810,61 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_options_args(frontier_parser)
     frontier_parser.set_defaults(func=cmd_frontier)
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the local experiment service (sweep daemon over the "
-        "exec pool; see docs/ARCHITECTURE.md)",
-    )
-    serve_parser.add_argument(
-        "--socket", default=None,
-        help="Unix socket to bind (default <cache root>/serve.sock)",
-    )
-    serve_parser.add_argument("--host", default=None, help="bind TCP instead")
-    serve_parser.add_argument("--port", type=int, default=None, help="TCP port")
-    serve_parser.add_argument(
-        "--workers", dest="serve_workers", type=int, default=2,
-        help="fork worker processes (default 2)",
-    )
-    serve_parser.add_argument(
-        "--cache-root", default=None,
-        help="cache root to serve (default REPRO_CACHE_DIR or .repro-cache)",
-    )
-    serve_parser.add_argument(
-        "--telemetry", action="store_true",
-        help="arm metrics-level telemetry on sample jobs; stream digests "
-        "into the event feed",
-    )
-    serve_parser.add_argument(
-        "--event-log", default=None,
-        help="append every scheduler event as JSONL to this file",
-    )
-    serve_parser.set_defaults(func=cmd_serve)
-
-    submit_parser = subparsers.add_parser(
-        "submit",
-        help="submit a reproduce sweep to a running `repro serve` daemon "
-        "(falls back to in-process execution)",
-    )
-    submit_parser.add_argument(
-        "--only", nargs="*", help="fig5 fig6a fig6b table3 fig7a fig7b sc"
-    )
-    submit_parser.add_argument(
-        "--scale",
-        choices=["quick", "standard", "paper"],
-        help="experiment scale (overrides REPRO_SCALE; default quick)",
-    )
-    submit_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the in-process fallback",
-    )
-    submit_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the persistent result cache (.repro-cache/)",
-    )
-    _add_options_args(submit_parser)
-    submit_parser.set_defaults(func=cmd_submit)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect and maintain the persistent result cache"

@@ -1,42 +1,7 @@
-"""repro.serve — a local experiment service over the exec pool.
+"""repro.serve — a stub left where the experiment service used to be.
 
-The fork pool plus the content-addressed cache already behave like a job
-system: jobs are pure functions of content-hash keys, results checkpoint
-through the cache, and plans are deterministic.  This package promotes
-them to one — a daemon (:mod:`repro.serve.server`) that accepts job
-submissions from any number of local clients over HTTP on a Unix socket
-(or TCP), schedules fairly across clients, deduplicates in-flight and
-completed work by key, and fans execution out over fork workers; and a
-client (:mod:`repro.serve.client`) whose :class:`~repro.serve.client.
-ServicePool` is a drop-in for :class:`~repro.exec.pool.ExecutionPool`,
-so ``repro reproduce`` / ``repro campaign`` / ``repro frontier``
-transparently ride a running daemon and silently fall back to
-in-process execution when there is none.
-
-Results travel as the same canonical payloads the cache stores
-(:mod:`repro.serve.wire`), so a sweep served by the daemon is
-byte-identical to the same sweep run in-process.
+Every sweep runs on the local :class:`~repro.exec.pool.ExecutionPool`
+plus the result cache.  Only :func:`repro.serve.client.service_pool`
+remains: the benchmark's Fig 5 children (``bench/child.py``) wrap it
+and check that each render probes it once and finds no daemon.
 """
-
-from repro.serve.client import (
-    ServeClient,
-    ServiceUnavailable,
-    ServicePool,
-    default_socket_path,
-    service_address,
-    service_pool,
-)
-from repro.serve.scheduler import FairShareScheduler
-from repro.serve.wire import job_from_wire, job_to_wire
-
-__all__ = [
-    "FairShareScheduler",
-    "ServeClient",
-    "ServicePool",
-    "ServiceUnavailable",
-    "default_socket_path",
-    "job_from_wire",
-    "job_to_wire",
-    "service_address",
-    "service_pool",
-]

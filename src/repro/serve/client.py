@@ -1,333 +1,13 @@
-"""Client side of the experiment service: detection, HTTP, ServicePool.
+"""The serve probe: there is no experiment service to find.
 
-Detection is deliberately zero-configuration: a daemon binds
-``<cache root>/serve.sock`` by default, so :func:`service_address` looks
-there (override with ``REPRO_SERVE=<path or host:port>``, opt out with
-``REPRO_NO_SERVE=1``).  A socket file alone is not proof of life — the
-daemon may have been SIGKILLed — so :func:`service_pool` health-checks
-before committing, and every routed call site falls back to the local
-:class:`~repro.exec.pool.ExecutionPool` when the service is absent or
-dies mid-sweep.  A client never fails merely because the daemon did.
-
-:class:`ServicePool` mirrors ``ExecutionPool.run(jobs, cache, progress)
--> (results, manifest)`` exactly, so ``Runner.prefetch`` and
-``run_campaign`` route through it without knowing the difference:
-
-* local cache hits are served client-side first (identical semantics —
-  a :class:`~repro.exec.cache.FreshWriteCache` misses everything, which
-  the pool forwards as ``fresh=True`` so the daemon also skips
-  persistent reads for *new* jobs while still deduplicating against
-  in-flight and already-completed work);
-* the remainder is submitted as one sweep and polled to completion;
-* results decode to the same ``Sample``/``Outcome`` objects the local
-  pool would have produced (wire payloads are the cache encodings), so
-  downstream rendering is byte-identical;
-* failures raise :class:`~repro.exec.pool.ExecutionError` with a
-  manifest, exactly like the local pool.
-
-The HTTP client is a few dozen lines over a raw socket — the daemon
-speaks just enough HTTP/1.1 that curl works too, and the stdlib is all
-either side needs.
+``bench/child.py::probe_daemon`` wraps :func:`service_pool` and fails a
+Fig 5 run unless every render calls it exactly once and gets ``None``.
+:meth:`repro.harness.runs.Runner.prefetch` makes that one call.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import socket
-import time
-import uuid
-from pathlib import Path
-from typing import Iterable, Iterator, Optional
 
-from repro.campaign.outcome import GoldenReference
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.exec.pool import ExecutionError
-from repro.exec.progress import Progress, RunManifest
-from repro.serve.wire import golden_to_wire, job_to_wire, result_from_wire
-
-#: Socket filename a daemon binds inside its cache root by default.
-SOCKET_NAME = "serve.sock"
-
-#: How often ServicePool polls sweep status, seconds.
-POLL_INTERVAL = 0.1
-
-
-class ServiceUnavailable(ConnectionError):
-    """No daemon at the address (or it went away mid-conversation)."""
-
-
-def default_socket_path(root: str | os.PathLike | None = None) -> Path:
-    """Where a daemon for ``root`` binds by default."""
-    if root is None:
-        root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    return Path(root) / SOCKET_NAME
-
-
-def service_address(env: Optional[dict] = None) -> str | None:
-    """The configured service address, or None to run in-process.
-
-    ``REPRO_NO_SERVE=1`` forces local execution; ``REPRO_SERVE`` names
-    an explicit socket path or ``host:port``; otherwise the default
-    socket is used when it exists.
-    """
-    if env is None:
-        env = os.environ
-    if env.get("REPRO_NO_SERVE", "").strip() in ("1", "true", "yes"):
-        return None
-    explicit = env.get("REPRO_SERVE", "").strip()
-    if explicit:
-        return explicit
-    candidate = default_socket_path(env.get("REPRO_CACHE_DIR") or None)
-    return str(candidate) if candidate.exists() else None
-
-
-def _is_unix(address: str) -> bool:
-    # host:port has exactly one colon and a numeric tail; anything
-    # path-shaped (contains a slash, or exists on disk) is a socket.
-    if "/" in address or os.path.exists(address):
-        return True
-    host, _, port = address.rpartition(":")
-    return not (host and port.isdigit())
-
-
-class ServeClient:
-    """Minimal blocking HTTP client for the daemon's API."""
-
-    def __init__(self, address: str, timeout: float = 30.0):
-        self.address = address
-        self.timeout = timeout
-
-    def _connect(self) -> socket.socket:
-        try:
-            if _is_unix(self.address):
-                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.timeout)
-                sock.connect(self.address)
-            else:
-                host, _, port = self.address.rpartition(":")
-                sock = socket.create_connection(
-                    (host, int(port)), timeout=self.timeout
-                )
-            return sock
-        except (OSError, ValueError) as exc:
-            raise ServiceUnavailable(
-                f"no experiment service at {self.address}: {exc}"
-            ) from exc
-
-    def request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        body = json.dumps(payload).encode() if payload is not None else b""
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: repro-serve\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode()
-        sock = self._connect()
-        try:
-            sock.sendall(head + body)
-            raw = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                raw += chunk
-        except OSError as exc:
-            raise ServiceUnavailable(f"service at {self.address} hung up: {exc}") from exc
-        finally:
-            sock.close()
-        header, _, rest = raw.partition(b"\r\n\r\n")
-        if not header:
-            raise ServiceUnavailable(f"empty response from {self.address}")
-        status_line = header.split(b"\r\n", 1)[0].decode(errors="replace")
-        try:
-            code = int(status_line.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ServiceUnavailable(f"bad response line {status_line!r}") from exc
-        try:
-            decoded = json.loads(rest.decode() or "{}")
-        except ValueError as exc:
-            raise ServiceUnavailable(f"non-JSON response from {self.address}") from exc
-        if code >= 400:
-            raise RuntimeError(
-                f"service error {code}: {decoded.get('error', status_line)}"
-            )
-        return decoded
-
-    # -- API wrappers ------------------------------------------------------
-
-    def health(self) -> dict:
-        return self.request("GET", "/healthz")
-
-    def submit(
-        self,
-        wires: list[dict],
-        client_id: str,
-        fresh: bool = False,
-        priority: int = 0,
-    ) -> dict:
-        return self.request(
-            "POST",
-            "/sweeps",
-            {"client": client_id, "jobs": wires, "fresh": fresh,
-             "priority": priority},
-        )
-
-    def sweep(self, sweep_id: str) -> dict:
-        return self.request("GET", f"/sweeps/{sweep_id}")
-
-    def shutdown(self) -> dict:
-        return self.request("POST", "/shutdown")
-
-    def events(self) -> Iterator[dict]:
-        """Stream the live event feed until the daemon stops."""
-        sock = self._connect()
-        try:
-            sock.sendall(
-                b"GET /events HTTP/1.1\r\nHost: repro-serve\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-            buffer = b""
-            in_body = False
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                buffer += chunk
-                if not in_body:
-                    head, sep, buffer = buffer.partition(b"\r\n\r\n")
-                    if not sep:
-                        buffer = head
-                        continue
-                    in_body = True
-                while b"\n" in buffer:
-                    line, _, buffer = buffer.partition(b"\n")
-                    if line.strip():
-                        yield json.loads(line)
-        finally:
-            sock.close()
-
-
-class ServicePool:
-    """ExecutionPool-shaped facade over a running daemon.
-
-    ``run`` has the pool's exact contract — same signature, same
-    dedup/cache-hit semantics, same ``ExecutionError`` on failures —
-    so call sites swap it in without branching on where execution
-    happens.  ``golden`` must be supplied for injection-job batches
-    (the daemon's workers need the uninjected reference to classify
-    against; it is a pure function of the config so every client
-    computes the identical one).
-    """
-
-    def __init__(
-        self,
-        address: str,
-        client_id: str | None = None,
-        golden: GoldenReference | None = None,
-        poll: float = POLL_INTERVAL,
-    ):
-        self.client = ServeClient(address)
-        self.client_id = client_id or f"pid{os.getpid()}-{uuid.uuid4().hex[:6]}"
-        self.golden = golden
-        self.poll = poll
-
-    def run(
-        self,
-        jobs: Iterable,
-        cache: ResultCache | None = None,
-        progress: Progress | None = None,
-    ) -> tuple[dict, RunManifest]:
-        start = time.monotonic()
-        unique: dict[str, object] = {}
-        for job in jobs:
-            unique.setdefault(job.key, job)
-        manifest = RunManifest(total=len(unique))
-
-        results: dict[str, object] = {}
-        todo: list = []
-        for key, job in unique.items():
-            value = cache.get(job) if cache is not None else None
-            if value is not None:
-                results[key] = value
-                manifest.hits += 1
-                if progress is not None:
-                    progress.advance(f"hit {job.describe()}")
-            else:
-                todo.append(job)
-
-        if todo:
-            fresh = cache is not None and not _cache_reads_persist(cache)
-            wires = []
-            for job in todo:
-                wire = job_to_wire(job)
-                if wire["kind"] == "injection" and self.golden is not None:
-                    wire["golden"] = golden_to_wire(self.golden)
-                wires.append(wire)
-            submitted = self.client.submit(
-                wires, client_id=self.client_id, fresh=fresh
-            )
-            manifest.workers = int(submitted.get("workers", 1))
-            status = self._wait(submitted["id"], progress, todo)
-            served = status.get("results", {})
-            failures = list(status.get("failures", []))
-            for job in todo:
-                entry = served.get(job.key)
-                if entry is None:
-                    continue
-                value = result_from_wire(entry["kind"], entry["value"])
-                results[job.key] = value
-                if cache is not None:
-                    # Write-through locally too: the daemon persisted to
-                    # *its* store; the client's may be a different root.
-                    cache.put(job, value)
-            manifest.executed = int(status.get("executed", 0))
-            manifest.hits += status.get("hits", 0)
-            manifest.failures.extend(failures)
-        manifest.wall_seconds = time.monotonic() - start
-        if manifest.failures:
-            raise ExecutionError(manifest.failures, manifest)
-        return results, manifest
-
-    def _wait(self, sweep_id: str, progress: Progress | None, todo: list) -> dict:
-        reported = 0
-        while True:
-            status = self.client.sweep(sweep_id)
-            if progress is not None:
-                settled = status["counts"]["done"] + status["counts"]["failed"]
-                for _ in range(settled - reported):
-                    progress.advance("served")
-                reported = settled
-            if status["status"] in ("done", "failed"):
-                return status
-            time.sleep(self.poll)
-
-
-def _cache_reads_persist(cache: ResultCache) -> bool:
-    """Whether ``cache.get`` can ever serve a persistent record.
-
-    FreshWriteCache/NullCache-style stores miss by construction; the
-    daemon must then also skip persistent reads for this sweep (fresh
-    semantics), while still deduplicating in-flight/completed work.
-    """
-    probe = type(cache).get
-    return probe is ResultCache.get or getattr(cache, "reads_persist", False)
-
-
-def service_pool(
-    golden: GoldenReference | None = None,
-    client_id: str | None = None,
-    env: Optional[dict] = None,
-) -> ServicePool | None:
-    """A health-checked ServicePool, or None to use the local pool."""
-    address = service_address(env)
-    if address is None:
-        return None
-    pool = ServicePool(address, client_id=client_id, golden=golden)
-    try:
-        health = pool.client.health()
-    except (ServiceUnavailable, RuntimeError):
-        return None
-    if health.get("status") != "ok":  # draining daemon: don't pile on
-        return None
-    return pool
+def service_pool(**kwargs) -> None:
+    """No daemon answers: the caller runs on its local pool."""
+    return None

@@ -106,9 +106,9 @@ class TestRunInjection:
             assert outcome.signature_matched
             assert outcome.recoveries >= 1
             assert outcome.cause in (
-                "fingerprint", "count", "poison", "timeout", "sync_divergence",
+                "fingerprint", "count", "timeout", "sync_divergence",
             )
-            if outcome.cause in ("fingerprint", "count", "poison"):
+            if outcome.cause in ("fingerprint", "count"):
                 assert outcome.latency is not None and outcome.latency >= 0
 
     def test_outcome_carries_the_site(self):

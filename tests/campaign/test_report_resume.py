@@ -64,6 +64,17 @@ class TestOutcomeCache:
         assert OutcomeCache(tmp_path).get(job) is None
         assert not record_path.exists()  # corrupt records are discarded
 
+    def test_missing_field_is_a_miss(self, tmp_path):
+        cache = OutcomeCache(tmp_path)
+        job = plan_campaign("compute-kernel", 1, **WINDOW)[0]
+        cache.put(job, _outcome())
+        record_path = cache.path(job)
+        record = json.loads(record_path.read_text())
+        del record["outcome"]["latency"]
+        record_path.write_text(json.dumps(record))
+        assert OutcomeCache(tmp_path).get(job) is None
+        assert not record_path.exists()
+
     def test_fresh_write_cache_never_reads(self, tmp_path):
         inner = OutcomeCache(tmp_path)
         job = plan_campaign("compute-kernel", 1, **WINDOW)[0]

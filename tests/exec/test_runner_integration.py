@@ -102,6 +102,37 @@ class TestPrefetch:
         assert manifest.hits == 1 and manifest.executed == 0
 
 
+class TestServeProbe:
+    """``bench/child.py::probe_daemon`` wraps the serve probe and fails a
+    Fig 5 run unless every render calls it once and gets None."""
+
+    def test_prefetch_probes_once_then_runs_on_the_local_pool(self, monkeypatch):
+        import repro.serve.client as client
+
+        answers = []
+        probe = client.service_pool
+
+        def service_pool(*args, **kwargs):
+            pool = probe(*args, **kwargs)
+            answers.append(pool is not None)
+            return pool
+
+        monkeypatch.setattr(client, "service_pool", service_pool)
+        batches = []
+        run = runs.ExecutionPool.run
+
+        def local_run(pool, jobs, *args, **kwargs):
+            jobs = list(jobs)
+            batches.append(len(jobs))
+            return run(pool, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(runs.ExecutionPool, "run", local_run)
+        manifest = Runner(TINY).prefetch([(NONRED, OCEAN), (REUNION, OCEAN)])
+        assert answers == [False]
+        assert batches == [2]
+        assert manifest.executed == 2
+
+
 class TestPlanCompleteness:
     def test_plans_cover_every_sample_their_driver_needs(self):
         """After prefetching a driver's plan, rendering simulates nothing."""

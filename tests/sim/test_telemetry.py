@@ -202,7 +202,7 @@ class TestReplayDualDifferential:
         mismatches = [r for r in stream if r["kind"] == "fingerprint.mismatch"]
         assert mismatches
         first = mismatches[0]
-        assert first["cause"] in {"fingerprint", "count", "poison"}
+        assert first["cause"] in {"fingerprint", "count"}
         assert first["vocal_fp"] != first["mute_fp"] or first["cause"] != "fingerprint"
 
 
