@@ -127,6 +127,8 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
     mute.sb_count = vocal.sb_count
     mute._drain_inflight = vocal._drain_inflight
     mute._interrupts = type(vocal._interrupts)(vocal._interrupts)
+    mute._irq_live = type(vocal._irq_live)(vocal._irq_live)
+    mute._irq_end = vocal._irq_end
 
 
 #: Flat-ROB columns copied verbatim on materialization (``f_deps`` needs

@@ -161,6 +161,13 @@ class OoOCore:
         # Both cores of a pair schedule the same count, so they service at
         # an identical point in the retired instruction stream (Sec. 4.3).
         self._interrupts: deque[tuple[int, list[Instruction]]] = deque()
+        #: Interrupts whose handler is in flight, oldest first, each as
+        #: (seq of the handler's last instruction, interrupt).  One counts
+        #: as serviced when that instruction retires; a squash that
+        #: reaches any of its handler first puts it back in _interrupts.
+        self._irq_live: deque[tuple[int, tuple[int, list[Instruction]]]] = deque()
+        #: Seq of the youngest live handler's last instruction, or -1.
+        self._irq_end = -1
         self.interrupts_serviced = 0
 
         self.halted = False
@@ -1058,6 +1065,8 @@ class OoOCore:
                     del rename[rd]
             if f_mask[slot] & M_INJECTED:
                 self.injected_retired += 1
+                if seq <= self._irq_end and seq == self._irq_live[0][0]:
+                    self._irq_retired()
                 f_seq[slot] = -1  # free the ring slot
                 fill_addr = f_fill[slot]
                 if fill_addr is not None:
@@ -1103,12 +1112,34 @@ class OoOCore:
         """Squash past ``seq`` and inject the interrupt handler.
 
         The triggering slot itself stays live: it was just offered to the
-        gate and retires through it normally.
+        gate and retires through it normally.  The squash empties the
+        front end, so the handler's instructions take the next seqs.
         """
-        _, handler = self._interrupts.popleft()
-        self.interrupts_serviced += 1
+        interrupt = self._interrupts.popleft()
         self._flat_squash_to(seq + 1)
+        handler = interrupt[1]
+        self._irq_end = self._next_seq + len(handler) - 1
+        self._irq_live.append((self._irq_end, interrupt))
         self._inject(handler, resume)
+
+    def _irq_retired(self) -> None:
+        """The oldest live handler's last instruction retired."""
+        self._irq_live.popleft()
+        if not self._irq_live:
+            self._irq_end = -1
+        self.interrupts_serviced += 1
+
+    def _irq_squashed(self, first_bad_seq: int) -> None:
+        """Re-post every live interrupt whose handler the squash reaches.
+
+        Its target offer count is already reached, so the next user
+        offer outside single-step services it again: after a recovery
+        flush, the first offer once the pair leaves single-step.
+        """
+        live = self._irq_live
+        while live and live[-1][0] >= first_bad_seq:
+            self._interrupts.appendleft(live.pop()[1])
+        self._irq_end = live[-1][0] if live else -1
 
     def _flat_take_synthetic_tlb_miss(self, seq, resume, now, budget) -> None:
         """Instruction-fetch TLB miss charged at retirement of instr n.
@@ -1157,6 +1188,8 @@ class OoOCore:
         are immediately reusable.  The in-check prefix is clamped to what
         is left of the ROB.
         """
+        if first_bad_seq <= self._irq_end:
+            self._irq_squashed(first_bad_seq)
         rob = self.rob
         f_seq = self.f_seq
         smask = self._f_smask

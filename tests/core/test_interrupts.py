@@ -10,6 +10,7 @@ instructions."
 from repro.core.pair import default_interrupt_handler
 from repro.isa import assemble
 from repro.isa.interpreter import run as golden_run
+from repro.pipeline.flat import M_INJECTED
 from repro.sim.config import Mode
 from tests.core.helpers import build
 
@@ -99,3 +100,24 @@ class TestNonRedundantInterrupts:
         assert core.interrupts_serviced == 1
         golden = golden_run(assemble(LOOP))
         assert core.arf.read(2) == golden.registers.read(2)
+
+    def test_flush_with_handler_in_flight_services_it_again(self):
+        """A rollback that squashes the handler re-posts the interrupt:
+        the handler retires exactly once, and results are unperturbed."""
+        system = build([LOOP], mode=Mode.NONREDUNDANT)
+        system.run(60)
+        system.post_interrupt(0)
+        core = system.vocal_cores[0]
+        for _ in range(2_000):
+            system.run(1)
+            if any(core.f_mask[slot] & M_INJECTED for slot in core.rob):
+                break
+        assert core.interrupts_serviced == 0
+        assert any(core.f_mask[slot] & M_INJECTED for slot in core.rob)
+        core.flush_for_recovery(core.next_retire_pc(), system.now, penalty=5)
+        system.run_until_idle(max_cycles=500_000)
+        assert core.interrupts_serviced == 1
+        assert core.injected_retired == len(default_interrupt_handler())
+        golden = golden_run(assemble(LOOP))
+        assert core.arf.read(2) == golden.registers.read(2)
+        assert core.user_retired == golden.retired
