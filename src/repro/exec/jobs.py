@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.config import SystemConfig
-from repro.sim.options import SimOptions, options_key_payload
+from repro.sim.options import SimOptions
 from repro.sim.sampling import Sample, run_sample
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,12 +68,10 @@ class SampleJob:
     """One simulation point: a pure function of the first five fields.
 
     ``options`` rides along for *how* to compute the sample (kernel,
-    execution strategy, telemetry) but is deliberately near-absent from
-    the content-hash key: every current :class:`SimOptions` field is
-    result-neutral by contract, so a cache populated with telemetry off
-    serves armed runs (and dual serves replay) without re-simulating.
-    Only :func:`repro.sim.options.options_key_payload`'s projection —
-    empty today — is folded in.
+    execution strategy, telemetry) but is no part of the payload or the
+    content-hash key: every :class:`SimOptions` field is result-neutral
+    by contract, so a cache populated with telemetry off serves armed
+    runs (and dual serves replay) without re-simulating.
     """
 
     config: SystemConfig
@@ -85,7 +83,7 @@ class SampleJob:
 
     def payload(self) -> dict[str, Any]:
         """The canonical dict this job's key is the hash of."""
-        payload = {
+        return {
             "schema": SCHEMA_VERSION,
             "config": config_payload(self.config),
             "workload": self.workload_name,
@@ -93,10 +91,6 @@ class SampleJob:
             "warmup": self.warmup,
             "measure": self.measure,
         }
-        extra = options_key_payload(self.options)
-        if extra:
-            payload["options"] = extra
-        return payload
 
     @property
     def key(self) -> str:

@@ -26,12 +26,12 @@ Field semantics:
 * ``max_cycles`` bounds ``run_until_idle``; ``seed`` is the workload
   seed CLI commands thread through to program generation.
 
-Because every current field is result-neutral by contract (``seed``
-participates in results, but travels as its own explicit argument —
+Because every field is result-neutral by contract (``seed`` participates
+in results, but travels as its own explicit argument —
 :class:`~repro.exec.jobs.SampleJob` carries it as a first-class field),
-:func:`options_key_payload` deliberately contributes nothing to job
-content-hash keys.  If a future field *does* change results, it must be
-added there (and tested in ``tests/exec/test_jobs.py``).
+no option enters a job's payload or content-hash key
+(``tests/exec/test_jobs.py`` pins this).  A knob that changes results
+belongs on the hashed config instead.
 
 The memory-backend selector is the counter-example that proves the
 rule: ``REPRO_COHERENCE`` (shared / snoopy / directory) *does* change
@@ -138,21 +138,3 @@ class SimOptions:
         )
         return cls(**values)
 
-
-def options_key_payload(options: SimOptions | None) -> dict[str, Any]:
-    """The result-affecting projection of ``options`` for job hashing.
-
-    Telemetry is excluded *by design* (it must never change results —
-    ``tests/exec/test_jobs.py`` pins this), and ``kernel`` /
-    ``execution`` are excluded by their bit-identity contracts: a sample
-    is the same sample however it was computed, so a cache populated
-    under ``REPRO_EXEC=dual`` serves ``replay`` runs, and vice versa.  The result-affecting policy axis is
-    :attr:`~repro.sim.config.SystemConfig.pair_policies`, which is
-    hashed via :func:`~repro.exec.jobs.config_payload`.
-    ``max_cycles`` and ``seed`` are not consumed by
-    :func:`~repro.sim.sampling.run_sample` (windows and seed are
-    explicit :class:`~repro.exec.jobs.SampleJob` fields).  The payload
-    is therefore empty today; any future result-affecting option MUST
-    be added here, with a key-change test.
-    """
-    return {}

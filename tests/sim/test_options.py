@@ -7,7 +7,7 @@ import pytest
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode
-from repro.sim.options import SimOptions, TRACE_LEVELS, options_key_payload
+from repro.sim.options import SimOptions, TRACE_LEVELS
 from tests.core.helpers import SMALL
 
 PROG = """
@@ -81,24 +81,6 @@ class TestFromEnv:
 
     def test_empty_env_gives_defaults(self):
         assert SimOptions.from_env({}) == SimOptions()
-
-
-class TestKeyPayload:
-    def test_every_current_field_is_key_neutral(self):
-        assert options_key_payload(None) == {}
-        assert (
-            options_key_payload(
-                SimOptions(
-                    kernel="naive",
-                    execution="dual",
-                    trace="full",
-                    trace_capacity=8,
-                    max_cycles=99,
-                    seed=7,
-                )
-            )
-            == {}
-        )
 
 
 class TestCMPSystemOptions:
