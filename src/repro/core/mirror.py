@@ -44,7 +44,7 @@ observable between replay and dual mode to keep this honest.
 from __future__ import annotations
 
 from repro.core.check_stage import CheckGate
-from repro.pipeline.ooo_core import OoOCore
+from repro.pipeline.ooo_core import FLAT_COLUMNS, OoOCore
 
 #: OoOCore counters a mirror sync copies vocal -> mute.
 MIRRORED_COUNTERS = (
@@ -131,31 +131,6 @@ def materialize(vocal: OoOCore, mute: OoOCore, obs=None, source: str = "") -> No
     mute._irq_end = vocal._irq_end
 
 
-#: Flat-ROB columns copied verbatim on materialization (``f_deps`` needs
-#: a per-slot list copy and is handled separately).
-_FLAT_COLUMNS = (
-    "f_seq",
-    "f_pc",
-    "f_inst",
-    "f_state",
-    "f_pend",
-    "f_v1",
-    "f_v2",
-    "f_res",
-    "f_addr",
-    "f_sval",
-    "f_pred",
-    "f_anext",
-    "f_fill",
-    "f_flags",
-    "f_mask",
-    "f_wo",
-    "f_pp",
-    "f_row",
-    "f_chk",
-)
-
-
 def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
     """Copy the ring columns and the int-ref containers.
 
@@ -167,7 +142,7 @@ def _materialize_flat(vocal: OoOCore, mute: OoOCore) -> None:
     hot loop's ``_f_cols`` bundle and the FlatView singletons alias the
     list objects by identity.
     """
-    for name in _FLAT_COLUMNS:
+    for name in FLAT_COLUMNS:
         getattr(mute, name)[:] = getattr(vocal, name)
     for mute_edges, vocal_edges in zip(mute.f_deps, vocal.f_deps):
         mute_edges[:] = vocal_edges

@@ -66,6 +66,33 @@ from repro.sim.config import Consistency, SystemConfig, TLBMode
 #: _flat_issue_serializing.
 _F_SER_HALT = F_SER | F_HALT
 
+#: The flat ring's value columns, each with the value a fresh ring holds
+#: (``OoOCore._init_flat``).  ``f_deps``, one edge list per slot, is
+#: allocated beside them.  Mirror materialization copies these by name.
+FLAT_COLUMNS = {
+    "f_seq": -1,  # -1 = free slot
+    "f_pc": 0,
+    "f_inst": None,
+    "f_state": 0,  # DynState ints
+    "f_pend": 0,
+    "f_v1": None,
+    "f_v2": None,
+    "f_res": None,
+    "f_addr": None,
+    "f_sval": None,
+    "f_pred": None,
+    "f_anext": None,
+    "f_fill": None,
+    "f_flags": 0,  # decode F_* masks
+    "f_mask": 0,  # packed booleans (repro.pipeline.flat M_*)
+    "f_wo": -1,  # wait_on: the store a load is parked on
+    "f_pp": -1,  # prev_producer: displaced rename packed ref
+    "f_row": 0,  # decode row (past the program's if injected)
+    # In-check clearance, stamped by the gate at offer: an interval
+    # index >= 0, or a fixed retire cycle c stored as -1 - c.
+    "f_chk": 0,
+}
+
 # A fetched instruction waiting for dispatch is a plain 7-tuple (cheaper
 # to build and copy than a slotted object at fetch-queue rates):
 #   (ready_cycle, pc, inst, injected, predicted_next, fill_addr, row)
@@ -286,27 +313,8 @@ class OoOCore:
         #: Liveness is bounded by the ROB-size dispatch guard, so an
         #: allocation can never collide with a live slot.
         self._f_tail = cap - 1
-        self.f_seq = [-1] * cap  # -1 = free slot
-        self.f_pc = [0] * cap
-        self.f_inst = [None] * cap
-        self.f_state = [0] * cap  # DynState ints
-        self.f_pend = [0] * cap
-        self.f_v1 = [None] * cap
-        self.f_v2 = [None] * cap
-        self.f_res = [None] * cap
-        self.f_addr = [None] * cap
-        self.f_sval = [None] * cap
-        self.f_pred = [None] * cap
-        self.f_anext = [None] * cap
-        self.f_fill = [None] * cap
-        self.f_flags = [0] * cap  # decode F_* masks
-        self.f_mask = [0] * cap  # packed booleans (repro.pipeline.flat M_*)
-        self.f_wo = [-1] * cap  # wait_on: the store a load is parked on
-        self.f_pp = [-1] * cap  # prev_producer: displaced rename packed ref
-        self.f_row = [0] * cap  # decode row (past the program's if injected)
-        #: In-check clearance, stamped by the gate at offer: an interval
-        #: index >= 0, or a fixed retire cycle c stored as -1 - c.
-        self.f_chk = [0] * cap
+        for name, fresh in FLAT_COLUMNS.items():
+            setattr(self, name, [fresh] * cap)
         #: Dependents edge lists, reused across slot generations: each
         #: edge is ``(consumer_packed << 1) | (operand - 1)``.
         self.f_deps = [[] for _ in range(cap)]
