@@ -1485,7 +1485,11 @@ class OoOCore:
         The pair controller schedules the *same* count on vocal and mute,
         so both service the interrupt at an identical program point —
         the paper's fingerprint-comparison-based alignment (Section 4.3).
+        The interrupt counts as serviced when the handler's last
+        instruction retires, so the handler must have one.
         """
+        if not handler:
+            raise ValueError("an interrupt handler needs at least one instruction")
         self._interrupts.append((at_user_count, handler))
         self._skip_until = 0
 

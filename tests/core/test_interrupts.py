@@ -7,6 +7,8 @@ service the interrupt after comparing and retiring the preceding
 instructions."
 """
 
+import pytest
+
 from repro.core.pair import default_interrupt_handler
 from repro.isa import assemble
 from repro.isa.interpreter import run as golden_run
@@ -80,6 +82,16 @@ class TestReunionInterrupts:
         system.run_until_idle(max_cycles=500_000)
         assert system.vocal_cores[0].interrupts_serviced == 2
         assert system.cores[1].interrupts_serviced == 2
+
+    def test_empty_handler_rejected(self):
+        # Fetch returns to the interrupted PC only after draining a
+        # handler instruction, and the interrupt counts as serviced at
+        # the last one: an empty handler would do neither.
+        system = build([LOOP], mode=Mode.REUNION)
+        with pytest.raises(ValueError, match="at least one instruction"):
+            system.pairs[0].post_interrupt([])
+        assert not system.vocal_cores[0]._interrupts
+        assert not system.cores[1]._interrupts
 
     def test_interrupt_after_halt_never_serviced(self):
         short = "movi r1, 1\nhalt"
