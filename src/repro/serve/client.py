@@ -1,4 +1,4 @@
-"""The serve probe: there is no experiment service to find.
+"""The serve probe, which no daemon answers.
 
 ``bench/child.py::probe_daemon`` wraps :func:`service_pool` and fails a
 Fig 5 run unless every render calls it exactly once and gets ``None``.
