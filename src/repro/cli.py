@@ -515,48 +515,6 @@ def _parse_age(text: str) -> float:
     return value * scale
 
 
-def cmd_bench(args) -> int:
-    from repro.exec.benchreport import (
-        BenchReport,
-        check_regression,
-        compare_reports,
-        run_bench,
-    )
-
-    if args.compare:
-        old_path, new_path = args.compare
-        print(compare_reports(BenchReport.load(old_path), BenchReport.load(new_path)))
-        return 0
-
-    try:
-        report = run_bench(
-            scale_name=args.scale or "quick",
-            jobs=args.jobs,
-            only=args.only,
-            compare_kernels=not args.no_kernel_comparison,
-            compare_exec=not args.no_exec_comparison,
-            compare_telemetry=not args.no_telemetry_comparison,
-            directory_scenario=not args.no_directory_scenario,
-            protection_scenario=not args.no_protection_scenario,
-            quick=args.quick,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(report.render())
-    path = report.write(args.out)
-    print(f"wrote {path}", file=sys.stderr)
-    if args.baseline:
-        baseline = BenchReport.load(args.baseline)
-        problems = check_regression(report, baseline)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.baseline}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -794,71 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         "<root>/quarantine/ (exit 1 if any)",
     )
     cache_parser.set_defaults(func=cmd_cache)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="time the artifact sweeps and the simulation kernels; "
-        "write BENCH_<date>.json",
-    )
-    bench_parser.add_argument(
-        "--scale",
-        choices=["quick", "standard", "paper"],
-        help="bench scale (default quick)",
-    )
-    bench_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for each sweep"
-    )
-    bench_parser.add_argument(
-        "--only", nargs="*", help="fig5 fig6a fig6b table3 fig7a fig7b sc"
-    )
-    bench_parser.add_argument(
-        "--out", default=".", help="directory for the BENCH_<date>.json report"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        help="a prior BENCH json; exit 1 if any phase regresses >3x "
-        "or the kernels disagree",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD.json", "NEW.json"),
-        help="diff two BENCH_*.json reports (per-phase cycles/s ratio, "
-        "speedup drift) instead of running the bench",
-    )
-    bench_parser.add_argument(
-        "--no-kernel-comparison",
-        action="store_true",
-        help="skip the naive-vs-event kernel timing",
-    )
-    bench_parser.add_argument(
-        "--no-exec-comparison",
-        action="store_true",
-        help="skip the dual-vs-replay execution timing",
-    )
-    bench_parser.add_argument(
-        "--no-telemetry-comparison",
-        action="store_true",
-        help="skip the telemetry-off-vs-armed timing and bit-identity check",
-    )
-    bench_parser.add_argument(
-        "--no-directory-scenario",
-        action="store_true",
-        help="skip the many-pair directory-backend scenario",
-    )
-    bench_parser.add_argument(
-        "--no-protection-scenario",
-        action="store_true",
-        help="skip the per-policy protection throughput scenario",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke run: one phase at reduced windows, single memory-bound "
-        "kernel artifact, compute-bound execution comparison only "
-        "(finishes in seconds)",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
     return parser
 
 

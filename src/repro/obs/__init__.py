@@ -12,25 +12,21 @@ them, when armed, as typed event streams and per-interval time series:
   serializing-request rate, fingerprint bandwidth, recovery-latency
   histogram);
 * :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` emitters
-  backing the ``repro trace`` CLI subcommand;
-* :mod:`repro.obs.profile` — wall-time accounting for ``repro bench``.
+  backing the ``repro trace`` CLI subcommand.
 
 The cardinal rule is **zero cost when off**: telemetry is armed by
 ``SimOptions(trace=...)``, and a disarmed system holds ``obs = None``
 everywhere — hot paths pay one ``is not None`` test, allocate nothing,
-and stay bit-identical (enforced by ``tests/sim/test_telemetry.py`` and
-the ``repro bench`` telemetry comparison).
+and stay bit-identical (enforced by ``tests/sim/test_telemetry.py``).
 """
 
 from repro.obs.events import Event, EventLog, Telemetry
 from repro.obs.metrics import MetricsRow, MetricsSampler
-from repro.obs.profile import Profiler
 
 __all__ = [
     "Event",
     "EventLog",
     "MetricsRow",
     "MetricsSampler",
-    "Profiler",
     "Telemetry",
 ]

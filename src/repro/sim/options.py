@@ -12,8 +12,9 @@ Field semantics:
 * ``kernel`` / ``execution`` select *how* the simulation is computed,
   never *what* it computes — each carries a bit-identity contract (see
   docs/ARCHITECTURE.md, "Simulation kernel" and "Execution modes")
-  enforced by differential tests, the pinned digests of
-  ``tests/sim/test_golden.py`` and every ``repro bench`` run.
+  enforced by the differential tests of ``tests/sim/test_cycle_skip.py``
+  and ``tests/sim/test_replay_exec.py`` and the pinned digests of
+  ``tests/sim/test_golden.py``.
 * ``execution`` is the replay bit: ``replay`` arms a mirror window on
   every Reunion pair whose mute is the same automaton as its vocal,
   ``dual`` steps every mute.  Which protection policy a pair runs is
@@ -21,8 +22,7 @@ Field semantics:
   :attr:`~repro.sim.config.SystemConfig.pair_policies`, never here.
 * ``trace`` arms the :mod:`repro.obs` telemetry subsystem.  Telemetry
   observes and never mutates, so it is likewise contracted to leave
-  results bit-identical (enforced by ``tests/sim/test_telemetry.py`` and
-  the bench telemetry comparison).
+  results bit-identical (enforced by ``tests/sim/test_telemetry.py``).
 * ``max_cycles`` bounds ``run_until_idle``; ``seed`` is the workload
   seed CLI commands thread through to program generation.
 

@@ -15,6 +15,7 @@ from repro.core.faults import FaultInjector
 from repro.core.strict import StrictCheckGate
 from repro.isa import Instruction, Op
 from repro.pipeline.flat import DynState
+from repro.pipeline.gates import ImmediateGate
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, RedundancyConfig, parse_policy
 from repro.sim.options import SimOptions
@@ -192,6 +193,29 @@ class TestStrictGate:
         assert retire(core, now=50, width=8) == 0  # interval still open
         offer(core, 3, now=3)
         assert retire(core, now=13, width=8) == 4
+
+
+@pytest.mark.parametrize(
+    "gate_class", [ImmediateGate, StrictCheckGate], ids=["immediate", "strict-check"]
+)
+def test_every_offer_retires(core, gate_class):
+    """A full-width offer stream that wraps the ring many times over:
+    the retire walk retires every offered instruction, once."""
+    if gate_class is ImmediateGate:
+        core.gate = ImmediateGate()
+    else:
+        install(core, StrictCheckGate, fingerprint_interval=8, comparison_latency=10)
+    seq = 0
+    for now in range(200):
+        for _ in range(min(4, core._f_cap - len(core.rob))):
+            offer(core, seq, now)
+            seq += 1
+        retire(core, now)
+    core.gate.close_open(200)  # the open interval's tail
+    core.drain_cleared(210)
+    assert seq > 10 * core._f_cap
+    assert core.total_retired == seq
+    assert not core.rob and core._n_check == 0
 
 
 def _long_run(policy: str, fault_interval: int = 0) -> tuple[dict, int, set]:

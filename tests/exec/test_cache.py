@@ -1,5 +1,6 @@
 """Persistent result cache: round-trips, corruption recovery, env config."""
 
+import dataclasses
 import json
 
 from repro.exec.cache import (
@@ -43,6 +44,14 @@ class TestRoundTrip:
     def test_survives_across_instances(self, tmp_path):
         ResultCache(tmp_path).put(JOB, SAMPLE)
         assert ResultCache(tmp_path).get(JOB) == SAMPLE
+
+    def test_every_put_is_then_a_hit(self, tmp_path):
+        jobs = [dataclasses.replace(JOB, seed=seed) for seed in range(100)]
+        cache = ResultCache(tmp_path)
+        for job in jobs:
+            cache.put(job, SAMPLE)
+        assert all(cache.get(job) == SAMPLE for job in jobs)
+        assert cache.hits == len(cache) == len(jobs)
 
     def test_sample_codec_roundtrip(self):
         assert decode_sample(encode_sample(SAMPLE)) == SAMPLE

@@ -15,11 +15,13 @@ import pytest
 from repro.core.check_stage import CheckGate
 from repro.core.faults import FaultInjector
 from repro.core.pair import LogicalPair
+from repro.harness import QUICK
 from repro.isa import assemble
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength, manycore_config, parse_policy
 from repro.sim.options import SimOptions
 from repro.workloads.micro import PointerChase
+from repro.workloads.scientific import Em3d
 from tests.core.helpers import SMALL
 
 #: A mixed workload: dependent ALU work, stores, loads, a serializing
@@ -42,6 +44,13 @@ loop:
 
 #: Memory-latency dominated: a dependent load chain that misses.
 CHASE = PointerChase(nodes=64, chases_per_iteration=8)
+
+MODES = (Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION)
+
+#: Quick-scale samples dominated by main-memory latency: the chase's
+#: footprint is far past the default L1 and L2, and em3d is the paper
+#: suite's irregular-graph workload.
+QUICK_MEMORY_BOUND = {"mem-chase": PointerChase(nodes=16384), "em3d": Em3d()}
 
 
 def _config(mode: Mode, n_logical: int = 1):
@@ -80,7 +89,7 @@ def _run_both(scenario) -> tuple[dict, dict, CMPSystem, CMPSystem]:
     return _observe(naive), _observe(event), naive, event
 
 
-@pytest.mark.parametrize("mode", [Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION])
+@pytest.mark.parametrize("mode", MODES)
 class TestRunUntilIdleEquivalence:
     def test_mixed_workload(self, mode):
         def scenario(kernel):
@@ -109,28 +118,54 @@ class TestRunUntilIdleEquivalence:
         assert naive == event
 
 
-@pytest.mark.parametrize("mode", [Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION])
 class TestWindowedRunEquivalence:
     """``run(cycles)`` windows (the sampling methodology's shape)."""
 
-    def test_memory_bound_windows(self, mode):
+    @pytest.mark.parametrize(
+        "mode, sample",
+        [
+            *(pytest.param(mode, None, id=str(mode)) for mode in MODES),
+            # Quick-scale samples at one logical processor: a many-core
+            # system's cores desynchronize, pulling the horizon toward
+            # "now" and measuring contention instead of memory latency.
+            *(
+                pytest.param(mode, name, id=f"{name}-{mode.value}")
+                for name in QUICK_MEMORY_BOUND
+                for mode in (Mode.NONREDUNDANT, Mode.REUNION)
+            ),
+        ],
+    )
+    def test_memory_bound_windows(self, mode, sample):
+        if sample is None:  # the small chase on the small config
+            workload, config, seed, windows = CHASE, _config(mode), 0, (1_500, 2_500)
+        else:
+            workload = QUICK_MEMORY_BOUND[sample]
+            config = QUICK.config.replace(n_logical=1).with_redundancy(mode=mode)
+            seed, windows = QUICK.seeds[0], (QUICK.warmup, QUICK.measure)
+
         def scenario(kernel):
             system = CMPSystem(
-                _config(mode),
-                CHASE.programs(1, seed=0),
+                config,
+                workload.programs(1, seed),
+                workload.itlb_schedules(1, seed),
                 options=SimOptions.from_env(kernel=kernel),
             )
-            system.run(1_500)  # warmup
-            system.run(2_500)  # measure
+            for cycles in windows:  # warmup, then measure
+                system.run(cycles)
             return system
 
         naive, event, _, skipping = _run_both(scenario)
         assert naive == event
-        assert skipping.now == 4_000
+        assert skipping.now == sum(windows)
         # The skipping kernel must actually skip on this workload, or the
         # tentpole is a no-op.
         assert skipping.steps < skipping.now
+        if sample == "mem-chase":
+            # Nearly every cycle waits on memory: the event kernel steps
+            # 80 (non-redundant) and 107 (Reunion) of the 3,700 cycles.
+            assert skipping.steps < skipping.now // 2
 
+    @pytest.mark.parametrize("mode", MODES)
     def test_itlb_schedule(self, mode):
         def scenario(kernel):
             schedule = lambda index: index % 37 == 5  # noqa: E731 - pure

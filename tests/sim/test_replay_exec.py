@@ -391,6 +391,34 @@ def test_software_tlb_handler_ends_the_window(spec, kernel):
     assert mirrored.cores[0].injected_retired > 0
 
 
+@pytest.mark.parametrize("kernel", ["naive", "event"])
+def test_default_dynamic_mirrors_the_compute_kernel(kernel):
+    """``dynamic`` at its default thresholds, on the default config.
+
+    The wide core builds enough check backlog for the policy to toggle,
+    and ``ComputeKernel`` has no memory instruction, so the window stays
+    open for the whole run.
+    """
+    config = (
+        DEFAULT_CONFIG.replace(n_logical=1)
+        .with_redundancy(mode=Mode.REUNION)
+        .with_protection(parse_policy("dynamic"))
+    )
+    dual, mirrored = (
+        CMPSystem(
+            config,
+            ComputeKernel().programs(1),
+            options=SimOptions.from_env(kernel=kernel, execution=execution),
+        )
+        for execution in ("dual", "replay")
+    )
+    for system in (dual, mirrored):
+        system.run(4_000)
+    assert _observe(dual) == _observe(mirrored)
+    assert mirrored.pairs[0]._mirror_active
+    assert mirrored.pairs[0].protection_toggles > 0
+
+
 class TestReplayScope:
     """Window arming and exit triggers behave as specified."""
 
