@@ -128,7 +128,11 @@ def cmd_run(args) -> int:
         except KeyError:
             print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
             return 2
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     options = _options_from_args(args, seed=args.seed)
     sample = run_sample(
         config, workload, args.warmup, args.measure, args.seed, options=options
@@ -147,12 +151,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_asm(args) -> int:
-    with open(args.file) as handle:
-        source = handle.read()
-    program = assemble(source, name=args.file)
-    # Pin the pair count before env protection applies, so a uniform
-    # REPRO_PROTECTION policy tuple is sized for one pair, not --cpus.
-    config = _config_from_args(args, n_logical=1)
+    try:
+        with open(args.file) as handle:
+            program = assemble(handle.read(), name=args.file)
+        # Pin the pair count before env protection applies, so a uniform
+        # REPRO_PROTECTION policy tuple is sized for one pair, not --cpus.
+        config = _config_from_args(args, n_logical=1)
+    except (OSError, ValueError) as exc:  # AssemblerError is a ValueError
+        print(exc, file=sys.stderr)
+        return 2
     options = _options_from_args(args, max_cycles=args.max_cycles)
     system = CMPSystem(config, [program], options=options)
     tracer = None
@@ -265,7 +272,11 @@ def cmd_trace(args) -> int:
     except KeyError:
         print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
         return 2
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     options = _options_from_args(
         args, trace=args.level, trace_capacity=args.capacity, seed=args.seed
     )

@@ -231,6 +231,31 @@ class TestCampaign:
         assert "invalid choice: 20" in capsys.readouterr().err
 
 
+#: Invalid command lines, each with its one-line error.  MISSING and BAD
+#: stand for a missing source file and one with an unknown mnemonic.
+BAD_INPUT = {
+    "run em3d --cpus 0": "at least one logical processor",
+    "run em3d --interval 0": "fingerprint interval must be >= 1",
+    "run em3d --latency -3": "comparison latency cannot be negative",
+    "run em3d --protection bogus": "bad protection spec 'bogus'",
+    "trace em3d --protection bogus --no-cache": "bad protection spec 'bogus'",
+    "asm MISSING": "No such file or directory",
+    "asm BAD": "unknown mnemonic 'frobnicate'",
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command, message", BAD_INPUT.items(), ids=list(BAD_INPUT))
+    def test_is_a_usage_error(self, command, message, tmp_path, capsys):
+        bad = tmp_path / "bad.s"
+        bad.write_text("movi r1, 1\nfrobnicate r1\nhalt\n")
+        paths = {"MISSING": str(tmp_path / "missing.s"), "BAD": str(bad)}
+        assert main([paths.get(arg, arg) for arg in command.split()]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
