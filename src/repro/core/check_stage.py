@@ -175,13 +175,15 @@ class CheckGate:
         self.intervals_closed = 0
         self.fingerprints_compared = 0
         self.intervals_unchecked = 0
-        #: Cumulative user instructions offered, NOT reset by flush()
-        #: (recovery re-offers count again, identically on both cores).
-        #: The cores' offer loops consult it to service external
-        #: interrupts at the in-order offer boundary — a pure function
-        #: of the correct-path stream, so heterogeneous pairs (e.g. a
-        #: narrow little-mute) pick the same service point even though
-        #: their in-flight depths differ.
+        #: User instructions offered and not squashed: the core's user
+        #: instructions retired plus its user entries in check.  The
+        #: core's squash takes back the user offers it drops (a recovery
+        #: flush, a software-TLB squash at retirement); flush() leaves
+        #: the count alone.  The cores' offer loops consult it to service
+        #: external interrupts at the in-order offer boundary — a pure
+        #: function of the correct-path stream, so heterogeneous pairs
+        #: (e.g. a narrow little-mute) pick the same service point even
+        #: though their in-flight depths differ, after a recovery too.
         self.users_offered = 0
         #: Partial-protection hooks (set by LogicalPair for
         #: interval-sampled / unprotected / dynamic policies).

@@ -78,8 +78,10 @@ class RetireGate(Protocol):
         """User instructions in the currently-open fingerprint interval."""
 
     # Implementations also carry a ``users_offered`` attribute: the
-    # cumulative count of *user* (non-injected) instructions offered,
-    # never reset by :meth:`flush`.  The core's offer loop consults it
+    # *user* (non-injected) instructions offered and not squashed, that
+    # is, the core's user instructions retired plus its user entries in
+    # check.  The core's squash lowers it by the user offers it drops;
+    # :meth:`flush` leaves it alone.  The core's offer loop consults it
     # to service external interrupts at the in-order offer boundary.
 
 
@@ -94,7 +96,8 @@ class ImmediateGate:
     retire_mask = 0
 
     def __init__(self) -> None:
-        #: Cumulative user instructions offered (interrupt offer boundary).
+        #: User instructions offered and not squashed (interrupt offer
+        #: boundary; see RetireGate).
         self.users_offered = 0
 
     def offer_f(self, core, slot: int, now: int) -> None:

@@ -1092,7 +1092,10 @@ class OoOCore:
                     # User-level traps redirect fetch through the trap
                     # vector: model as a full pipeline flush and refetch.
                     # Nothing younger issues before a serializing
-                    # instruction retires, so nothing younger is in check.
+                    # instruction retires, so nothing younger is in check;
+                    # the squash reads the in-check count, so write back
+                    # the walk's retirements first.
+                    self._n_check = n_check - retired
                     self._flat_squash_to(seq + 1)
                     self._redirect_fetch(f_pc[slot] + 1)
                     break
@@ -1140,9 +1143,11 @@ class OoOCore:
     def _irq_squashed(self, first_bad_seq: int) -> None:
         """Re-post every live interrupt whose handler the squash reaches.
 
-        Its target offer count is already reached, so the next user
-        offer outside single-step services it again: after a recovery
-        flush, the first offer once the pair leaves single-step.
+        The squash also takes back the offers it drops, so the next user
+        offer outside single-step at which ``users_offered`` reaches the
+        target services it again: the same stream point if the squash
+        dropped the offer that reached it, else the first user offer
+        once the pair leaves single-step.
         """
         live = self._irq_live
         while live and live[-1][0] >= first_bad_seq:
@@ -1194,7 +1199,8 @@ class OoOCore:
         packed ref to it everywhere (ready list, heaps, rename, deps
         edges) goes stale at once, and the ring tail rewinds so the slots
         are immediately reusable.  The in-check prefix is clamped to what
-        is left of the ROB.
+        is left of the ROB, and the gate's ``users_offered`` gives back
+        the user offers the squash dropped from it.
         """
         if first_bad_seq <= self._irq_end:
             self._irq_squashed(first_bad_seq)
@@ -1235,7 +1241,18 @@ class OoOCore:
             # that never completed must drop its subscriber edges here.
             self.f_deps[slot].clear()
             f_seq[slot] = -1  # free
-        if self._n_check > len(rob):
+        n_check = self._n_check
+        if n_check > len(rob):
+            # The in-check victims are the oldest ones, in the ring slots
+            # just past the rewound tail; their masks are still intact.
+            f_mask = self.f_mask
+            slot = self._f_tail
+            dropped = 0
+            for _ in range(n_check - len(rob)):
+                slot = (slot + 1) & smask
+                if not f_mask[slot] & M_INJECTED:
+                    dropped += 1
+            self.gate.users_offered -= dropped
             self._n_check = len(rob)
         self._store_entries = deque(
             p for p in self._store_entries if f_seq[p & smask] == p >> sbits
@@ -1538,8 +1555,8 @@ class OoOCore:
         # whose queued rows belong to the old program's tables.
         self._flat_squash_to(self.f_seq[self.rob[0]] if self.rob else 0)
         self.gate.flush()
-        # flush() deliberately preserves the cumulative offer count
-        # (recovery re-offers must keep counting); a repurposed core
+        # The squash took back the in-check offers, leaving the count at
+        # the old program's retired user instructions; a repurposed core
         # starts a fresh stream, so zero it here.
         self.gate.users_offered = 0
         self.completions.clear()

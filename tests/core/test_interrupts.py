@@ -9,12 +9,14 @@ instructions."
 
 import pytest
 
+from repro.core.faults import FaultInjector
 from repro.core.pair import default_interrupt_handler
 from repro.isa import assemble
 from repro.isa.interpreter import run as golden_run
 from repro.pipeline.flat import M_INJECTED
-from repro.sim.config import Mode
-from tests.core.helpers import build
+from repro.sim.cmp import CMPSystem
+from repro.sim.config import Mode, parse_policy
+from tests.core.helpers import SMALL, build
 
 LOOP = """
     movi r1, 400
@@ -100,6 +102,102 @@ class TestReunionInterrupts:
         system.pairs[0].post_interrupt()
         system.run(500)
         assert system.vocal_cores[0].interrupts_serviced == 0
+
+
+#: A load in every iteration, so a recovery flush finds user entries in
+#: check on both cores of a pair.
+LOADING_LOOP = """
+    movi r1, 3000
+    movi r2, 0
+    movi r5, 4096
+loop:
+    load r4, [r5]
+    add r2, r2, r1
+    xor r3, r3, r2
+    add r2, r2, r4
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
+
+
+#: User traps squash at retirement, the loop branch mispredicts on exit.
+TRAPPING_LOOP = """
+    movi r1, 60
+    movi r5, 4096
+loop:
+    load r4, [r5]
+    add r2, r2, r1
+    trap
+    xor r3, r3, r2
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
+
+
+def _offers_owed(core) -> int:
+    """What ``users_offered`` must read: user instructions retired plus
+    the user entries in check."""
+    in_check = (core.rob[i] for i in range(core._n_check))
+    return core.user_retired + sum(
+        1 for slot in in_check if not core.f_mask[slot] & M_INJECTED
+    )
+
+
+class TestInterruptAfterRecovery:
+    def test_both_cores_service_once(self):
+        """An interrupt posted once a recovery's single-step ends.
+
+        The recovery flush drops a different number of in-check offers
+        on the vocal and on its narrowed mute.  Were they still counted,
+        the two cores would reach the interrupt's target at different
+        stream points, and the pair would recover over and over.
+        """
+        config = SMALL.with_redundancy(
+            mode=Mode.REUNION, fingerprint_interval=8, comparison_latency=10
+        ).with_protection(parse_policy("little-mute:2"))
+        system = CMPSystem(config, [assemble(LOADING_LOOP)])
+        pair = system.pairs[0]
+        injector = FaultInjector(target="result", seed=1)
+        injector.attach(system.cores[1])
+        system.run(200)
+        injector.inject_once(after=5)
+        while not pair.recoveries:
+            system.run(1)
+        for core in system.cores:
+            assert core.gate.users_offered == _offers_owed(core)
+        while system.cores[0].single_step:
+            system.run(1)
+        for core in system.cores:
+            assert core.gate.users_offered == _offers_owed(core)
+        pair.post_interrupt()
+        system.run_until_idle(max_cycles=50_000)
+
+        assert pair.recoveries == 1
+        handler = len(default_interrupt_handler())
+        for core in system.cores:
+            assert core.interrupts_serviced == 1
+            assert core.injected_retired == handler
+        golden = golden_run(assemble(LOADING_LOOP))
+        vocal = system.vocal_cores[0]
+        assert vocal.user_retired == golden.retired
+        assert vocal.arf.read(2) == golden.registers.read(2)
+
+    @pytest.mark.parametrize("mode", [Mode.NONREDUNDANT, Mode.REUNION])
+    def test_every_squash_gives_back_its_offers(self, mode):
+        """After every cycle of traps, mispredicts and (with upsets on
+        the mute) recovery flushes, each core's count is exact."""
+        system = build([TRAPPING_LOOP], mode=mode, fingerprint_interval=8)
+        if system.pairs:
+            FaultInjector(interval=40, seed=3).attach(system.cores[1])
+        while not system.idle:
+            system.run(1)
+            for core in system.cores:
+                assert core.gate.users_offered == _offers_owed(core), system.now
+        assert system.vocal_cores[0].serializing_retired == 60
+        if system.pairs:
+            assert system.recoveries() > 0
 
 
 class TestNonRedundantInterrupts:

@@ -72,17 +72,17 @@ PINS = {
     "fault-result": "f8025cf7508a728c01642a6c28cd976416dc25ba28e2f9866d5d0f0627e0455d",
     "fault-store_addr": "cec3db19cbe7a5ea94a529fcd1ee692823134241776e0d01e4c2c96b28c95eba",
     "fault-branch_target": "a14616a2ba717f5c8eaf7e2597105cb0ee45c104d91a410479e5d8688969883e",
-    "cold-0": "992dfd72d61d08fe7d5c6c74811f3774d2673fa4f47c4ca54106b707d61d239d",
-    "cold-1": "6cc383b954118d6c895c4fc57b30d19ec39418124264d711ae99ddea5b193dc5",
-    "cold-2": "783b862db0d0d437fc7c5c0a6166bc0b3119a61b50fa76a27da46432915f44bc",
+    "cold-0": "d6d7c1e0a382036fa4de6fa9731c61dd1625400dcfcc6432f973a21715eba8ff",
+    "cold-1": "9fe0793048fa0c53711ac2c7f27561e8ea6eaa89a7c5d304d84079deb5941d58",
+    "cold-2": "c90b76f4f121fc1a8ba99a667530b07ad60d0d88ca101da5bbab0031513d3e40",
     "strict": "efaf3f533e15cee502ad23fb1894750d189d32737f2e5a12ad5097f71e7ad0dd",
     "nonredundant": "2e54f6b4b995f9881d909ede78f65bebd3570aaa3b3d9426cd0c2c76b4caa392",
-    "sc": "f1b67f54a24ba97c62894e619d44aafb83d3d52d2697de79dd5688cdfde5d61c",
-    "swtlb": "e7c70eeadfb0cc8d97f44ed70edb0612cc7ef47cb0212bac2c85e22313c4cf0e",
-    "swtlb-strict": "4c689ac9cd5bfd5b9b70d7b4e349f64c2295981350691a710cd1acf1836ffa1d",
-    "dynamic": "9900e0ce18d2d206e692aaa0040b31c62be220758b97f0f71efdd673bda6e769",
+    "sc": "45b11e84b31557f3f44d84a2baef126d9ec6d966f17c0e5be93cfd3f2893f9d7",
+    "swtlb": "4b1a69670eeed408ee2a7cd6117f21afc9e894d53deece4dc00b101669accf04",
+    "swtlb-strict": "7146720a0716c07e13178cda05e9623ff79c43991df12e487298a97b6afa04f7",
+    "dynamic": "ec389c6dcb2ba8e6c4426d7c0e324e92defc3cf06e5ddd917ed3f735e0f5bb16",
     "swtlb-nonredundant": "63e3a74db06c33839daba66e34157e3f9dd841ed0ad1a6db9fa3c8afd35c612a",
-    "swtlb-sc": "c209f4c35ae561547da1ce0ec62424c0e6016c6262d0f727185d4220c1063378",
+    "swtlb-sc": "dd8dcbd35f6c181a8443575d453eea8f6049b3c5aa7fe0d2b5544d980ef89d3c",
 }
 
 #: Cold-path runs beyond the ``cold-N`` Reunion pairs, as ``name ->
