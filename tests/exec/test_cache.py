@@ -46,6 +46,7 @@ class TestRoundTrip:
         assert ResultCache(tmp_path).get(JOB) == SAMPLE
 
     def test_every_put_is_then_a_hit(self, tmp_path):
+        # 100 keys over 256 shard directories: several share one.
         jobs = [dataclasses.replace(JOB, seed=seed) for seed in range(100)]
         cache = ResultCache(tmp_path)
         for job in jobs:
