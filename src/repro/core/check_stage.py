@@ -166,11 +166,6 @@ class CheckGate:
         self.retire_at = [NEVER] * size
         self.retire_mask = size - 1
         self.single_step = False
-        #: True when a LogicalPair drives this gate (and therefore calls
-        #: maybe_timeout_close every pair step).  The cycle-skipping
-        #: kernel must only schedule timeout-close wake-ups for paired
-        #: gates — a StrictCheckGate never has its timeout invoked.
-        self.paired = False
         #: Monotone counters for statistics.
         self.intervals_closed = 0
         self.fingerprints_compared = 0
@@ -379,30 +374,23 @@ class CheckGate:
         """Conservative horizon: when could this gate next release work?
 
         Mirrors every ``now``-dependent branch of the core's retire walk
-        (``OoOCore._flat_walk``) plus the interval timeout in
-        :meth:`maybe_timeout_close`.  A closed-but-uncompared interval
+        (``OoOCore._flat_walk``).  A closed-but-uncompared interval
         contributes nothing here — the comparison is the pair
         controller's event, reported by ``LogicalPair.next_event`` — but
-        once :meth:`clear_interval` has run, the head's retire time is a
-        known future cycle.  Offers a retirement-time squash dropped
-        (``core._dropped``) are discarded by the very next walk.
+        once it is compared, the head's retire time is a known future
+        cycle.  Nor does the interval timeout of
+        :meth:`maybe_timeout_close` count: only a pair forces that close,
+        and the pair reports it and re-arms the core.  Offers a
+        retirement-time squash dropped (``core._dropped``) are discarded
+        by the very next walk.
         """
         if core._dropped:
             return now
-        wake = NEVER
         if core._n_check:
             at = core._clear_at(core.rob[0])
             if at < NEVER:
                 return at if at > now else now
-        if self._count and self.paired:
-            # The pair controller will force-close a lingering partial
-            # interval one cycle past the timeout limit.
-            timeout = self._last_offer + self._timeout_limit + 1
-            if timeout <= now:
-                return now
-            if timeout < wake:
-                wake = timeout
-        return wake
+        return NEVER
 
     # -- partner side (driven by the pair controller / oracle) ----------------
     def peek_closed(self) -> IntervalRecord | None:

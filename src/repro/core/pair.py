@@ -88,8 +88,6 @@ class LogicalPair:
 
         vocal.gate = CheckGate(config.redundancy, vocal._f_cap)
         mute.gate = CheckGate(config.redundancy, mute._f_cap)
-        vocal.gate.paired = True
-        mute.gate.paired = True
         vocal.pair_sync_atomics = True
         mute.pair_sync_atomics = True
         vocal.pair = self
@@ -138,13 +136,12 @@ class LogicalPair:
         #: :class:`Stats`.
         self.mirror_cycles = 0
 
-        #: Per-pair skip cache for the event kernel: every cycle strictly
-        #: before this one is a proven no-op for :meth:`step` (it caches
-        #: :meth:`next_event`).  Everything else the pair acts on changes
-        #: only when one of its cores steps, so the kernel re-arms it (0)
-        #: whenever the vocal or the mute steps; ``CMPSystem.run`` and
-        #: ``run_until_idle`` reset it for external mutations between
-        #: runs.  The naive kernel never reads it.
+        #: The event kernel's wake-up cycle for this pair: its
+        #: :meth:`next_event` horizon, computed while both cores sleep.
+        #: Everything else the pair acts on changes only when one of its
+        #: cores steps, and the kernel steps the pair alongside any core
+        #: step (see ``CMPSystem._event_loop``).  The naive kernel never
+        #: reads it.
         self._skip_until = 0
 
         self.state = PairState.NORMAL
@@ -253,9 +250,9 @@ class LogicalPair:
         self.replay_enabled = False
         vocal.mirror_watch = False
         # The mute re-enters the step loop (and the vocal's gate state
-        # just changed shape): both skip caches are stale.
-        vocal._skip_until = 0
-        mute._skip_until = 0
+        # just changed shape): both horizons are stale.
+        vocal._rearm = True
+        mute._rearm = True
         vocal.mirror_trigger = False
         mute.mirror_passive = False
         vocal.gate.echo = None
@@ -325,6 +322,7 @@ class LogicalPair:
             and now - vocal_gate._last_offer > vocal_gate._timeout_limit
         ):
             vocal_gate._close(now)
+            vocal._rearm = True  # an unchecked close clears at once
             if self.obs is not None:
                 self.echo_mute()  # the mute's own timeout close
         closed = vocal_gate._closed
@@ -354,8 +352,8 @@ class LogicalPair:
                     )
             vocal_gate.fingerprints_compared += compared
             # Cleared intervals open the vocal's retire path at a cycle
-            # its cached skip horizon could not have known about.
-            vocal._skip_until = 0
+            # its horizon could not have known about.
+            vocal._rearm = True
             if self._dynamic:
                 # The mirrored mute's gate index is stale, but it never
                 # exceeds the vocal's, which the policy's max() picks.
@@ -375,11 +373,15 @@ class LogicalPair:
         mute_gate: CheckGate = self.mute.gate  # type: ignore[assignment]
         # maybe_timeout_close, inlined: this runs every pair-cycle and
         # pair gates are always plain CheckGates (never Strict), so the
-        # attribute test replaces two method calls.
+        # attribute test replaces two method calls.  The pair is the one
+        # reporter of these closes (next_event), so it re-arms the core:
+        # an unchecked close clears its interval at once.
         if vocal_gate._count and now - vocal_gate._last_offer > vocal_gate._timeout_limit:
             vocal_gate._close(now)
+            self.vocal._rearm = True
         if mute_gate._count and now - mute_gate._last_offer > mute_gate._timeout_limit:
             mute_gate._close(now)
+            self.mute._rearm = True
 
         if self.state is PairState.WAIT_RECOVERY:
             if now >= self._recovery_at:
@@ -414,7 +416,9 @@ class LogicalPair:
         cores have parked one, the divergence watchdog, and leaving
         single-step mode.  The kernel steps the pair only at this
         horizon or after one of its cores stepped (see ``_skip_until``),
-        so nothing ``step`` does may be left to the cores' horizons.
+        so nothing ``step`` does may be left to the cores' horizons.  The
+        timeout closes are the pair's alone: the gates do not report
+        them, and :meth:`step` re-arms the core whose gate it closed.
         """
         if self.failed:
             return NEVER
@@ -479,10 +483,10 @@ class LogicalPair:
         # Both gates share one config, so one mask indexes both lists.
         retire_mask = vocal_gate.retire_mask
         # Both sides have a closed interval, so at least one comparison
-        # happens below: the cores' cached skip horizons predate the
-        # retire times being set here.
-        self.vocal._skip_until = 0
-        self.mute._skip_until = 0
+        # happens below: the cores' horizons predate the retire times
+        # being set here.
+        self.vocal._rearm = True
+        self.mute._rearm = True
         while vocal_closed and mute_closed:
             a = vocal_closed.popleft()
             b = mute_closed.popleft()
@@ -611,8 +615,8 @@ class LogicalPair:
     # -- the re-execution protocol ------------------------------------------------
     def _begin_recovery(self, now: int) -> None:
         """Rollback both cores to safe state and enter single-step mode."""
-        self.vocal._skip_until = 0
-        self.mute._skip_until = 0
+        self.vocal._rearm = True
+        self.mute._rearm = True
         if self._recovery_escalate and self.phase >= 2:
             # Phase two already failed: unrecoverable (fingerprint
             # aliasing let a soft error retire).  Signal failure.
@@ -682,7 +686,7 @@ class LogicalPair:
         for core in (self.vocal, self.mute):
             core.single_step = False
             core.gate.single_step = False  # type: ignore[attr-defined]
-            core._skip_until = 0
+            core._rearm = True
         if self.obs is not None:
             self.obs.emit(
                 "recovery.resume", now, self._obs_source, phase=self.phase
@@ -714,8 +718,8 @@ class LogicalPair:
             # executes: recover now, before anything becomes visible.
             self.vocal.sync_request = None
             self.mute.sync_request = None
-            self.vocal._skip_until = 0
-            self.mute._skip_until = 0
+            self.vocal._rearm = True
+            self.mute._rearm = True
             self.mismatch_recoveries += 1
             self._schedule_recovery(
                 now,

@@ -113,7 +113,10 @@ class ImmediateGate:
 
     def next_release_f(self, core, now: int) -> int:
         # Offered entries retire on the very next step; otherwise nothing.
-        # (At most one width is ever in check, so a squash drops none.)
+        # The software TLB's squash at retirement can drop in-check
+        # entries (``core._dropped``), but nothing on a core with this
+        # gate reads that count: its only readers are CheckGate's horizon
+        # and OoOCore.check_backlog, which only ``dynamic`` pairs call.
         return now if core._n_check else NEVER
 
     open_count = 0  # no fingerprint intervals without checking

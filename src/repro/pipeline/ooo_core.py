@@ -207,15 +207,17 @@ class OoOCore:
         #: check_backlog).
         self._dropped = 0
 
-        #: Per-core skip cache for the event kernel: every cycle strictly
-        #: before this one is a proven no-op for this core (same contract
-        #: as :meth:`next_event`, whose result it caches).  Refreshed
-        #: after each real step; reset to 0 by anything that mutates core
-        #: state from outside ``step`` — the pair controller (comparison
-        #: clears, sync servicing, recovery, mirror exit) and the
-        #: external APIs (``schedule_interrupt``, ``complete_sync``,
-        #: ``drain_cleared``).  The naive kernel never reads it.
+        #: The event kernel's wake-up cycle for this core: its
+        #: :meth:`next_event` horizon while it sleeps, 0 while it is due
+        #: on the next cycle (see ``CMPSystem._event_loop``).
         self._skip_until = 0
+        #: Set by anything that mutates core state from outside ``step``:
+        #: the pair controller (comparison clears, timeout closes, sync
+        #: servicing, recovery, mirror exit) and the external APIs
+        #: (``schedule_interrupt``, ``complete_sync``, ``drain_cleared``).
+        #: After each pair step the event kernel recomputes the horizon
+        #: of a flagged sleeping core.  The naive kernel reads neither.
+        self._rearm = False
 
         #: Optional fault-injection hook, called with each entry right
         #: after its result is computed (see repro.core.faults).
@@ -1286,7 +1288,9 @@ class OoOCore:
         * the completion heap head,
         * the in-flight store drain (and any queued drain store, which
           retries — and counts MSHR-stall statistics — every cycle),
-        * the retire gate's next release / interval-timeout close,
+        * the retire gate's next release (a paired gate's interval-timeout
+          close is not the core's event: ``LogicalPair.next_event``
+          reports it, and the pair re-arms the core it closed),
         * pending offers of completed ROB entries into the check stage,
         * the ready list (issue is attempted every cycle it is nonempty),
         * a serializing instruction at the ROB head or at the check
@@ -1341,8 +1345,7 @@ class OoOCore:
                 and f_flags[waiting] & _F_SER_HALT
             ):
                 return now
-        # Retire gate: cleared intervals, injected-serializing stalls,
-        # and (for paired gates) the interval-timeout close.
+        # Retire gate: cleared intervals and injected-serializing stalls.
         t = self.gate.next_release_f(self, now)
         if t <= now:
             return now
@@ -1508,7 +1511,7 @@ class OoOCore:
         if not handler:
             raise ValueError("an interrupt handler needs at least one instruction")
         self._interrupts.append((at_user_count, handler))
-        self._skip_until = 0
+        self._rearm = True
 
     # -- synchronizing requests -------------------------------------------
     def complete_sync(self, entry: FlatView, value: int, done: int) -> None:
@@ -1517,7 +1520,7 @@ class OoOCore:
         For atomics the controller has already applied the memory update;
         ``value`` is the single coherent value returned to both cores.
         """
-        self._skip_until = 0
+        self._rearm = True
         if entry.squashed:
             self.sync_request = None
             return
@@ -1590,7 +1593,7 @@ class OoOCore:
         Used at the start of recovery so both cores' architectural state
         reflects the full compared prefix before rollback.
         """
-        self._skip_until = 0
+        self._rearm = True
         if self._n_check:
             self._flat_walk(now, 1 << 62)
         self._dropped = 0

@@ -18,6 +18,9 @@ The paper assumes on-chip cache bandwidth scales with the core count
 from __future__ import annotations
 
 import dataclasses
+from bisect import insort
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from repro.core.pair import LogicalPair
@@ -28,7 +31,7 @@ from repro.memory.directory import DirectoryBackend
 from repro.memory.l2_controller import SharedL2Controller
 from repro.memory.port import CoreMemPort
 from repro.memory.snoopy import SnoopyBus
-from repro.pipeline.gates import ImmediateGate
+from repro.pipeline.gates import NEVER, ImmediateGate
 from repro.pipeline.ooo_core import OoOCore
 from repro.sim.config import (
     CacheStyle,
@@ -44,6 +47,9 @@ from repro.sim.stats import Stats
 #: the retired user-instruction index, so the vocal and mute cores of a
 #: pair (which share the schedule) trigger at identical program points.
 ITLBSchedule = Callable[[int], bool]
+
+#: Sort key keeping cores in ``CMPSystem.cores`` order.
+_core_index = attrgetter("core_id")
 
 
 class CMPSystem:
@@ -232,111 +238,6 @@ class CMPSystem:
             pair.step(now)
         self.now = now + 1
 
-    def _step_event(self) -> None:
-        """One cycle of the event kernel, with per-core and per-pair skip caches.
-
-        :meth:`step` is the reference per-cycle loop; this one skips any
-        core whose cached ``next_event`` horizon proves the cycle is a
-        no-op for it, applying only the unconditional cycle-counter
-        increment a real step would have performed.  The cache is
-        refreshed after every real step and reset to 0 by every path
-        that mutates a core from outside ``step`` (see
-        ``OoOCore._skip_until``), so a stale horizon can never hide
-        work.  Unlike :meth:`_advance`, this skips *per core*: one busy
-        core no longer forces every stalled core through a no-op step.
-
-        Pairs are skipped the same way (``LogicalPair._skip_until``): a
-        core that steps re-arms its pair, since the pair acts on what its
-        cores just did.  A pair's horizon is recomputed after its step
-        only when neither core is due next cycle; otherwise that core's
-        step would re-arm the pair and waste the horizon.
-        """
-        self.steps += 1
-        now = self.now
-        for core in self.cores:
-            if core.mirror_passive:
-                if self.obs is not None:
-                    core.pair.echo_mute()
-                continue
-            if core._skip_until > now:
-                core.cycles += 1
-                continue
-            core.step(now)
-            core._skip_until = core.next_event(now + 1)
-            pair = core.pair
-            if pair is not None:
-                pair._skip_until = 0
-        following = now + 1
-        for pair in self.pairs:
-            if pair._skip_until > now:
-                continue
-            pair.step(now)
-            mute = pair.mute
-            if pair.vocal._skip_until > following and (
-                mute.mirror_passive or mute._skip_until > following
-            ):
-                pair._skip_until = pair.next_event(following)
-        self.now = following
-
-    def _advance(self, limit: int) -> None:
-        """Skip directly to the next cycle at which any component can act.
-
-        Computes the minimum conservative ``next_event`` horizon over all
-        cores and pairs, clamps it to ``limit``, and jumps ``now`` there
-        without stepping anything.  Expired skip caches are recomputed
-        and refreshed, so :meth:`_step_event` benefits too.  Memory
-        controllers are not polled: their state changes only inside
-        core-initiated calls.  Skipped cycles are by construction no-ops,
-        so the only bookkeeping is the per-cycle counter of every core
-        :meth:`step` would have stepped (never a parked or mirrored
-        mute).  Leaves ``now`` unchanged when the very next cycle is
-        active.
-        """
-        now = self.now
-        horizon = limit
-        for core in self.cores:
-            if core.mirror_passive:
-                # Not stepped: its stale state must not be polled (it
-                # would report spurious activity and kill every skip).
-                continue
-            t = core._skip_until
-            if t <= now:
-                # Cache expired: recompute and refresh it, so the
-                # per-core loop in _step_event benefits too.
-                t = core.next_event(now)
-                if t <= now:
-                    return
-                core._skip_until = t
-            if t < horizon:
-                horizon = t
-        for pair in self.pairs:
-            t = pair._skip_until
-            if t <= now:
-                t = pair.next_event(now)
-                if t <= now:
-                    return
-                pair._skip_until = t
-            if t < horizon:
-                horizon = t
-        delta = horizon - now
-        if delta <= 0:
-            return
-        for core in self.cores:
-            if not core.mirror_passive:
-                core.cycles += delta
-        self.now = horizon
-
-    def _reset_skip_caches(self) -> None:
-        """Start the event kernel from fresh horizons.
-
-        External callers may have mutated cores or pairs between runs
-        (armed hooks, posted interrupts, re-coupled pairs).
-        """
-        for core in self.cores:
-            core._skip_until = 0
-        for pair in self.pairs:
-            pair._skip_until = 0
-
     def _observe_step(self) -> None:
         """Post-step telemetry bookkeeping (armed runs only).
 
@@ -353,50 +254,234 @@ class CMPSystem:
     def run(self, cycles: int) -> None:
         """Advance the system by exactly ``cycles`` cycles."""
         end = self.now + cycles
-        observing = self.obs is not None
         if self.kernel == "naive":
+            observing = self.obs is not None
             while self.now < end:
                 self.step()
                 if observing:
                     self._observe_step()
-        else:
-            self._reset_skip_caches()
-            while self.now < end:
-                self._advance(end)
-                if self.now >= end:
-                    break
-                self._step_event()
-                if observing:
-                    self._observe_step()
+        elif self.now < end:
+            self._event_loop(end, until_idle=False)
         self._mirror_sync()
 
     def run_until_idle(self, max_cycles: int | None = None) -> int:
         """Run until every logical processor has halted; returns cycles.
 
-        ``max_cycles`` defaults to ``options.max_cycles``.  Skips are
-        clamped at the bound so the timeout fires at the identical cycle
-        count as the naive per-cycle loop.
+        ``max_cycles`` defaults to ``options.max_cycles``.  The event
+        kernel never skips past the bound, so the timeout fires at the
+        identical cycle count as the naive per-cycle loop.
         """
         if max_cycles is None:
             max_cycles = self.options.max_cycles
-        skipping = self.kernel == "event"
-        observing = self.obs is not None
-        if skipping:
-            self._reset_skip_caches()
-        while not self.idle:
-            if self.now >= max_cycles:
-                raise RuntimeError(f"system did not halt within {max_cycles} cycles")
-            if skipping:
-                self._advance(max_cycles)
-                if self.now >= max_cycles:
-                    continue  # re-check idle, then raise at max_cycles
-                self._step_event()
-            else:
+        if self.kernel == "naive":
+            observing = self.obs is not None
+            while not self.idle and self.now < max_cycles:
                 self.step()
-            if observing:
-                self._observe_step()
+                if observing:
+                    self._observe_step()
+        elif not self.idle and self.now < max_cycles:
+            self._event_loop(max_cycles, until_idle=True)
+        if not self.idle:
+            raise RuntimeError(f"system did not halt within {max_cycles} cycles")
         self._mirror_sync()
         return self.now
+
+    def _event_loop(self, end: int, until_idle: bool) -> None:
+        """The event kernel: step only the cores and pairs that are due.
+
+        Runs from ``now`` to ``end``, or, with ``until_idle``, until the
+        system is idle after a stepped cycle.  Each stepped cycle visits
+        the due components in :meth:`step`'s order, cores by index (which
+        is core-id order), then pairs; every other cycle is skipped.  By
+        the conservative ``next_event`` contract the result is
+        bit-identical to calling :meth:`step` once per cycle.
+
+        A core is *awake* (``_skip_until == 0``) while it is due on the
+        next cycle: awake cores wait in a plain ordered list, so a core
+        that steps every cycle never touches a heap.  A core whose
+        horizon lies later *sleeps* until it (``_skip_until``), on a
+        heap.  Its skipped cycles go into its ``cycles`` when it wakes,
+        when its pair steps on its own horizon or re-arms it, and when
+        control returns.  Mirrored and parked mutes are never stepped:
+        their counters come from the vocal (``LogicalPair.mirror_sync``).
+
+        A pair is due when one of its cores steps, and at its own
+        ``next_event`` horizon, which is computed only while both its
+        cores sleep: an awake core's step brings the pair along anyway.
+        During a run, only a pair's step changes a core from outside
+        that core's own step, and it flags each core it touched
+        (``OoOCore._rearm``).  A flagged sleeping core's horizon is
+        recomputed right after that pair step; an awake core steps on
+        the next cycle regardless.  Callers may change anything between
+        runs, so every horizon is computed afresh on entry.
+        """
+        cores = self.cores
+        pairs = self.pairs
+        now = self.now
+        steps = self.steps
+        # (cycle, core id) and (cycle, pair bit) entries; an entry is live
+        # while its component's ``_skip_until`` still equals its cycle.
+        heap: list[tuple[int, int]] = []
+        pair_heap: list[tuple[int, int]] = []
+        # First cycle missing from each sleeping core's ``cycles``; NEVER
+        # for a mute whose counters its vocal supplies.
+        synced = [now] * len(cores)
+        for core in cores:
+            core._rearm = False
+            if core.mirror_passive:
+                core._skip_until = NEVER  # until a mirror exit re-arms it
+                synced[core.core_id] = NEVER
+                continue
+            core._skip_until = t = max(core.next_event(now), now)
+            if t < NEVER:
+                heappush(heap, (t, core.core_id))
+        # A set of pairs is an int with one bit per pair, in ``pairs`` order.
+        bit_of = dict.fromkeys(cores, 0)  # a core's pair bit (0: unpaired)
+        pair_of_bit = {}
+        for index, pair in enumerate(pairs):
+            bit = 1 << index
+            bit_of[pair.vocal] = bit_of[pair.mute] = bit
+            pair_of_bit[bit] = pair
+            pair._skip_until = t = max(pair.next_event(now), now)
+            if t < NEVER:
+                heappush(pair_heap, (t, bit))
+        # Armed telemetry only: a mirrored mute echoes its vocal's close
+        # events at its own slot in the core order.
+        observing = self.obs is not None
+        echo_of = {}
+        if observing:
+            echo_of = {p.vocal: p.mute for p in pairs if p.mute.mirror_passive}
+
+        def rearm(core: OoOCore, following: int, awake: list[OoOCore]) -> None:
+            """Recompute a flagged sleeping core's horizon after its pair
+            stepped at ``following - 1``."""
+            core._rearm = False
+            if core.mirror_passive:
+                return  # a parked mute never steps
+            index = core.core_id
+            lag = following - synced[index]
+            if lag > 0:  # negative for a mute materialized from its vocal
+                core.cycles += lag
+            synced[index] = following
+            t = core.next_event(following)
+            if t <= following:
+                core._skip_until = 0
+                insort(awake, core, key=_core_index)
+            elif t != core._skip_until:
+                core._skip_until = t
+                if t < NEVER:
+                    heappush(heap, (t, index))
+
+        due: list[OoOCore] = []  # cores due at ``now``, by index
+        own = 0  # pairs due at ``now`` on their own horizon
+        last_due = None
+        pair_due: list[LogicalPair] = []
+        try:
+            while True:
+                if not due and not own:
+                    # Nothing awake: skip to the earliest live horizon.
+                    while heap and cores[heap[0][1]]._skip_until != heap[0][0]:
+                        heappop(heap)
+                    while (
+                        pair_heap
+                        and pair_of_bit[pair_heap[0][1]]._skip_until != pair_heap[0][0]
+                    ):
+                        heappop(pair_heap)
+                    now = heap[0][0] if heap else NEVER
+                    if pair_heap and pair_heap[0][0] < now:
+                        now = pair_heap[0][0]
+                if now >= end:
+                    now = end
+                    break
+                following = now + 1
+                if heap and heap[0][0] == now:
+                    woken = []
+                    while heap and heap[0][0] == now:
+                        index = heappop(heap)[1]
+                        core = cores[index]
+                        if core._skip_until == now:
+                            core._skip_until = 0
+                            core.cycles += now - synced[index]
+                            woken.append(core)
+                    if woken:
+                        due = sorted(due + woken, key=_core_index) if due else woken
+                while pair_heap and pair_heap[0][0] == now:
+                    bit = heappop(pair_heap)[1]
+                    pair = pair_of_bit[bit]
+                    if pair._skip_until == now:
+                        own |= bit
+                        # Its step may read its sleeping cores' counters:
+                        # a mirror exit copies the vocal's to the mute.
+                        for core in (pair.vocal, pair.mute):
+                            if core._skip_until and not core.mirror_passive:
+                                core.cycles += following - synced[core.core_id]
+                                synced[core.core_id] = following
+                if echo_of:
+                    mutes = [
+                        echo_of[core]
+                        for core in due
+                        if core in echo_of and echo_of[core].mirror_passive
+                    ]
+                    if mutes:
+                        due = sorted(due + mutes, key=_core_index)
+                if own or due != last_due:
+                    # The due pairs: every stepping core's, plus those
+                    # on their own horizon.  Unchanged while the same
+                    # cores step cycle after cycle.
+                    bits = own
+                    for core in due:
+                        bits |= bit_of[core]
+                    pair_due = []
+                    while bits:
+                        low = bits & -bits
+                        pair_due.append(pair_of_bit[low])
+                        bits ^= low
+                    last_due = None if own else due
+                    own = 0
+
+                steps += 1
+                awake = []
+                for core in due:
+                    if core.mirror_passive:
+                        core.pair.echo_mute()
+                        continue
+                    core.step(now)
+                    t = core.next_event(following)
+                    if t <= following:
+                        awake.append(core)
+                    else:
+                        core._skip_until = t
+                        core._rearm = False
+                        synced[core.core_id] = following
+                        if t < NEVER:
+                            heappush(heap, (t, core.core_id))
+                for pair in pair_due:
+                    pair.step(now)
+                    mute = pair.mute
+                    if mute._skip_until and mute._rearm:
+                        rearm(mute, following, awake)
+                    vocal = pair.vocal
+                    if vocal._skip_until:
+                        if vocal._rearm:
+                            rearm(vocal, following, awake)
+                        if vocal._skip_until and mute._skip_until:
+                            t = pair.next_event(following)
+                            pair._skip_until = t
+                            if t < NEVER:
+                                heappush(pair_heap, (t, bit_of[vocal]))
+                now = following
+                due = awake
+                if observing:
+                    self.now = now
+                    self._observe_step()
+                if until_idle and self.idle:
+                    break
+        finally:
+            self.now = now
+            self.steps = steps
+            for core in cores:
+                if core._skip_until and not core.mirror_passive:
+                    core.cycles += now - synced[core.core_id]
 
     def _mirror_sync(self) -> None:
         """Bring mirrored mute cores' observable counters up to date.
@@ -433,7 +518,9 @@ class CMPSystem:
 
         core = self.vocal_cores[logical_id]
         target = core.user_retired + self.config.core.rob_size
-        core.schedule_interrupt(target, handler or default_interrupt_handler())
+        if handler is None:
+            handler = default_interrupt_handler()
+        core.schedule_interrupt(target, handler)
         return target
 
     # -- dual-use reconfiguration -------------------------------------------------

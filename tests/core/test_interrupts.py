@@ -104,6 +104,15 @@ class TestReunionInterrupts:
         assert system.vocal_cores[0].interrupts_serviced == 0
 
 
+@pytest.mark.parametrize("mode", [Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION])
+def test_system_rejects_an_empty_handler_in_every_mode(mode):
+    """Only ``None`` asks for the default handler."""
+    system = build([LOOP], mode=mode)
+    with pytest.raises(ValueError, match="at least one instruction"):
+        system.post_interrupt(0, [])
+    assert not any(core._interrupts for core in system.cores)
+
+
 #: A load in every iteration, so a recovery flush finds user entries in
 #: check on both cores of a pair.
 LOADING_LOOP = """

@@ -17,6 +17,7 @@ from repro.core.faults import FaultInjector
 from repro.core.pair import LogicalPair
 from repro.harness import QUICK
 from repro.isa import assemble
+from repro.pipeline.ooo_core import OoOCore
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import Mode, PhantomStrength, manycore_config, parse_policy
 from repro.sim.options import SimOptions
@@ -67,9 +68,7 @@ def _observe(system: CMPSystem) -> dict:
     observation = {
         "now": system.now,
         "stats": dict(system.collect_stats().snapshot()),
-        "arf": [
-            [core.arf.read(reg) for reg in range(8)] for core in system.cores
-        ],
+        "arf": [core.arf.snapshot() for core in system.cores],
         "user_retired": [core.user_retired for core in system.cores],
         "cycles": [core.cycles for core in system.cores],
     }
@@ -212,15 +211,50 @@ def test_memory_bound_pairs_per_policy(policy):
     assert skipping.steps < skipping.now
 
 
+def _pipeline_state(core) -> tuple:
+    """What a core step can change, bar its cycle counter."""
+    gate = core.gate
+    return (
+        len(core.rob),
+        core._n_check,
+        list(core.ready),
+        list(core.completions),
+        list(core.fetch_queue),
+        core.pc,
+        core.total_retired,
+        list(core.drain),
+        core._drain_inflight,
+        core.sb_count,
+        gate.open_count,
+        gate.intervals_closed,
+    )
+
+
 def test_pairs_step_only_when_due(monkeypatch):
-    """A pair steps when one of its cores stepped or its horizon is due."""
+    """A pair steps when one of its cores stepped or its horizon is due,
+    and a core does not wake for its gate's interval timeout: the pair
+    alone reports that close, and re-arms the core it closed."""
     pair_steps = 0
+    timeout_noops = 0
     original = LogicalPair.step
+    original_core_step = OoOCore.step
 
     def counted(self, now):
         nonlocal pair_steps
         pair_steps += 1
         original(self, now)
+
+    def watched(self, now):
+        nonlocal timeout_noops
+        gate = self.gate
+        on_timeout = (
+            gate._count
+            and now == gate._last_offer + gate._timeout_limit + 1
+        )
+        before = _pipeline_state(self) if on_timeout else None
+        original_core_step(self, now)
+        if on_timeout and _pipeline_state(self) == before:
+            timeout_noops += 1
 
     def scenario(kernel):
         config = manycore_config(8)
@@ -234,11 +268,95 @@ def test_pairs_step_only_when_due(monkeypatch):
 
     naive = _observe(scenario("naive"))
     monkeypatch.setattr(LogicalPair, "step", counted)
+    monkeypatch.setattr(OoOCore, "step", watched)
     system = scenario("event")
     assert _observe(system) == naive
     assert system.steps < system.now
     # Stepping every pair on every stepped cycle would make it 8 here.
     assert pair_steps < 2 * system.steps
+    # A core woken for its gate's timeout would step and change nothing.
+    assert timeout_noops == 0
+
+
+#: Pure compute: no memory instruction before the final halt, so a
+#: pair's mirror window stays open until something external ends it.
+COMPUTE = """
+    movi r1, 150
+    movi r2, 1
+    movi r3, 7
+loop:
+    add r2, r2, r3
+    add r4, r2, r1
+    add r3, r3, r4
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
+
+#: The promoted core's program after a decouple.
+SECOND = """
+    .word 0x7000 5
+    movi r1, 0x7000
+    load r2, [r1]
+    addi r3, r2, 100
+    store r3, [r1+8]
+    halt
+"""
+
+
+class TestRescheduleEquivalence:
+    """Runs whose schedule must be rebuilt, or whose skipped cycles must
+    be counted before a core steps again."""
+
+    def test_decouple_then_couple(self):
+        """The ``cores`` and ``pairs`` lists change between runs."""
+
+        def scenario(kernel):
+            system = CMPSystem(
+                _config(Mode.REUNION),
+                [assemble(MIXED)],
+                options=SimOptions.from_env(kernel=kernel),
+            )
+            system.run(400)
+            promoted = system.decouple(0, assemble(SECOND))
+            system.run(300)
+            system.couple(0, promoted)
+            system.run_until_idle(max_cycles=500_000)
+            return system
+
+        naive, event, _, skipping = _run_both(scenario)
+        assert naive == event
+        assert len(skipping.pairs) == 1
+        assert skipping.steps < skipping.now
+
+    def test_mirror_exit_while_the_vocal_sleeps(self):
+        """A retire hook attached between runs ends a mirror window on
+        the next run's first cycle, one its vocal does not step: the
+        materialized mute must still get every cycle the vocal had."""
+        config = SMALL.with_redundancy(mode=Mode.REUNION, comparison_latency=40)
+        retired = []
+
+        def scenario(kernel):
+            system = CMPSystem(
+                config,
+                [assemble(COMPUTE)],
+                options=SimOptions(kernel=kernel, execution="replay"),
+            )
+            # The vocal waits on its comparisons here: a ROB full of
+            # instructions in check.
+            system.run(70)
+            pair, vocal = system.pairs[0], system.cores[0]
+            assert pair.replay_enabled
+            assert vocal.next_event(system.now) > system.now
+            vocal.retire_hook = retired.append
+            system.run(200)
+            assert not pair.replay_enabled
+            system.run_until_idle(max_cycles=500_000)
+            return system
+
+        naive, event, _, _ = _run_both(scenario)
+        assert naive == event
+        assert retired
 
 
 class TestFaultInjectionEquivalence:
