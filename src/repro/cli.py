@@ -133,7 +133,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(args, seed=args.seed)
+    options = _options_from_args(args)
     sample = run_sample(
         config, workload, args.warmup, args.measure, args.seed, options=options
     )
@@ -277,9 +277,7 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(
-        args, trace=args.level, trace_capacity=args.capacity, seed=args.seed
-    )
+    options = _options_from_args(args, trace=args.level, trace_capacity=args.capacity)
     job = SampleJob(
         config=config,
         workload_name=workload.name,

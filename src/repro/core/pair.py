@@ -32,7 +32,7 @@ from repro.core.mirror import materialize, sync_counters
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.semantics import atomic_result
-from repro.memory.l2_controller import SharedL2Controller
+from repro.memory.coherence import MemoryBackend
 from repro.pipeline.gates import NEVER
 from repro.pipeline.ooo_core import OoOCore
 from repro.sim.config import ProtectionPolicy, SystemConfig
@@ -71,7 +71,7 @@ class LogicalPair:
         pair_id: int,
         vocal: OoOCore,
         mute: OoOCore,
-        controller: SharedL2Controller,
+        controller: MemoryBackend,
         config: SystemConfig,
         policy: ProtectionPolicy | None = None,
     ) -> None:

@@ -6,11 +6,12 @@ from repro.memory.coherence import (
     DirectoryEntry,
     MSI_TRANSITIONS,
     MSIState,
+    Reply,
     Transition,
     transition,
 )
 from repro.memory.directory import DirectoryBackend
-from repro.memory.l2_controller import Reply, SharedL2Controller
+from repro.memory.l2_controller import SharedL2Controller
 from repro.memory.main_memory import MainMemory
 from repro.memory.mshr import MSHRFile
 from repro.memory.port import Access, CoreMemPort

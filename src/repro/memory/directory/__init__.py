@@ -8,13 +8,6 @@ systems.  See docs/ARCHITECTURE.md, "Memory system backends".
 """
 
 from repro.memory.directory.controller import DirectoryBackend
-from repro.memory.directory.entry import DirectoryEntry, HomeDirectory
 from repro.memory.directory.interconnect import Interconnect, WRRArbiter
 
-__all__ = [
-    "DirectoryBackend",
-    "DirectoryEntry",
-    "HomeDirectory",
-    "Interconnect",
-    "WRRArbiter",
-]
+__all__ = ["DirectoryBackend", "Interconnect", "WRRArbiter"]

@@ -89,9 +89,6 @@ class Interconnect:
             WRRArbiter(weights, config.bus_occupancy) for _ in range(self.n_banks)
         ]
 
-    def home_bank(self, line_addr: int) -> int:
-        return line_addr % self.n_banks
-
     def request(self, line_addr: int, cls: str, now: int) -> tuple[int, int]:
         """Deliver a request to its home bank; returns (bank, start).
 

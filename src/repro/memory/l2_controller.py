@@ -1,13 +1,17 @@
-"""The shared L2 cache controller, including Reunion semantics.
+"""The shared L2 cache controller: the paper's primary design.
 
-This controller is where the paper's Section 4.2 lives:
+Section 4.2 of the paper places Reunion's semantics at this controller.
+What every backend does alike lives in its base,
+:class:`~repro.memory.coherence.MemoryBackend`; this controller adds the
+shared cache's part:
 
 * it maintains directory coherence for **vocal** L1 caches exactly as a
-  non-redundant design would;
-* **mute** caches never appear in sharers lists, can never own a line,
-  and their evictions/writebacks are silently dropped;
+  non-redundant design would, in one
+  :class:`~repro.memory.coherence.Directory` that **mute** caches never
+  enter (their evictions are dropped by the base);
 * mute read misses arrive as **phantom requests** in one of three
-  strengths (null / shared / global);
+  strengths (null / shared / global), served from the L2 array, an
+  owning vocal L1 or memory without any directory change;
 * **synchronizing requests** flush a line from both private caches of a
   logical pair, obtain a coherent copy with write permission, and reply
   a single value to both cores atomically.
@@ -21,92 +25,30 @@ execution exposes (Section 5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.isa.registers import WORD_MASK
 from repro.memory.cache import Cache, LineState
-from repro.memory.coherence import Directory
+from repro.memory.coherence import Directory, MemoryBackend, MSIState, Reply
 from repro.memory.main_memory import MainMemory
-from repro.memory.mshr import MSHRFile
 from repro.sim.config import L2Config, PhantomStrength
 from repro.sim.stats import Stats
 
-#: Multiplier used to derive deterministic "arbitrary data" for weak
-#: phantom replies.  Knuth's 64-bit golden-ratio constant: any line address
-#: maps to a garbage pattern that is, for all practical purposes, never
-#: equal to real program data — matching the paper's "arbitrary value".
-_GARBAGE_MULT = 0x9E3779B97F4A7C15
-_GARBAGE_XOR = 0x517CC1B727220A95
 
-
-@dataclass(slots=True)
-class Reply:
-    """Controller reply: line data plus the cycle it arrives."""
-
-    data: list[int]
-    done: int
-
-
-class SharedL2Controller:
+class SharedL2Controller(MemoryBackend):
     """Banked shared L2 with directory coherence and Reunion extensions."""
 
+    name = "l2"
+
     def __init__(self, config: L2Config, memory: MainMemory, stats: Stats) -> None:
+        super().__init__(memory, stats, config.mshrs)
         self.config = config
-        self.memory = memory
-        self.stats = stats
         self.cache = Cache(config.size_bytes, config.assoc, config.line_bytes, name="L2")
         self.directory = Directory()
-        self.mshrs = MSHRFile(config.mshrs)
         self._bank_free = [0] * config.banks
-        #: core_id -> (l1 cache, is_mute)
-        self._l1s: dict[int, tuple[Cache, bool]] = {}
-        #: Armed telemetry (see repro.obs), or None.  Set by CMPSystem.
-        self.obs = None
 
-    # -- registration ------------------------------------------------------
-    def register_l1(self, core_id: int, l1: Cache, is_mute: bool) -> None:
-        """Attach a core's private L1 so the controller can probe it."""
-        if core_id in self._l1s:
-            raise ValueError(f"core {core_id} already registered")
-        self._l1s[core_id] = (l1, is_mute)
-
-    def _l1(self, core_id: int) -> Cache:
-        return self._l1s[core_id][0]
-
-    def set_role(self, core_id: int, is_mute: bool) -> None:
-        """Change a core's vocal/mute role (dual-use reconfiguration).
-
-        The caller is responsible for cleaning the core's L1 first: a
-        promoted mute must have invalidated its (potentially incoherent)
-        contents, and a demoted vocal must have written back and left
-        the directory.
-        """
-        l1, _ = self._l1s[core_id]
-        self._l1s[core_id] = (l1, is_mute)
-
-    def install_image(self, image: dict[int, int]) -> None:
-        """Write a memory image coherently: caches and directory flushed.
-
-        Used when a decoupled core starts a new program: any cached
-        copies of the image's lines anywhere in the hierarchy are
-        stale and must go.
-        """
-        words_per_line = self.cache.words_per_line
-        for line_addr in {addr // (8 * words_per_line) for addr in image}:
-            for core_id, (l1, is_mute) in self._l1s.items():
-                line = l1.invalidate(line_addr)
-                if line is not None and not is_mute and line.dirty:
-                    self.memory.write_line(line_addr, line.data)
-            l2_line = self.cache.invalidate(line_addr)
-            if l2_line is not None and l2_line.dirty:
-                self.memory.write_line(line_addr, l2_line.data)
-            entry = self.directory.peek(line_addr)
-            if entry is not None:
-                entry.owner = None
-                entry.sharers.clear()
-                self.directory.drop_if_idle(line_addr)
-        for addr, value in image.items():
-            self.memory.write_word(addr, value)
+    def _forget(self, line_addr: int) -> None:
+        l2_line = self.cache.invalidate(line_addr)
+        if l2_line is not None and l2_line.dirty:
+            self.memory.write_line(line_addr, l2_line.data)
+        self.directory.forget(line_addr)
 
     # -- timing helpers ------------------------------------------------------
     def _arbitrate(self, line_addr: int, now: int) -> int:
@@ -115,17 +57,6 @@ class SharedL2Controller:
         start = max(now, self._bank_free[bank])
         self._bank_free[bank] = start + self.config.bank_occupancy
         return start
-
-    def _memory_fetch(self, line_addr: int, start: int) -> tuple[list[int], int]:
-        """Read a line from main memory, modelling L2 MSHR pressure."""
-        if not self.mshrs.available(start):
-            release = self.mshrs.next_release()
-            if release is not None:
-                start = max(start, release)
-        done = start + self.memory.latency
-        self.mshrs.allocate(start, done)
-        self.stats.inc("l2.memory_reads")
-        return self.memory.read_line(line_addr), done
 
     def _fill_l2(self, line_addr: int, data: list[int], dirty: bool) -> None:
         """Install a line in the L2 array, writing back any dirty victim."""
@@ -136,33 +67,23 @@ class SharedL2Controller:
             self.stats.inc("l2.memory_writebacks")
 
     # -- coherent data collection ---------------------------------------------
-    def _collect_owner(self, line_addr: int, invalidate: bool) -> list[int] | None:
-        """Pull the freshest copy from an owning vocal L1, if any.
+    def _collect_owner(self, entry, owner: int, line_addr: int, invalidate: bool) -> None:
+        """Fold the owning vocal L1's copy into the L2 array.
 
         With ``invalidate`` the owner loses the line entirely; otherwise it
         is downgraded to SHARED.  Dirty data is folded into the L2 array so
         the L2 always holds the coherent value afterwards.
         """
-        entry = self.directory.peek(line_addr)
-        if entry is None or entry.owner is None:
-            return None
-        owner_l1 = self._l1(entry.owner)
+        owner_l1 = self._l1s[owner][0]
         if invalidate:
             line = owner_l1.invalidate(line_addr)
-            data = list(line.data) if line is not None else None
-            dirty = bool(line and line.dirty)
-            entry.sharers.discard(entry.owner)
-            entry.owner = None
+            dirty_data = line.data if line is not None and line.dirty else None
+            entry.drop(owner)
         else:
             dirty_data = owner_l1.downgrade(line_addr)
-            data = dirty_data
-            dirty = dirty_data is not None
-            if entry.owner is not None:
-                entry.sharers.add(entry.owner)
-            entry.owner = None
-        if data is not None and dirty:
-            self._fill_l2(line_addr, data, dirty=True)
-        return data
+            entry.state = MSIState.SHARED
+        if dirty_data is not None:
+            self._fill_l2(line_addr, dirty_data, dirty=True)
 
     def _coherent_data(self, line_addr: int, start: int) -> tuple[list[int], int]:
         """Return the coherent value of a line (L2 hit or memory fetch).
@@ -183,15 +104,20 @@ class SharedL2Controller:
         start = self._arbitrate(line_addr, now)
         entry = self.directory.entry(line_addr)
         extra = 0
-        if entry.owner is not None and entry.owner != core_id:
-            self._collect_owner(line_addr, invalidate=False)
+        owner = entry.owner()
+        if owner is not None and owner != core_id:
+            self._collect_owner(entry, owner, line_addr, invalidate=False)
             extra = self.config.hit_latency  # 3-hop owner intervention
         data, done = self._coherent_data(line_addr, start)
-        entry.sharers.add(core_id)
-        state = LineState.SHARED if len(entry.sharers) > 1 else LineState.EXCLUSIVE
-        if state == LineState.EXCLUSIVE:
-            entry.owner = core_id
-        self._install_l1(core_id, line_addr, data, state)
+        entry.add(core_id)
+        if entry.sharers == 1 << core_id:
+            # A sole reader is granted E and tracked as the owner.
+            entry.state = MSIState.MODIFIED
+            state = LineState.EXCLUSIVE
+        else:
+            entry.state = MSIState.SHARED
+            state = LineState.SHARED
+        self.fill_l1(core_id, line_addr, data, state)
         return Reply(data, done + extra)
 
     def vocal_write(self, core_id: int, line_addr: int, now: int) -> Reply:
@@ -200,14 +126,15 @@ class SharedL2Controller:
         start = self._arbitrate(line_addr, now)
         entry = self.directory.entry(line_addr)
         extra = 0
-        if entry.owner is not None and entry.owner != core_id:
-            self._collect_owner(line_addr, invalidate=True)
+        owner = entry.owner()
+        if owner is not None and owner != core_id:
+            self._collect_owner(entry, owner, line_addr, invalidate=True)
             extra = self.config.hit_latency
-        for sharer in list(entry.sharers):
+        for sharer in entry.holders():
             if sharer != core_id:
-                self._l1(sharer).invalidate(line_addr)
+                self._l1s[sharer][0].invalidate(line_addr)
                 self.stats.inc("l2.invalidations")
-        requester_l1 = self._l1(core_id)
+        requester_l1 = self._l1s[core_id][0]
         resident = requester_l1.lookup(line_addr)
         if resident is not None:
             # Upgrade in place: keep the L1's (coherent) data.
@@ -217,29 +144,17 @@ class SharedL2Controller:
             done = start + self.config.hit_latency
         else:
             data, done = self._coherent_data(line_addr, start)
-            self._install_l1(core_id, line_addr, data, LineState.MODIFIED)
-        entry.owner = core_id
-        entry.sharers = {core_id}
+            self.fill_l1(core_id, line_addr, data, LineState.MODIFIED)
+        entry.state = MSIState.MODIFIED
+        entry.sharers = 1 << core_id
         return Reply(data, done + extra)
 
     def vocal_evict(self, core_id: int, line_addr: int, data: list[int] | None, dirty: bool) -> None:
         """A vocal L1 evicted a line: fold back data, update the directory."""
         obs = self.obs
         if obs is not None and obs.full:
-            obs.emit(
-                "cache.evict",
-                None,
-                "l2",
-                core=core_id,
-                line_addr=line_addr,
-                dirty=dirty,
-            )
-        entry = self.directory.peek(line_addr)
-        if entry is not None:
-            entry.sharers.discard(core_id)
-            if entry.owner == core_id:
-                entry.owner = None
-            self.directory.drop_if_idle(line_addr)
+            self._emit_evict(obs, core_id, line_addr, dirty)
+        self.directory.drop(line_addr, core_id)
         if dirty and data is not None:
             self._fill_l2(line_addr, data, dirty=True)
             self.stats.inc("l2.vocal_writebacks")
@@ -279,8 +194,9 @@ class SharedL2Controller:
         # then main memory.  Still changes no coherence state.
         self.stats.inc("l2.phantom_global")
         entry = self.directory.peek(line_addr)
-        if entry is not None and entry.owner is not None:
-            owner_line = self._l1(entry.owner).lookup(line_addr)
+        owner = entry.owner() if entry is not None else None
+        if owner is not None:
+            owner_line = self._l1s[owner][0].lookup(line_addr)
             if owner_line is not None:
                 if obs is not None:
                     self._emit_phantom(obs, core_id, line_addr, now, strength, "owner_l1")
@@ -293,27 +209,6 @@ class SharedL2Controller:
         if obs is not None:
             self._emit_phantom(obs, core_id, line_addr, now, strength, "memory")
         return Reply(data, done + self.config.hit_latency)
-
-    @staticmethod
-    def _emit_phantom(obs, core_id, line_addr, now, strength, origin) -> None:
-        obs.emit(
-            "phantom.read",
-            now,
-            "l2",
-            core=core_id,
-            line_addr=line_addr,
-            strength=strength.value,
-            origin=origin,
-        )
-
-    def mute_evict(self, core_id: int, line_addr: int) -> None:
-        """Mute evictions and writebacks are ignored (Section 4.2)."""
-        self.stats.inc("l2.mute_evicts_dropped")
-        obs = self.obs
-        if obs is not None and obs.full:
-            obs.emit(
-                "cache.writeback_drop", None, "l2", core=core_id, line_addr=line_addr
-            )
 
     # -- synchronizing requests ------------------------------------------------
     def synchronizing_access(
@@ -332,47 +227,25 @@ class SharedL2Controller:
         entry = self.directory.entry(line_addr)
 
         # Flush the vocal's copy back (it is the coherent one if owned)...
-        vocal_l1 = self._l1(vocal_id)
-        flushed = vocal_l1.invalidate(line_addr)
+        flushed = self._l1s[vocal_id][0].invalidate(line_addr)
         if flushed is not None and flushed.dirty:
             self._fill_l2(line_addr, flushed.data, dirty=True)
-        entry.sharers.discard(vocal_id)
-        if entry.owner == vocal_id:
-            entry.owner = None
+        entry.drop(vocal_id)
         # ...and discard the mute's.
-        self._l1(mute_id).invalidate(line_addr)
+        self._l1s[mute_id][0].invalidate(line_addr)
 
         # Coherent write transaction on behalf of the pair.
         extra = 0
-        if entry.owner is not None:
-            self._collect_owner(line_addr, invalidate=True)
+        owner = entry.owner()
+        if owner is not None:
+            self._collect_owner(entry, owner, line_addr, invalidate=True)
             extra = self.config.hit_latency
-        for sharer in list(entry.sharers):
-            self._l1(sharer).invalidate(line_addr)
+        for sharer in entry.holders():
+            self._l1s[sharer][0].invalidate(line_addr)
             self.stats.inc("l2.invalidations")
         data, done = self._coherent_data(line_addr, start)
-        entry.owner = vocal_id
-        entry.sharers = {vocal_id}
-        self._install_l1(vocal_id, line_addr, data, LineState.MODIFIED)
-        self._install_l1(mute_id, line_addr, data, LineState.MODIFIED)
+        entry.state = MSIState.MODIFIED
+        entry.sharers = 1 << vocal_id
+        self.fill_l1(vocal_id, line_addr, data, LineState.MODIFIED)
+        self.fill_l1(mute_id, line_addr, data, LineState.MODIFIED)
         return Reply(data, done + extra)
-
-    # -- helpers -----------------------------------------------------------------
-    def _install_l1(self, core_id: int, line_addr: int, data: list[int], state: int) -> None:
-        """Fill a line into a core's L1, handling the eviction it causes."""
-        l1, is_mute = self._l1s[core_id]
-        evicted = l1.fill(line_addr, data, state)
-        if evicted is None:
-            return
-        if is_mute:
-            self.mute_evict(core_id, evicted.line_addr)
-        else:
-            self.vocal_evict(core_id, evicted.line_addr, evicted.data, evicted.dirty)
-
-    def _garbage(self, line_addr: int) -> list[int]:
-        """Deterministic arbitrary data for weak phantom replies."""
-        base = (line_addr * _GARBAGE_MULT) & WORD_MASK
-        return [
-            (base ^ (index * _GARBAGE_XOR)) & WORD_MASK
-            for index in range(self.cache.words_per_line)
-        ]

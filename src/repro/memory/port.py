@@ -1,7 +1,7 @@
 """Per-core memory port: private L1 data cache + TLBs + MSHRs.
 
 The port is the pipeline's window onto the memory system.  A vocal port
-speaks the ordinary coherence protocol through the shared controller; a
+speaks the ordinary coherence protocol through the memory backend; a
 mute port issues phantom reads, keeps its fills invisible to the
 directory, and lets its evictions be dropped — the Reunion relaxed input
 replication of Definition 5.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.memory.cache import Cache, LineState
-from repro.memory.l2_controller import SharedL2Controller
+from repro.memory.coherence import MemoryBackend
 from repro.memory.mshr import MSHRFile
 from repro.memory.tlb import TLBPair
 from repro.sim.config import L1Config, PhantomStrength, TLBConfig
@@ -33,14 +33,14 @@ class Access:
 
 
 class CoreMemPort:
-    """One core's L1 D-cache, TLBs and MSHRs, wired to the shared L2."""
+    """One core's L1 D-cache, TLBs and MSHRs, wired to the memory backend."""
 
     def __init__(
         self,
         core_id: int,
         l1_config: L1Config,
         tlb_config: TLBConfig,
-        controller: SharedL2Controller,
+        controller: MemoryBackend,
         stats: Stats,
         is_mute: bool = False,
         phantom: PhantomStrength = PhantomStrength.GLOBAL,
@@ -79,8 +79,8 @@ class CoreMemPort:
     # -- loads ----------------------------------------------------------------
     def load_f(self, addr: int, now: int) -> tuple[int, int] | None:
         """Read a word: ``(value, done)``, or ``None`` when no MSHR is
-        free (the caller retries).  Misses go to the L2, coherent for a
-        vocal and phantom for a mute."""
+        free (the caller retries).  Misses go to the backend, coherent for
+        a vocal and phantom for a mute."""
         line_addr = addr >> self._line_shift
         line = self.l1.access(line_addr)
         if line is not None:
@@ -92,7 +92,7 @@ class CoreMemPort:
         self.stats.inc(self._k_load_misses)
         if self.is_mute:
             reply = self.controller.phantom_read(self.core_id, line_addr, now, self.phantom)
-            self._install_mute(line_addr, reply.data)
+            self.controller.fill_l1(self.core_id, line_addr, reply.data, LineState.EXCLUSIVE)
         else:
             reply = self.controller.vocal_read(self.core_id, line_addr, now)
         self.mshrs.allocate(now, reply.done)
@@ -118,7 +118,7 @@ class CoreMemPort:
         if self.is_mute:
             self.stats.inc(self._k_store_misses)
             reply = self.controller.phantom_read(self.core_id, line_addr, now, self.phantom)
-            self._install_mute(line_addr, reply.data)
+            self.controller.fill_l1(self.core_id, line_addr, reply.data, LineState.EXCLUSIVE)
         else:
             if line is not None:
                 self.stats.inc(self._k_store_upgrades)
@@ -148,7 +148,7 @@ class CoreMemPort:
             return Access(retry=True)
         if self.is_mute:
             reply = self.controller.phantom_read(self.core_id, line_addr, now, self.phantom)
-            self._install_mute(line_addr, reply.data)
+            self.controller.fill_l1(self.core_id, line_addr, reply.data, LineState.EXCLUSIVE)
         else:
             reply = self.controller.vocal_write(self.core_id, line_addr, now)
         self.mshrs.allocate(now, reply.done)
@@ -157,10 +157,3 @@ class CoreMemPort:
     def rmw_write(self, addr: int, value: int) -> None:
         """Complete an RMW: the line is resident with write permission."""
         self.l1.write_word(addr, value)
-
-    # -- helpers ---------------------------------------------------------------
-    def _install_mute(self, line_addr: int, data: list[int]) -> None:
-        """Fill a phantom reply into the mute L1 with write permission."""
-        evicted = self.l1.fill(line_addr, data, LineState.EXCLUSIVE)
-        if evicted is not None:
-            self.controller.mute_evict(self.core_id, evicted.line_addr)

@@ -17,47 +17,37 @@ bus transactions:
 * the synchronizing request is a bus-locked transaction that flushes
   the pair's copies and delivers one coherent value to both.
 
-The class is call-compatible with
-:class:`repro.memory.l2_controller.SharedL2Controller`, so ports, cores,
-pairs and the CMP builder work unchanged on either organization.
+Like the other backends it derives from
+:class:`repro.memory.coherence.MemoryBackend`, which holds the Reunion
+semantics they share, so ports, cores, pairs and the CMP builder work
+unchanged on any organization.
 """
 
 from __future__ import annotations
 
-from repro.isa.registers import WORD_MASK
-from repro.memory.cache import Cache, LineState
-from repro.memory.coherence import GETM, GETS, MSIState, transition
-from repro.memory.l2_controller import Reply, _GARBAGE_MULT, _GARBAGE_XOR
+from repro.memory.cache import LineState
+from repro.memory.coherence import (
+    GETM,
+    GETS,
+    MemoryBackend,
+    MSIState,
+    Reply,
+    transition,
+)
 from repro.memory.main_memory import MainMemory
-from repro.memory.mshr import MSHRFile
 from repro.sim.config import BusConfig, PhantomStrength
 from repro.sim.stats import Stats
 
 
-class SnoopyBus:
+class SnoopyBus(MemoryBackend):
     """A split-transaction snoopy bus connecting private write-back caches."""
 
+    name = "bus"
+
     def __init__(self, config: BusConfig, memory: MainMemory, stats: Stats) -> None:
+        super().__init__(memory, stats, config.mshrs)
         self.config = config
-        self.memory = memory
-        self.stats = stats
-        self.mshrs = MSHRFile(config.mshrs)
         self._bus_free = 0
-        self._l1s: dict[int, tuple[Cache, bool]] = {}
-        self._words_per_line = 8
-        #: Armed telemetry (see repro.obs), or None.  Set by CMPSystem.
-        self.obs = None
-
-    # -- registration -------------------------------------------------------
-    def register_l1(self, core_id: int, l1: Cache, is_mute: bool) -> None:
-        if core_id in self._l1s:
-            raise ValueError(f"core {core_id} already registered")
-        self._l1s[core_id] = (l1, is_mute)
-        self._words_per_line = l1.words_per_line
-
-    def set_role(self, core_id: int, is_mute: bool) -> None:
-        l1, _ = self._l1s[core_id]
-        self._l1s[core_id] = (l1, is_mute)
 
     # -- bus arbitration -------------------------------------------------------
     def _arbitrate(self, now: int) -> int:
@@ -98,37 +88,17 @@ class SnoopyBus:
         """
         data: list[int] | None = None
         for _core_id, l1 in self._vocal_peers(requester):
-            if invalidate:
-                line = l1.invalidate(line_addr)
-                if line is not None:
-                    if line.dirty:
-                        self.memory.write_line(line_addr, line.data)
-                        data = list(line.data)
-                    elif data is None:
-                        data = list(line.data)
-            else:
-                line = l1.lookup(line_addr)
-                if line is None:
-                    continue
-                if line.dirty:
-                    self.memory.write_line(line_addr, line.data)
-                    data = list(line.data)
-                    line.state = LineState.SHARED
-                else:
-                    line.state = LineState.SHARED
-                    if data is None:
-                        data = list(line.data)
+            line = l1.invalidate(line_addr) if invalidate else l1.lookup(line_addr)
+            if line is None:
+                continue
+            if line.dirty:
+                self.memory.write_line(line_addr, line.data)
+                data = list(line.data)
+            elif data is None:
+                data = list(line.data)
+            if not invalidate:
+                line.state = LineState.SHARED
         return data
-
-    def _memory_fetch(self, line_addr: int, start: int) -> tuple[list[int], int]:
-        if not self.mshrs.available(start):
-            release = self.mshrs.next_release()
-            if release is not None:
-                start = max(start, release)
-        done = start + self.memory.latency
-        self.mshrs.allocate(start, done)
-        self.stats.inc("bus.memory_reads")
-        return self.memory.read_line(line_addr), done
 
     # -- vocal transactions -------------------------------------------------------
     def vocal_read(self, core_id: int, line_addr: int, now: int) -> Reply:
@@ -144,7 +114,7 @@ class SnoopyBus:
         else:
             data, done = self._memory_fetch(line_addr, start)
             done += self.config.snoop_latency
-        self._install(core_id, line_addr, data, tr.grant)
+        self.fill_l1(core_id, line_addr, data, tr.grant)
         return Reply(data, done)
 
     def vocal_write(self, core_id: int, line_addr: int, now: int) -> Reply:
@@ -167,21 +137,14 @@ class SnoopyBus:
         else:
             data, done = self._memory_fetch(line_addr, start)
             done += self.config.snoop_latency
-        self._install(core_id, line_addr, data, tr.grant)
+        self.fill_l1(core_id, line_addr, data, tr.grant)
         return Reply(data, done)
 
     def vocal_evict(self, core_id: int, line_addr: int, data: list[int] | None, dirty: bool) -> None:
         """Write-back on eviction; clean victims vanish silently."""
         obs = self.obs
         if obs is not None and obs.full:
-            obs.emit(
-                "cache.evict",
-                None,
-                "bus",
-                core=core_id,
-                line_addr=line_addr,
-                dirty=dirty,
-            )
+            self._emit_evict(obs, core_id, line_addr, dirty)
         if dirty and data is not None:
             self.memory.write_line(line_addr, data)
             self.stats.inc("bus.writebacks")
@@ -217,26 +180,6 @@ class SnoopyBus:
             self._emit_phantom(obs, core_id, line_addr, now, strength, "memory")
         return Reply(data, done + self.config.snoop_latency)
 
-    @staticmethod
-    def _emit_phantom(obs, core_id, line_addr, now, strength, origin) -> None:
-        obs.emit(
-            "phantom.read",
-            now,
-            "bus",
-            core=core_id,
-            line_addr=line_addr,
-            strength=strength.value,
-            origin=origin,
-        )
-
-    def mute_evict(self, core_id: int, line_addr: int) -> None:
-        self.stats.inc("bus.mute_evicts_dropped")
-        obs = self.obs
-        if obs is not None and obs.full:
-            obs.emit(
-                "cache.writeback_drop", None, "bus", core=core_id, line_addr=line_addr
-            )
-
     # -- synchronizing requests -------------------------------------------------------
     def synchronizing_access(
         self, vocal_id: int, mute_id: int, line_addr: int, now: int
@@ -260,35 +203,6 @@ class SnoopyBus:
         else:
             data, done = self._memory_fetch(line_addr, start)
             done += self.config.snoop_latency
-        self._install(vocal_id, line_addr, data, LineState.MODIFIED)
-        self._install(mute_id, line_addr, data, LineState.MODIFIED)
+        self.fill_l1(vocal_id, line_addr, data, LineState.MODIFIED)
+        self.fill_l1(mute_id, line_addr, data, LineState.MODIFIED)
         return Reply(data, done)
-
-    def install_image(self, image: dict[int, int]) -> None:
-        """Coherently install a memory image (dual-use reconfiguration)."""
-        words_per_line = self._words_per_line
-        for line_addr in {addr // (8 * words_per_line) for addr in image}:
-            for core_id, (l1, is_mute) in self._l1s.items():
-                line = l1.invalidate(line_addr)
-                if line is not None and not is_mute and line.dirty:
-                    self.memory.write_line(line_addr, line.data)
-        for addr, value in image.items():
-            self.memory.write_word(addr, value)
-
-    # -- helpers ----------------------------------------------------------------------
-    def _install(self, core_id: int, line_addr: int, data: list[int], state: int) -> None:
-        l1, is_mute = self._l1s[core_id]
-        evicted = l1.fill(line_addr, data, state)
-        if evicted is None:
-            return
-        if is_mute:
-            self.mute_evict(core_id, evicted.line_addr)
-        else:
-            self.vocal_evict(core_id, evicted.line_addr, evicted.data, evicted.dirty)
-
-    def _garbage(self, line_addr: int) -> list[int]:
-        base = (line_addr * _GARBAGE_MULT) & WORD_MASK
-        return [
-            (base ^ (index * _GARBAGE_XOR)) & WORD_MASK
-            for index in range(self._words_per_line)
-        ]

@@ -15,7 +15,7 @@ instructions in commercial workloads:
 
 from __future__ import annotations
 
-from repro.sim.config import TLBConfig, TLBMode
+from repro.sim.config import TLBConfig
 
 
 class TLB:
@@ -80,7 +80,3 @@ class TLBPair:
         self.config = config
         self.itlb = TLB(config.itlb_entries, config.assoc, config.page_bits)
         self.dtlb = TLB(config.dtlb_entries, config.assoc, config.page_bits)
-
-    @property
-    def software_managed(self) -> bool:
-        return self.config.mode is TLBMode.SOFTWARE

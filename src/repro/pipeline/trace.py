@@ -84,9 +84,6 @@ class PipelineTracer:
     def __len__(self) -> int:
         return len(self.order)
 
-    def record_for(self, seq: int) -> InstrTrace | None:
-        return self._records.get(seq)
-
     def retired_records(self) -> list[InstrTrace]:
         return [
             self._records[seq]

@@ -23,13 +23,12 @@ Field semantics:
 * ``trace`` arms the :mod:`repro.obs` telemetry subsystem.  Telemetry
   observes and never mutates, so it is likewise contracted to leave
   results bit-identical (enforced by ``tests/sim/test_telemetry.py``).
-* ``max_cycles`` bounds ``run_until_idle``; ``seed`` is the workload
-  seed CLI commands thread through to program generation.
+* ``max_cycles`` bounds ``run_until_idle``.
 
-Because every field is result-neutral by contract (``seed`` participates
-in results, but travels as its own explicit argument —
-:class:`~repro.exec.jobs.SampleJob` carries it as a first-class field),
-no option enters a job's payload or content-hash key
+Because every field is result-neutral by contract (the workload seed
+changes results, so it is no option: it travels as its own explicit
+argument, and :class:`~repro.exec.jobs.SampleJob` carries it as a
+first-class field), no option enters a job's payload or content-hash key
 (``tests/exec/test_jobs.py`` pins this).  A knob that changes results
 belongs on the hashed config instead.
 
@@ -80,7 +79,6 @@ class SimOptions:
     trace: str = "off"
     trace_capacity: int = 65_536  # event ring-buffer size (records)
     max_cycles: int = 1_000_000  # run_until_idle bound
-    seed: int = 0  # workload seed (CLI convenience)
 
     def __post_init__(self) -> None:
         if self.kernel not in _KERNELS:

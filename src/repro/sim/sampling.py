@@ -161,17 +161,3 @@ def matched_pair(base: Sequence[Sample], test: Sequence[Sample]) -> MatchedPairR
     t_quantile = _T_975.get(n - 1, 1.96)
     half = t_quantile * math.sqrt(variance / n)
     return MatchedPairResult(mean, half, n)
-
-
-def normalized_ipc(
-    base_config: SystemConfig,
-    test_config: SystemConfig,
-    workload: "Workload",
-    warmup: int,
-    measure: int,
-    seeds: Sequence[int] = (0,),
-) -> MatchedPairResult:
-    """Matched-pair normalized IPC of ``test_config`` against ``base_config``."""
-    base = [run_sample(base_config, workload, warmup, measure, seed) for seed in seeds]
-    test = [run_sample(test_config, workload, warmup, measure, seed) for seed in seeds]
-    return matched_pair(base, test)

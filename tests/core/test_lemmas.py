@@ -32,10 +32,10 @@ class TestDefinition2VocalMute:
         # Vocal owns the line per the directory.
         entry = system.controller.directory.peek(line_addr)
         assert entry is not None
-        assert entry.owner == system.vocal_cores[0].core_id
+        assert entry.owner() == system.vocal_cores[0].core_id
         # The mute's copy exists in its private hierarchy only.
         mute = system.cores[1]
-        assert mute.core_id not in entry.sharers
+        assert not entry.holds(mute.core_id)
 
 
 class TestLemma1IncoherenceAloneIsSafe:

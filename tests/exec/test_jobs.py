@@ -54,7 +54,6 @@ class TestKey:
                 trace="full",
                 trace_capacity=16,
                 max_cycles=777,
-                seed=9,
             )
         )
         assert armed.key == base.key

@@ -11,7 +11,9 @@ tracks the architecturally-correct value of every word.  Invariants:
 * **single-writer** — at most one vocal L1 holds a line dirty, and the
   directory names it as owner;
 * **sharer accuracy** — any vocal L1 holding a line appears in the
-  directory (mute caches never do);
+  directory (mute caches never do).  The shared controller and the
+  home-node backend keep the same :class:`~repro.memory.Directory`, so
+  one check (:func:`check_directory`) covers both;
 * **synchronizing requests** return the reference value to both cores.
 """
 
@@ -51,29 +53,37 @@ operation = st.tuples(
 )
 
 
-def check_structure(controller, ports):
-    """Directory/L1 structural invariants after every operation."""
+def exclusive_holders(ports, line_addr):
+    """Vocal cores whose L1 holds ``line_addr`` in M or E."""
+    return [
+        p.core_id
+        for p in ports[:N_VOCAL]
+        if (l := p.l1.lookup(line_addr)) is not None
+        and l.state in (LineState.MODIFIED, LineState.EXCLUSIVE)
+    ]
+
+
+def check_directory(backend, ports):
+    """A directory backend's entries against the vocal L1s, after every
+    operation: every vocal holder is recorded, the one exclusive holder
+    is the owner, and the mute is never a holder."""
     for line_addr in range(N_LINES):
-        entry = controller.directory.peek(line_addr)
-        owner = entry.owner if entry else None
-        sharers = entry.sharers if entry else set()
-        dirty_holders = []
+        entry = backend.directory.peek(line_addr)
         for port in ports[:N_VOCAL]:
-            line = port.l1.lookup(line_addr)
-            if line is None:
-                continue
-            assert port.core_id in sharers or owner == port.core_id, (
-                f"vocal {port.core_id} holds line {line_addr} unknown to directory"
+            if port.l1.lookup(line_addr) is not None:
+                assert entry is not None and entry.holds(port.core_id), (
+                    f"vocal {port.core_id} holds line {line_addr} unknown to directory"
+                )
+        exclusive = exclusive_holders(ports, line_addr)
+        assert len(exclusive) <= 1, f"line {line_addr}: two exclusive holders {exclusive}"
+        if exclusive:
+            owner = entry.owner()
+            assert owner == exclusive[0], (
+                f"line {line_addr}: exclusive holder {exclusive[0]} is not owner {owner}"
             )
-            if line.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-                dirty_holders.append(port.core_id)
-        assert len(dirty_holders) <= 1, f"line {line_addr}: two exclusive holders"
-        if dirty_holders:
-            assert owner == dirty_holders[0], (
-                f"line {line_addr}: exclusive holder {dirty_holders[0]} is not owner {owner}"
-            )
-        # Mute must never appear in the directory.
-        assert MUTE_ID not in sharers and owner != MUTE_ID
+        assert entry is None or not entry.holds(MUTE_ID), (
+            f"line {line_addr}: mute in {list(entry.holders())}"
+        )
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=60))
@@ -116,7 +126,7 @@ def test_vocal_coherence_under_random_traffic(ops):
             assert reply.data[word] == reference.get(line * 64 + word * 8, 0)
             assert ports[core].l1.lookup(line).state == LineState.MODIFIED
             assert ports[MUTE_ID].l1.lookup(line) is not None
-        check_structure(controller, ports)
+        check_directory(controller, ports)
 
     # Final sweep: every written word is still readable, coherently.
     for addr, expected in reference.items():
@@ -168,42 +178,11 @@ def build_directory():
     return backend, memory, ports
 
 
-def exclusive_holders(ports, line_addr):
-    """Vocal cores whose L1 holds ``line_addr`` in M or E."""
-    return [
-        p.core_id
-        for p in ports[:N_VOCAL]
-        if (l := p.l1.lookup(line_addr)) is not None
-        and l.state in (LineState.MODIFIED, LineState.EXCLUSIVE)
-    ]
-
-
 def check_single_writer(bus, ports):
     """Single-writer invariant from cache inspection alone (no directory)."""
     for line_addr in range(N_LINES):
         exclusive = exclusive_holders(ports, line_addr)
         assert len(exclusive) <= 1, f"line {line_addr}: {exclusive}"
-
-
-def check_home_entries(backend, ports):
-    """Home-node entries against the vocal L1s after every operation."""
-    for line_addr in range(N_LINES):
-        bank = backend.banks[backend.fabric.home_bank(line_addr)]
-        entry = bank.peek(line_addr)
-        holders = set(entry.holders()) if entry else set()
-        for port in ports[:N_VOCAL]:
-            if port.l1.lookup(line_addr) is not None:
-                assert port.core_id in holders, (
-                    f"vocal {port.core_id} holds line {line_addr} unknown to its home"
-                )
-        exclusive = exclusive_holders(ports, line_addr)
-        assert len(exclusive) <= 1, f"line {line_addr}: {exclusive}"
-        if exclusive:
-            owner = entry.owner()
-            assert owner == exclusive[0], (
-                f"line {line_addr}: exclusive holder {exclusive[0]} is not owner {owner}"
-            )
-        assert MUTE_ID not in holders, f"line {line_addr}: mute in {holders}"
 
 
 def run_private_cache_traffic(build, check, ops):
@@ -249,7 +228,7 @@ def test_vocal_coherence_on_snoopy_bus(ops):
 @settings(max_examples=40, deadline=None)
 def test_vocal_coherence_on_directory(ops):
     """The same property on the directory MSI backend, plus its home entries."""
-    run_private_cache_traffic(build_directory, check_home_entries, ops)
+    run_private_cache_traffic(build_directory, check_directory, ops)
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=40))

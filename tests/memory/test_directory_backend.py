@@ -45,10 +45,6 @@ def make_dir(n_vocal=2, n_mute=0, bus=DIR_BUS):
     return backend, memory, l1s, stats
 
 
-def home_entry(backend, line_addr):
-    return backend.banks[backend.fabric.home_bank(line_addr)].peek(line_addr)
-
-
 class TestDirectoryCoherence:
     def test_read_miss_from_memory_grants_exclusive(self):
         backend, memory, l1s, stats = make_dir()
@@ -57,7 +53,7 @@ class TestDirectoryCoherence:
         assert reply.data[0] == 9
         assert l1s[0].lookup(0x1000 // 64).state == LineState.EXCLUSIVE
         # Sole reader may silently write an E line, so the home tracks M.
-        entry = home_entry(backend, 0x1000 // 64)
+        entry = backend.directory.peek(0x1000 // 64)
         assert entry.state == MSIState.MODIFIED and entry.owner() == 0
         assert stats["dir.gets"] == 1 and stats["dir.memory_reads"] == 1
 
@@ -69,7 +65,7 @@ class TestDirectoryCoherence:
         assert reply.data[0] == 55
         assert l1s[0].lookup(7).state == LineState.SHARED
         assert memory.read_word(7 * 64) == 55  # folded back on the forward
-        entry = home_entry(backend, 7)
+        entry = backend.directory.peek(7)
         assert entry.state == MSIState.SHARED
         assert list(entry.holders()) == [0, 1]
         assert stats["dir.forwards"] == 1
@@ -82,7 +78,7 @@ class TestDirectoryCoherence:
         assert l1s[0].lookup(4).state == LineState.MODIFIED
         assert l1s[1].lookup(4) is None
         assert l1s[2].lookup(4) is None
-        entry = home_entry(backend, 4)
+        entry = backend.directory.peek(4)
         assert entry.owner() == 0
         assert stats["dir.invals"] == 2  # cores 1 and 2, never a broadcast
 
@@ -93,7 +89,7 @@ class TestDirectoryCoherence:
         backend.vocal_write(0, 4, now=10)
         assert stats["dir.upgrades"] == 1
         assert l1s[0].lookup(4).state == LineState.MODIFIED
-        assert home_entry(backend, 4).owner() == 0
+        assert backend.directory.peek(4).owner() == 0
 
     def test_clean_eviction_clears_presence(self):
         """A stale presence bit would make the home forward from a cache
@@ -102,7 +98,7 @@ class TestDirectoryCoherence:
         backend.vocal_read(0, 4, now=0)
         line = l1s[0].invalidate(4)
         backend.vocal_evict(0, 4, line.data, line.dirty)
-        assert home_entry(backend, 4) is None  # idle entry reaped
+        assert backend.directory.peek(4) is None  # idle entry reaped
         # A later read must come from memory, not a forward.
         reply = backend.vocal_read(1, 4, now=10)
         assert reply.data is not None
@@ -140,7 +136,7 @@ class TestDirectoryMuteSemantics:
         reply = backend.phantom_read(1, 4, now=5, strength=PhantomStrength.GLOBAL)
         assert reply.data[0] == 31337
         assert l1s[0].lookup(4).state == LineState.MODIFIED  # untouched
-        assert home_entry(backend, 4).owner() == 0  # bitmask untouched
+        assert backend.directory.peek(4).owner() == 0  # bitmask untouched
         assert stats["dir.phantom_snooped"] == 1
 
     def test_shared_strength_garbage_on_directory_miss(self):
@@ -172,7 +168,7 @@ class TestDirectoryMuteSemantics:
         backend, _, _, _ = make_dir(n_vocal=1, n_mute=1)
         backend.phantom_read(1, 4, now=0, strength=PhantomStrength.GLOBAL)
         # The mute installed a copy, but the home must not know of it.
-        assert home_entry(backend, 4) is None
+        assert backend.directory.peek(4) is None
 
     def test_mute_evict_dropped(self):
         backend, memory, _, stats = make_dir(n_vocal=1, n_mute=1)
@@ -190,7 +186,7 @@ class TestDirectoryMuteSemantics:
         assert l1s[0].read_word(8 * 64) == 1
         assert l1s[2].read_word(8 * 64) == 1
         assert l1s[1].lookup(8) is None
-        entry = home_entry(backend, 8)
+        entry = backend.directory.peek(8)
         assert entry.owner() == 0  # vocal owns; the mute copy is invisible
         assert stats["dir.sync_requests"] == 1
 

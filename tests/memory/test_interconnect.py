@@ -1,6 +1,5 @@
 """Tests for the directory backend's point-to-point interconnect."""
 
-from repro.memory.directory.entry import DirectoryEntry, HomeDirectory
 from repro.memory.directory.interconnect import MUTE, VOCAL, Interconnect, WRRArbiter
 from repro.sim.config import BusConfig, CoherenceStyle
 
@@ -69,9 +68,7 @@ DIR_BUS = BusConfig(
 class TestInterconnect:
     def test_home_bank_is_line_modulo_banks(self):
         fabric = Interconnect(DIR_BUS)
-        assert fabric.home_bank(0) == 0
-        assert fabric.home_bank(5) == 1
-        assert fabric.home_bank(7) == 3
+        assert [fabric.request(line, VOCAL, now=0)[0] for line in (0, 5, 7)] == [0, 1, 3]
 
     def test_request_pays_one_link_of_flight(self):
         fabric = Interconnect(DIR_BUS)
@@ -106,49 +103,3 @@ class TestInterconnect:
             fabric.request(1, VOCAL, now=0)
         assert fabric.deferrals() == 4  # two per bank
 
-
-class TestDirectoryEntry:
-    def test_owner_requires_modified_and_a_single_bit(self):
-        entry = DirectoryEntry()
-        assert entry.owner() is None
-        entry.add(3)
-        assert entry.owner() is None  # still INVALID-stated
-        from repro.memory.coherence import MSIState
-
-        entry.state = MSIState.MODIFIED
-        assert entry.owner() == 3
-        entry.add(5)
-        assert entry.owner() is None  # two bits: not a valid owner
-
-    def test_drop_demotes_to_invalid_when_empty(self):
-        from repro.memory.coherence import MSIState
-
-        entry = DirectoryEntry()
-        entry.state = MSIState.SHARED
-        entry.add(1)
-        entry.add(2)
-        entry.drop(1)
-        assert entry.state == MSIState.SHARED
-        entry.drop(2)
-        assert entry.state == MSIState.INVALID
-        assert entry.is_idle()
-
-    def test_holders_ascend(self):
-        entry = DirectoryEntry()
-        for core in (6, 0, 3):
-            entry.add(core)
-        assert list(entry.holders()) == [0, 3, 6]
-        assert all(entry.holds(core) for core in (0, 3, 6))
-        assert not entry.holds(1)
-
-    def test_home_directory_materializes_and_reaps(self):
-        home = HomeDirectory(bank_id=0)
-        assert home.peek(7) is None
-        entry = home.entry(7)
-        entry.add(1)
-        assert len(home) == 1
-        home.drop_if_idle(7)  # non-idle: kept
-        assert home.peek(7) is entry
-        entry.drop(1)
-        home.drop_if_idle(7)
-        assert home.peek(7) is None and len(home) == 0

@@ -104,8 +104,8 @@ class TestMuteSemantics:
         controller.vocal_write(0, 4, now=0)
         controller.phantom_read(1, 4, now=5, strength=PhantomStrength.GLOBAL)
         entry = controller.directory.peek(4)
-        assert entry.owner == 0
-        assert entry.sharers == {0}
+        assert entry.owner() == 0
+        assert list(entry.holders()) == [0]
 
     def test_global_phantom_reads_owner_fresh_data(self):
         controller, _, l1s, _ = make_system(n_vocal=1, n_mute=1)
@@ -188,7 +188,7 @@ class TestInputIncoherence:
         assert l1s[0].lookup(8).state == LineState.MODIFIED
         # The writer lost its copy; directory says the vocal owns it.
         assert l1s[1].lookup(8) is None
-        assert controller.directory.peek(8).owner == 0
+        assert controller.directory.peek(8).owner() == 0
 
     def test_sync_request_writes_back_vocal_dirty_data(self):
         controller, _, l1s, _ = make_system(n_vocal=1, n_mute=1)

@@ -97,7 +97,7 @@ class TestMutePort:
         # Invisible to the rest of the system.
         assert memory.read_word(0x800) == 0
         assert controller.directory.peek(0x800 // 64) is None or (
-            1 not in controller.directory.peek(0x800 // 64).sharers
+            not controller.directory.peek(0x800 // 64).holds(1)
         )
 
     def test_mute_eviction_data_lost(self):

@@ -60,7 +60,7 @@ class TestDecouple:
         line = promoted.port.l1.lookup(0x7008 >> 6)
         assert line is not None and line.data[1] == 105
         entry = system.controller.directory.peek(0x7008 >> 6)
-        assert entry is not None and entry.owner == promoted.core_id
+        assert entry is not None and entry.owner() == promoted.core_id
 
     def test_no_pair_left_behind(self):
         system = build([FIRST], mode=Mode.REUNION)

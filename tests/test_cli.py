@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -229,6 +231,78 @@ class TestCampaign:
             main(["campaign", "compute-kernel", "--bits", "20"])
         assert exit_info.value.code == 2
         assert "invalid choice: 20" in capsys.readouterr().err
+
+
+class TestCache:
+    """``repro cache``: stats, gc and verify over both stores of a root."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        """A cache root holding one sample record and one campaign record."""
+        from repro.campaign.plan import plan_campaign
+        from repro.campaign.resume import OutcomeCache, campaign_root
+        from repro.exec.cache import ResultCache
+        from repro.exec.jobs import SampleJob
+        from repro.sim.config import DEFAULT_CONFIG
+        from repro.sim.sampling import Sample
+        from tests.campaign.test_report_resume import WINDOW, _outcome
+
+        job = SampleJob(
+            config=DEFAULT_CONFIG, workload_name="ocean", seed=0, warmup=80, measure=160
+        )
+        sample = Sample(
+            cycles=160, user_instructions=300, recoveries=1, tlb_misses=2,
+            sync_requests=3, serializing=4,
+        )
+        ResultCache(tmp_path).put(job, sample)
+        campaign_job = plan_campaign("compute-kernel", 1, **WINDOW)[0]
+        OutcomeCache(campaign_root(tmp_path)).put(campaign_job, _outcome())
+        return tmp_path
+
+    def cache(self, root, *args):
+        return main(["cache", "--root", str(root), *args])
+
+    def test_stats_counts_both_stores(self, root, capsys):
+        assert self.cache(root, "stats") == 0
+        out = capsys.readouterr().out
+        assert "samples\n  entries : 1\n" in out
+        assert "campaign\n  entries : 1\n" in out
+
+    def test_gc_older_than_zero_removes_every_record(self, root, capsys):
+        # Back-date the records, so a coarse file-system clock cannot
+        # stamp them at the cutoff itself.
+        for path in root.rglob("*.json"):
+            os.utime(path, (path.stat().st_atime - 60, path.stat().st_mtime - 60))
+        assert self.cache(root, "gc", "--older-than", "0") == 0
+        out = capsys.readouterr().out
+        assert "samples: removed 1 record(s)" in out
+        assert "campaign: removed 1 record(s)" in out
+        assert self.cache(root, "stats") == 0
+        assert capsys.readouterr().out.count("entries : 0") == 2
+
+    def test_verify_quarantines_a_corrupt_record(self, root, capsys):
+        (record,) = root.glob("??/*.json")
+        record.write_text("{ not json")
+        assert self.cache(root, "verify") == 1
+        out = capsys.readouterr().out
+        assert f"samples: 0 record(s) OK, 1 quarantined:\n  {record.stem}\n" in out
+        assert "campaign: 1 record(s) OK\n" in out
+        assert (root / "quarantine" / record.name).read_text() == "{ not json"
+        assert not record.exists()
+
+    @pytest.mark.parametrize(
+        "age, message",
+        [
+            ("5x", "--older-than wants a duration like 3600, 30m, 12h, 7d; got '5x'"),
+            ("-1", "--older-than must be non-negative"),
+        ],
+    )
+    def test_bad_age_is_a_usage_error(self, root, age, message, capsys):
+        assert self.cache(root, "gc", f"--older-than={age}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert len(list(root.rglob("*.json"))) == 2  # nothing collected
 
 
 #: Invalid command lines, each with its one-line error.  MISSING and BAD
