@@ -1,7 +1,11 @@
 """Tests for the directory backend's point-to-point interconnect."""
 
+from repro.memory import MainMemory
+from repro.memory.coherence import MSIState
+from repro.memory.directory import DirectoryBackend
 from repro.memory.directory.interconnect import MUTE, VOCAL, Interconnect, WRRArbiter
 from repro.sim.config import BusConfig, CoherenceStyle
+from repro.sim.stats import Stats
 
 
 class TestWRRArbiter:
@@ -103,3 +107,20 @@ class TestInterconnect:
             fabric.request(1, VOCAL, now=0)
         assert fabric.deferrals() == 4  # two per bank
 
+
+class TestDirectoryEntry:
+    def test_home_directory_materializes_and_reaps(self):
+        """The backend's home directory holds an entry only while some
+        core holds the line: materialized on demand, kept while a holder
+        remains, reaped when the last one drops it."""
+        home = DirectoryBackend(DIR_BUS, MainMemory(), Stats()).directory
+        assert home.peek(7) is None
+        entry = home.entry(7)
+        entry.state = MSIState.SHARED
+        entry.add(1)
+        entry.add(2)
+        assert len(home) == 1
+        home.drop(7, 2)  # core 1 still holds it: kept
+        assert home.peek(7) is entry
+        home.drop(7, 1)
+        assert home.peek(7) is None and len(home) == 0
