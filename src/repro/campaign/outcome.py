@@ -43,6 +43,7 @@ from repro.exec.jobs import resolve_workload
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import SystemConfig
 from repro.sim.options import SimOptions
+from repro.sim.sampling import _generated
 
 MASKED = "masked"
 DETECTED_RECOVERED = "detected_recovered"
@@ -134,8 +135,9 @@ class _CommitProbe:
 
 def _build_system(config: SystemConfig, spec: InjectionSpec, trace: str) -> CMPSystem:
     workload = resolve_workload(spec.workload_name)
-    programs = workload.programs(config.n_logical, spec.seed)
-    schedules = workload.itlb_schedules(config.n_logical, spec.seed)
+    # The golden run builds the generation; every injected run in this
+    # process, or forked from it, reuses it.
+    programs, schedules = _generated(workload, config.n_logical, spec.seed)
     # Dual execution always: fault-armed pairs disable the replay fast
     # path anyway, and running the golden reference in the identical
     # execution model keeps the two runs' timing envelopes comparable.

@@ -40,6 +40,7 @@ from repro.sim.config import (
     SystemConfig,
     TLBConfig,
 )
+from repro.sim.sampling import prepare_sample
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
@@ -114,6 +115,15 @@ class InjectionJob:
             f"{spec.workload_name}/{spec.victim}/{spec.target}"
             f"/bit{spec.bit}@{spec.inject_index}"
         )
+
+    def prepare(self) -> None:
+        """Build what this run shares with its campaign, in this process.
+
+        As :meth:`repro.exec.jobs.SampleJob.prepare`: the pool calls it
+        before forking the run's worker.
+        """
+        spec = self.spec
+        prepare_sample(self.config, resolve_workload(spec.workload_name), spec.seed)
 
 
 def campaign_config(

@@ -17,6 +17,8 @@ aliasing probability — the trade the paper quantifies.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.sim.config import CRC_POLYNOMIALS as _POLYS
 
 
@@ -54,10 +56,10 @@ def _table_for(bits: int) -> list[int]:
 
 #: Wide tables for the 16-bit CRC (the paper's configuration and the hot
 #: path): ``(LT16, MT16)``, built lazily.
-_WIDE16: tuple[list[int], list[int]] | None = None
+_WIDE16: tuple[array, array] | None = None
 
 
-def _wide_tables_16() -> tuple[list[int], list[int]]:
+def _wide_tables_16() -> tuple[array, array]:
     """Halfword-at-a-time tables for the 16-bit CRC.
 
     One byte step is linear over GF(2) in its ``(crc, byte)`` input, so
@@ -66,13 +68,16 @@ def _wide_tables_16() -> tuple[list[int], list[int]]:
     ``step2(crc, m) == LT16[crc] ^ MT16[m]`` with ``LT16[c] =
     step2(c, 0)`` (advance the register 16 bits) and ``MT16[m] =
     step2(0, m)`` (the message's contribution).  This turns the per-word
-    two-stage absorb into two list lookups and one XOR; the equivalence
+    two-stage absorb into two table lookups and one XOR; the equivalence
     is pinned against the byte path and the bit-serial reference in
     ``tests/core/test_fingerprint_batched.py``.
 
     The same linearity builds each 65,536-entry table from two 256-entry
     halves, ``T[(h << 8) | l] == T[h << 8] ^ T[l]``, so the build costs
-    1,024 ``step2`` calls plus one XOR per entry.
+    1,024 ``step2`` calls plus one XOR per entry.  Each table is an
+    ``array('H')`` of 128 KB, filled from a generator: as lists they
+    held 5 MB of int objects, and every process forked after the build
+    (the pool's workers, see :mod:`repro.exec.pool`) carries them.
     """
     global _WIDE16
     if _WIDE16 is not None:
@@ -88,8 +93,8 @@ def _wide_tables_16() -> tuple[list[int], list[int]]:
     mt_hi = [step2(0, b << 8) for b in range(256)]
     mt_lo = [step2(0, b) for b in range(256)]
     _WIDE16 = (
-        [hi ^ lo for hi in lt_hi for lo in lt_lo],
-        [hi ^ lo for hi in mt_hi for lo in mt_lo],
+        array("H", (hi ^ lo for hi in lt_hi for lo in lt_lo)),
+        array("H", (hi ^ lo for hi in mt_hi for lo in mt_lo)),
     )
     return _WIDE16
 

@@ -60,6 +60,29 @@ def decode_sample(payload: dict) -> Sample:
     return Sample(**{name: int(payload[name]) for name in fields})
 
 
+def _load_record(path: Path) -> dict:
+    """The JSON object stored at ``path``.
+
+    Raises :class:`CorruptRecord` if the file is unreadable, not UTF-8,
+    not JSON, or JSON but not an object; a missing file raises
+    ``FileNotFoundError``.
+    """
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CorruptRecord(f"{path.name}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CorruptRecord(f"{path.name} is not a JSON object")
+    return record
+
+
+#: What decoding a bad record can raise; ``int()`` of a JSON number too
+#: large for a float (``1e999`` parses as infinity) raises OverflowError.
+_UNDECODABLE = (ValueError, KeyError, TypeError, OverflowError)
+
+
 class ResultCache:
     """Sharded-JSON result store shared across processes and sessions.
 
@@ -102,7 +125,7 @@ class ResultCache:
             if record.get("schema") != self.schema:
                 raise ValueError("schema mismatch")
             value = self._decode(record[self.value_field])
-        except (CorruptRecord, ValueError, KeyError, TypeError, OSError):
+        except (*_UNDECODABLE, OSError):
             # Corrupt, truncated, or stale-schema record: drop it so the
             # fresh result can take its place.
             self.delete(key)
@@ -135,18 +158,9 @@ class ResultCache:
         decode to a JSON object.
         """
         try:
-            text = self._file(key).read_text()
+            return _load_record(self._file(key))
         except FileNotFoundError:
             return None
-        except OSError as exc:
-            raise CorruptRecord(str(exc)) from exc
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise CorruptRecord(str(exc)) from exc
-        if not isinstance(record, dict):
-            raise CorruptRecord(f"record for {key} is not a JSON object")
-        return record
 
     def write(self, key: str, record: dict) -> None:
         """Publish ``record`` under ``key``: temp file, then ``os.replace``.
@@ -180,18 +194,15 @@ class ResultCache:
                 stat = path.stat()
             except OSError:  # pragma: no cover - raced deletion
                 continue
-            schema: int | None = None
             try:
-                record = json.loads(path.read_text())
-                if isinstance(record.get("schema"), int):
-                    schema = record["schema"]
-            except (ValueError, OSError):
+                schema = _load_record(path).get("schema")
+            except (CorruptRecord, OSError):
                 schema = None
             yield CacheEntry(
                 key=path.stem,
                 size_bytes=stat.st_size,
                 mtime=stat.st_mtime,
-                schema=schema,
+                schema=schema if isinstance(schema, int) else None,
             )
 
     def quarantine(self, key: str) -> Path:
@@ -345,7 +356,7 @@ def cache_verify(cache: ResultCache) -> tuple[int, list[str]]:
                     f"schema {record.get('schema')!r} != expected {cache.schema}"
                 )
             cache._decode(record[cache.value_field])
-        except (CorruptRecord, ValueError, KeyError, TypeError):
+        except _UNDECODABLE:
             cache.quarantine(key)
             quarantined.append(key)
         else:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.sim.config import SystemConfig
 from repro.sim.options import SimOptions
-from repro.sim.sampling import Sample, run_sample
+from repro.sim.sampling import Sample, prepare_sample, run_sample
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
@@ -102,13 +102,23 @@ class SampleJob:
         mode = self.config.redundancy.mode.value
         return f"{self.workload_name}/{mode}/seed{self.seed}/{self.warmup}+{self.measure}"
 
+    def prepare(self) -> None:
+        """Build what this job shares with its batch, in this process.
+
+        The pool calls this in its parent just before forking the job's
+        worker, which then inherits what it built (see
+        :func:`~repro.sim.sampling.prepare_sample`).  :func:`run_job`
+        builds the same for itself when nothing was prepared.
+        """
+        prepare_sample(self.config, resolve_workload(self.workload_name), self.seed)
+
 
 #: Resolved workload instances by lowercased name.  Workloads are
 #: stateless (programs are a pure function of ``seed``), so handing every
-#: job the same instance is result-neutral — and it makes the per-instance
-#: program-generation memo (:mod:`repro.sim.sampling`) hit across the
-#: jobs that share a workload, instead of regenerating identical programs
-#: once per redundancy mode.
+#: job the same instance is result-neutral — and the generation memo
+#: (:mod:`repro.sim.sampling`) is keyed by instance, so it hits for the
+#: jobs of one workload that run in turn in one process: a serial batch,
+#: or the pool's parent preparing its jobs (:meth:`SampleJob.prepare`).
 _RESOLVED: dict = {}
 
 

@@ -1,25 +1,35 @@
 """Parallel job execution across worker processes.
 
 The pool fans a batch of keyed jobs out over ``workers`` forked
-processes, one process per job (simulations run for seconds to minutes,
-so process start-up is noise and per-job isolation buys crash
-containment and clean per-job timeouts for free).  Jobs are duck-typed:
-anything with a content-hash ``.key`` and a ``.describe()`` works —
-:class:`~repro.exec.jobs.SampleJob` for throughput samples,
+processes, one process per job (per-job isolation buys crash containment
+and clean per-job timeouts for free).  Jobs are duck-typed: anything
+with a content-hash ``.key``, a ``.describe()`` and a ``.prepare()``
+works — :class:`~repro.exec.jobs.SampleJob` for throughput samples,
 :class:`~repro.campaign.plan.InjectionJob` for fault campaigns — with a
 matching ``run_job`` callable supplied at construction.  Each worker
 sends its result back over a pipe; the parent owns the cache and writes
 results as they arrive, so there are never concurrent cache writers.
 
+Shared set-up: start-up is not noise at quick scale, where building a
+job's programs, their decode tables and the fingerprint tables took
+about 11% of a worker's time, and most of it repeats across the jobs of
+one workload.  So the parent calls ``job.prepare()`` just before it
+forks the job's worker: the worker inherits what the parent built and
+rebuilds none of it.  The parent keeps one generation at a time (see
+:data:`repro.sim.sampling._generation_memo`), since whatever its heap
+holds at a fork is resident in every worker forked after it.
+
 Failure policy: a worker that crashes (nonzero exit without a result),
 raises, or exceeds the per-job timeout is retried once (configurable);
-a job that fails again is reported in the manifest and raises
-:class:`ExecutionError` after the rest of the batch completes.
+so is a job whose ``prepare()`` raises in the parent.  A job that fails
+again is reported in the manifest and raises :class:`ExecutionError`
+after the rest of the batch completes.
 
 Serial fallback: with ``workers=1`` — or on platforms without the
 ``fork`` start method — jobs run in-process in submission order, with
 semantics identical to calling :func:`~repro.exec.jobs.run_job` in a
-loop (exceptions propagate immediately, no retries).
+loop (exceptions propagate immediately, no retries).  ``run_job`` builds
+what ``prepare()`` would, in the same process, so nothing calls it.
 
 Determinism: a simulation is a pure function of its job, so the result
 dict is bit-identical however the batch was scheduled.
@@ -36,6 +46,7 @@ and only on the main thread.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import signal
 import threading
 import time
@@ -48,8 +59,10 @@ from repro.exec.jobs import SampleJob, run_job
 from repro.exec.progress import Progress, RunManifest
 from repro.sim.sampling import Sample
 
-#: How often the parent polls worker pipes, seconds.
-_POLL_INTERVAL = 0.005
+#: Longest the parent waits for a worker's result or exit, seconds.  A
+#: result or an exit wakes it at once; the bound is how often it checks
+#: drain signals and per-job deadlines.
+_WAIT_TIMEOUT = 0.05
 
 
 class ExecutionError(RuntimeError):
@@ -268,7 +281,24 @@ class ExecutionPool:
         pending: deque[tuple[SampleJob, int]] = deque((job, 0) for job in todo)
         running: list[_Running] = []
 
+        def fail(job: SampleJob, attempt: int, detail: str) -> None:
+            if attempt < self.retries:
+                manifest.retries += 1
+                pending.append((job, attempt + 1))
+            else:
+                manifest.failures.append(f"{job.describe()}: {detail}")
+                if progress is not None:
+                    progress.advance(f"FAILED {job.describe()}")
+
         def launch(job: SampleJob, attempt: int) -> None:
+            # Build here what the worker would otherwise build for itself;
+            # the fork inherits it.  A raise fails this attempt, reported
+            # as a worker reports its own.
+            try:
+                job.prepare()
+            except Exception as exc:  # noqa: BLE001 - report, then retry
+                fail(job, attempt, f"{type(exc).__name__}: {exc}")
+                return
             parent_conn, child_conn = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker_main, args=(self.run_job, job, child_conn), daemon=True
@@ -281,15 +311,8 @@ class ExecutionPool:
         def settle(slot: _Running, outcome: str, detail: str) -> None:
             slot.conn.close()
             slot.process.join()
-            if outcome == "ok":
-                return
-            if slot.attempt < self.retries:
-                manifest.retries += 1
-                pending.append((slot.job, slot.attempt + 1))
-            else:
-                manifest.failures.append(f"{slot.job.describe()}: {detail}")
-                if progress is not None:
-                    progress.advance(f"FAILED {slot.job.describe()}")
+            if outcome != "ok":
+                fail(slot.job, slot.attempt, detail)
 
         cancelled = 0
         while pending or running:
@@ -309,7 +332,12 @@ class ExecutionPool:
                 break
             while pending and len(running) < self.workers:
                 launch(*pending.popleft())
-            time.sleep(_POLL_INTERVAL)
+            if running:
+                multiprocessing.connection.wait(
+                    [slot.conn for slot in running]
+                    + [slot.process.sentinel for slot in running],
+                    timeout=_WAIT_TIMEOUT,
+                )
             still_running: list[_Running] = []
             for slot in running:
                 if slot.conn.poll():

@@ -124,8 +124,13 @@ class Runner:
         the process pool, and warms the memo with every result — after
         which the figure drivers' serial :meth:`sample` calls are pure
         lookups.  Results are bit-identical to serial execution.
+
+        The batch runs grouped by generation — (workload, ``n_logical``,
+        seed), groups in order of first appearance — so that the
+        programs built for one job serve the next (see
+        :data:`repro.sim.sampling._generation_memo`).
         """
-        batch: list[SampleJob] = []
+        groups: dict[tuple[str, int, int], list[SampleJob]] = {}
         index: dict[str, tuple[SystemConfig, str, int]] = {}
         memo_served: set[tuple[SystemConfig, str, int]] = set()
         for config, workload in requests:
@@ -136,8 +141,10 @@ class Runner:
                     continue
                 job = self._job(config, workload.name, seed)
                 if job.key not in index:
-                    batch.append(job)
+                    generation = (workload.name, config.n_logical, seed)
+                    groups.setdefault(generation, []).append(job)
                     index[job.key] = memo_key
+        batch = [job for group in groups.values() for job in group]
         # The benchmark's Fig 5 children count this probe: one call per
         # prefetch, answered None (bench/child.py::probe_daemon).
         serve_client.service_pool()

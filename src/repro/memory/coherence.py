@@ -369,16 +369,17 @@ class MemoryBackend:
 
         Used when a decoupled core starts a new program: any cached
         copies of the image's lines anywhere in the hierarchy are stale.
-        Dirty vocal copies are written back first; mute copies are
-        dropped.
+        Dirty copies are written back first, oldest first: the backend's
+        own (an L2 array line) before a vocal L1's, which is newer where
+        both are dirty.  Mute copies are dropped.
         """
         words_per_line = self._words_per_line
         for line_addr in {addr // (8 * words_per_line) for addr in image}:
+            self._forget(line_addr)
             for l1, is_mute in self._l1s.values():
                 line = l1.invalidate(line_addr)
                 if line is not None and not is_mute and line.dirty:
                     self.memory.write_line(line_addr, line.data)
-            self._forget(line_addr)
         for addr, value in image.items():
             self.memory.write_word(addr, value)
 

@@ -17,22 +17,33 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.fingerprint import FingerprintAccumulator
+from repro.isa.decode import decode_program
 from repro.sim.cmp import CMPSystem
-from repro.sim.config import SystemConfig
+from repro.sim.config import Consistency, Mode, SystemConfig
 from repro.sim.options import SimOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
 
-#: Generated programs/schedules per (workload, n_logical, seed), keyed by
-#: workload *identity* (Workload defines no __eq__).  The contract on
-#: :meth:`Workload.programs` — deterministic in ``seed`` — makes reuse
-#: result-neutral, and a bench phase asks for the same generation three
-#: times (once per redundancy mode), so this removes a third or more of
-#: quick-scale wall time.  Programs are immutable to the simulator (the
-#: per-``Program`` decode cache is additive and deterministic) and ITLB
-#: schedules are pure functions of the retired-instruction index, so
-#: sharing across systems cannot couple their results.
+#: The last generation built: programs and ITLB schedules for one
+#: (workload, n_logical, seed), keyed by workload *identity* (Workload
+#: defines no __eq__).  The contract on :meth:`Workload.programs` —
+#: deterministic in ``seed`` — makes reuse result-neutral.  Programs are
+#: immutable to the simulator (the per-``Program`` decode cache is
+#: additive and deterministic) and ITLB schedules are pure functions of
+#: the retired-instruction index, so sharing across systems cannot couple
+#: their results.
+#:
+#: The memo hits only for jobs that share a generation and run one after
+#: another in one process: a serial batch, or the pool's parent, which
+#: builds each job's generation before forking its worker
+#: (:func:`prepare_sample`).  A forked worker starts with nothing but the
+#: parent's memo.  It holds one entry, dropped *before* the next is
+#: built: after a fork the parent's heap high-water mark is the floor of
+#: every later worker's resident set, so two generations alive at once
+#: would raise the peak of every worker after them.  ``Runner.prefetch``
+#: groups a batch by generation so that one entry is enough.
 _generation_memo: dict = {}
 
 
@@ -40,12 +51,31 @@ def _generated(workload: "Workload", n_logical: int, seed: int):
     key = (workload, n_logical, seed)
     entry = _generation_memo.get(key)
     if entry is None:
+        _generation_memo.clear()
         entry = (
             workload.programs(n_logical, seed),
             workload.itlb_schedules(n_logical, seed),
         )
         _generation_memo[key] = entry
     return entry
+
+
+def prepare_sample(config: SystemConfig, workload: "Workload", seed: int) -> None:
+    """Build in this process what a sample shares with its batch.
+
+    That is the generation (:func:`_generated`), each program's decode
+    tables for the config's consistency mode, and the fingerprint tables
+    when the config has a checking gate.  A later sample or a process
+    forked after this call finds them built; results never change.
+    """
+    programs, _schedules = _generated(workload, config.n_logical, seed)
+    sc_mode = config.consistency is Consistency.SC
+    for program in programs:
+        decode_program(program, sc_mode)
+    redundancy = config.redundancy
+    if redundancy.mode is not Mode.NONREDUNDANT:
+        # Construction builds (and keeps) the tables of this CRC width.
+        FingerprintAccumulator(redundancy.fingerprint_bits, redundancy.two_stage_compression)
 
 
 @dataclass(frozen=True)

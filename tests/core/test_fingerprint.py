@@ -114,8 +114,8 @@ class TestWideTables:
             x = table[v & 0xFF]
             mt_ref.append(((x << 8) ^ table[((x >> 8) ^ (v >> 8)) & 0xFF]) & 0xFFFF)
         lt, mt = _wide_tables_16()
-        assert lt == lt_ref
-        assert mt == mt_ref
+        assert list(lt) == lt_ref
+        assert list(mt) == mt_ref
 
 
 class TestInstructionUpdates:

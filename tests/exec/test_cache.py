@@ -2,11 +2,20 @@
 
 import dataclasses
 import json
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec.cache import (
     DEFAULT_CACHE_DIR,
+    QUARANTINE_DIR,
+    CorruptRecord,
     NullCache,
     ResultCache,
+    cache_stats,
+    cache_verify,
     decode_sample,
     default_cache,
     encode_sample,
@@ -90,6 +99,73 @@ class TestCorruptionRecovery:
         del record["sample"]["cycles"]
         cache.path(JOB).write_text(json.dumps(record))
         assert cache.get(JOB) is None
+
+
+def _stored_record() -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        cache.put(JOB, SAMPLE)
+        return cache.path(JOB).read_bytes()
+
+
+STORED = _stored_record()
+
+#: JSON values that are not objects: scalars, and lists of anything.
+_NON_OBJECTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+#: Three kinds of bad record: the stored record cut short, valid JSON
+#: that is not an object, and the stored record with a byte that is
+#: never UTF-8 put in.
+BAD_RECORDS = st.one_of(
+    st.integers(0, len(STORED) - 1).map(lambda n: STORED[:n]),
+    _NON_OBJECTS.map(lambda value: json.dumps(value).encode()),
+    st.integers(0, len(STORED)).map(lambda i: STORED[:i] + b"\xff" + STORED[i:]),
+)
+
+
+def check_bad_record(root, raw: bytes, schema="unreadable") -> None:
+    """``stats`` counts ``raw`` under ``schema``, ``verify`` quarantines
+    it, and ``get`` misses and drops it; none of them raises, and
+    ``read`` raises only :class:`CorruptRecord`."""
+    cache = ResultCache(root)
+    path = cache.path(JOB)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(raw)
+    if schema == "unreadable":
+        with pytest.raises(CorruptRecord):
+            cache.read(JOB.key)
+    assert cache_stats(cache).by_schema == {schema: 1}
+    assert cache_verify(cache) == (0, [JOB.key])
+    assert (cache.root / QUARANTINE_DIR / f"{JOB.key}.json").read_bytes() == raw
+    path.write_bytes(raw)
+    assert cache.get(JOB) is None
+    assert not path.exists()
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+class TestBadRecords:
+    """ROADMAP 6(c), the codec part: a bad record is a miss or goes to
+    quarantine, never a crash.  A flipped digit that still decodes to a
+    different value is out of reach without a per-record checksum."""
+
+    @given(raw=BAD_RECORDS)
+    @settings(max_examples=100, deadline=None)
+    def test_bad_records_are_missed_and_quarantined(self, raw):
+        with tempfile.TemporaryDirectory() as root:
+            check_bad_record(root, raw)
+
+    def test_every_truncation_of_a_stored_record(self, tmp_path):
+        for length in range(len(STORED)):
+            check_bad_record(tmp_path / str(length), STORED[:length])
+
+    def test_a_number_past_float_range_is_a_miss(self, tmp_path):
+        record = json.loads(STORED)
+        text = json.dumps(record).replace('"cycles": 160', '"cycles": 1e999')
+        check_bad_record(tmp_path, text.encode(), schema=record["schema"])
 
 
 class TestEnvironment:

@@ -9,14 +9,16 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim.sampling as sampling
 from repro.exec.cache import ResultCache
-from repro.exec.jobs import SampleJob, run_job
+from repro.exec.jobs import SampleJob, resolve_workload, run_job
 from repro.exec.pool import (
     ExecutionError,
     ExecutionInterrupted,
     ExecutionPool,
     execute_jobs,
 )
+from repro.isa.decode import DecodedProgram
 from repro.sim.config import DEFAULT_CONFIG, Mode
 
 CONFIG = DEFAULT_CONFIG.replace(n_logical=2)
@@ -119,6 +121,52 @@ class TestFailureHandling:
         pool = ExecutionPool(workers=1, run_job=always_raises_run_job)
         with pytest.raises(ValueError, match="simulated model error"):
             pool.run(JOBS[:1])
+
+
+class TestPreparedInParent:
+    """The parent builds each job's shared set-up before forking it."""
+
+    def test_workers_inherit_programs_and_decode_tables(self, tmp_path, monkeypatch):
+        # Each call appends the calling process's pid; appends from
+        # forked workers land in the same file.
+        log = tmp_path / "calls"
+
+        def logged(name, original):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as handle:
+                    handle.write(f"{name} {os.getpid()}\n")
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        workload_class = type(resolve_workload("ocean"))
+        monkeypatch.setattr(sampling, "_generation_memo", {})
+        monkeypatch.setattr(
+            workload_class, "programs", logged("programs", workload_class.programs)
+        )
+        monkeypatch.setattr(
+            DecodedProgram, "__init__", logged("decode", DecodedProgram.__init__)
+        )
+        jobs = [
+            SampleJob(CONFIG.with_redundancy(mode=mode), "ocean", 0, warmup=80, measure=160)
+            for mode in (Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION)
+        ]
+        _, manifest = execute_jobs(jobs, workers=2)
+        assert manifest.executed == 3
+        calls = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [pid for name, pid in calls if name == "programs"] == [parent]
+        assert {pid for name, pid in calls if name == "decode"} == {parent}
+
+    def test_a_job_whose_preparation_raises_fails_after_the_batch(self):
+        bad = SampleJob(CONFIG, "no-such-workload", 0, warmup=80, measure=160)
+        with pytest.raises(ExecutionError) as excinfo:
+            execute_jobs([bad, JOBS[0]], workers=2)
+        manifest = excinfo.value.manifest
+        assert manifest.executed == 1 and manifest.retries == 1
+        assert manifest.failures == [
+            f"{bad.describe()}: KeyError: \"unknown workload 'no-such-workload'\""
+        ]
 
 
 class TestSignalDrain:

@@ -4,6 +4,7 @@ import pytest
 
 import repro.harness.runs as runs
 from repro.exec.cache import ResultCache
+from repro.exec.progress import RunManifest
 from repro.harness import (
     plan_fig5,
     plan_fig6,
@@ -100,6 +101,27 @@ class TestPrefetch:
         fresh = Runner(TINY, cache=ResultCache(tmp_path))
         manifest = fresh.prefetch([(NONRED, OCEAN)])
         assert manifest.hits == 1 and manifest.executed == 0
+
+
+    def test_prefetch_runs_its_batch_grouped_by_generation(self, monkeypatch):
+        """A config-major plan reaches the pool workload-major, groups in
+        order of first appearance, so one generation serves a group."""
+        batches = []
+
+        def record(pool, jobs, *args, **kwargs):
+            batches.append([(job.workload_name, job.seed) for job in jobs])
+            return {}, RunManifest(total=len(batches[-1]))
+
+        monkeypatch.setattr(runs.ExecutionPool, "run", record)
+        em3d = by_name("em3d")
+        two_seeds = Scale("two", warmup=80, measure=160, seeds=(0, 1), config=TINY.config)
+        Runner(two_seeds).prefetch(
+            [(config, workload) for config in (NONRED, REUNION) for workload in (em3d, OCEAN)]
+        )
+        names = ("em3d", "ocean")
+        assert batches == [
+            [(name, seed) for name in names for seed in (0, 1) for _mode in range(2)]
+        ]
 
 
 class TestServeProbe:

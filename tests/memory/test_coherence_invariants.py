@@ -15,9 +15,13 @@ tracks the architecturally-correct value of every word.  Invariants:
   home-node backend keep the same :class:`~repro.memory.Directory`, so
   one check (:func:`check_directory`) covers both;
 * **synchronizing requests** return the reference value to both cores.
+
+Random traffic seldom gives a line two sharers before a third core
+writes it, so each property also runs :data:`TWO_SHARERS_THEN_A_WRITE`
+on every run.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memory import CoreMemPort, LineState, MainMemory, SharedL2Controller
@@ -51,6 +55,15 @@ operation = st.tuples(
     st.integers(min_value=0, max_value=7),  # word within line
     st.integers(min_value=1, max_value=1 << 32),  # store value
 )
+
+
+#: Core 0 and core 1 read a line, then core 2 writes it: the write must
+#: invalidate both shared copies.
+TWO_SHARERS_THEN_A_WRITE = [
+    ("load", 0, 5, 0, 1),
+    ("load", 1, 5, 0, 1),
+    ("store", 2, 5, 0, 9),
+]
 
 
 def exclusive_holders(ports, line_addr):
@@ -87,6 +100,7 @@ def check_directory(backend, ports):
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=60))
+@example(ops=TWO_SHARERS_THEN_A_WRITE)
 @settings(max_examples=60, deadline=None)
 def test_vocal_coherence_under_random_traffic(ops):
     controller, memory, ports = build()
@@ -136,6 +150,19 @@ def test_vocal_coherence_under_random_traffic(ops):
             now += 200
             access = ports[0].load_f(addr, now)
         assert access[0] == expected
+
+
+def test_install_image_writes_the_l2_copy_back_before_a_newer_l1_copy():
+    """A line dirty in both the L2 array and a vocal L1 keeps the L1's
+    words wherever the image does not cover them."""
+    controller, memory, ports = build()
+    line = 5
+    assert ports[0].store_f(line * 64, 1, 30) is not None
+    assert ports[1].load_f(line * 64, 60) is not None  # folds core 0's copy into L2
+    assert ports[0].store_f(line * 64 + 8, 2, 90) is not None  # L1 now newer
+    controller.install_image({line * 64 + 16: 7})
+    assert memory.read_line(line)[:3] == [1, 2, 7]
+    assert all(port.l1.lookup(line) is None for port in ports)
 
 
 def build_snoopy():
@@ -218,6 +245,7 @@ def run_private_cache_traffic(build, check, ops):
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=60))
+@example(ops=TWO_SHARERS_THEN_A_WRITE)
 @settings(max_examples=40, deadline=None)
 def test_vocal_coherence_on_snoopy_bus(ops):
     """The same linearizability property on the snoopy organization."""
@@ -225,6 +253,7 @@ def test_vocal_coherence_on_snoopy_bus(ops):
 
 
 @given(ops=st.lists(operation, min_size=1, max_size=60))
+@example(ops=TWO_SHARERS_THEN_A_WRITE)
 @settings(max_examples=40, deadline=None)
 def test_vocal_coherence_on_directory(ops):
     """The same property on the directory MSI backend, plus its home entries."""

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro.sim.sampling as sampling
 from repro.sim.config import DEFAULT_CONFIG, Mode
 from repro.sim.sampling import Sample, matched_pair, run_sample
 from repro.sim.stats import Stats
@@ -128,3 +129,24 @@ class TestRunSample:
         a = run_sample(config, workload, warmup=200, measure=400, seed=1)
         b = run_sample(config, workload, warmup=200, measure=400, seed=1)
         assert a == b
+
+
+class TestGenerationMemo:
+    def test_holds_one_generation_dropped_before_the_next_is_built(self, monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(sampling, "_generation_memo", memo)
+        ocean, em3d = by_name("ocean"), by_name("em3d")
+        sizes_while_building = []
+        build = type(em3d).programs
+
+        def programs(self, n_logical, seed=0):
+            sizes_while_building.append(len(memo))
+            return build(self, n_logical, seed)
+
+        monkeypatch.setattr(type(em3d), "programs", programs)
+        first = sampling._generated(ocean, 2, 0)
+        assert sampling._generated(ocean, 2, 0) is first
+        for workload, seed in ((em3d, 0), (em3d, 1), (ocean, 0)):
+            sampling._generated(workload, 2, seed)
+            assert list(memo) == [(workload, 2, seed)]
+        assert sizes_while_building == [0, 0]
