@@ -11,14 +11,13 @@ interval at the paper's RUU size and asserts the spread stays small.
 import dataclasses
 
 from repro.harness.report import render_series
-from repro.harness.runs import Runner
 from repro.sim.config import Mode
 from repro.workloads import by_name
 
 INTERVALS = (1, 4, 16, 50)
 
 
-def test_fingerprint_interval(scale):
+def test_fingerprint_interval(runner, scale):
     workload = by_name("DB2 OLTP")
     # The paper's claim is conditioned on its 256-entry RUU and 64-entry
     # store buffer; the scaled defaults are too small to absorb
@@ -29,7 +28,6 @@ def test_fingerprint_interval(scale):
             scale.config.core, rob_size=256, store_buffer_size=64
         ),
     )
-    runner = Runner(dataclasses.replace(scale, config=big_rob))
 
     def sweep():
         points = []

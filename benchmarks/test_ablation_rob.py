@@ -26,14 +26,8 @@ def test_rob_occupancy(runner, scale):
                 scale.config,
                 core=dataclasses.replace(scale.config.core, rob_size=rob),
             )
-            base = config.with_redundancy(mode=Mode.NONREDUNDANT)
             strict = config.with_redundancy(mode=Mode.STRICT, comparison_latency=40)
-            ratios = []
-            for seed in scale.seeds:
-                b = runner.sample(base, workload, seed)
-                s = runner.sample(strict, workload, seed)
-                ratios.append(s.ipc / b.ipc if b.ipc else 0.0)
-            points.append(sum(ratios) / len(ratios))
+            points.append(runner.normalized_ipc(strict, workload))
         return points
 
     points = sweep()

@@ -23,17 +23,10 @@ def test_snoopy_vs_shared(runner, scale):
             workload = by_name(name)
             row = [name]
             for style in (CacheStyle.SHARED, CacheStyle.SNOOPY):
-                config = scale.config.replace(cache_style=style)
-                base = config.with_redundancy(mode=Mode.NONREDUNDANT)
-                reunion = config.with_redundancy(
+                reunion = scale.config.replace(cache_style=style).with_redundancy(
                     mode=Mode.REUNION, comparison_latency=10
                 )
-                ratios = []
-                for seed in scale.seeds:
-                    b = runner.sample(base, workload, seed)
-                    t = runner.sample(reunion, workload, seed)
-                    ratios.append(t.ipc / b.ipc if b.ipc else 0.0)
-                row.append(sum(ratios) / len(ratios))
+                row.append(runner.normalized_ipc(reunion, workload))
             rows.append(row)
         return rows
 

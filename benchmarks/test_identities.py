@@ -14,7 +14,9 @@ from repro.workloads import suite
 from tests.sim.test_identities import IDENTITIES, assert_identity
 
 
-@pytest.mark.parametrize("workload", [workload.name for workload in suite()])
+# Workload-major: the decorator nearest the function varies fastest, so
+# consecutive tests share a workload and its generation.
 @pytest.mark.parametrize("identity", sorted(IDENTITIES))
+@pytest.mark.parametrize("workload", [workload.name for workload in suite()])
 def test_identity_holds(identity, workload, scale):
     assert_identity(identity, workload, scale.config, scale.warmup, scale.measure)

@@ -14,17 +14,7 @@ Usage::
 import argparse
 import time
 
-from repro.harness import (
-    Runner,
-    current_scale,
-    run_fig5,
-    run_fig6,
-    run_fig7a,
-    run_fig7b,
-    run_sc_comparison,
-    run_table3,
-)
-from repro.sim.config import Mode
+from repro.harness import ARTIFACTS, Runner, current_scale
 
 
 def main() -> None:
@@ -32,7 +22,7 @@ def main() -> None:
     parser.add_argument(
         "--only",
         nargs="*",
-        choices=["fig5", "fig6a", "fig6b", "table3", "fig7a", "fig7b", "sc"],
+        choices=list(ARTIFACTS),
         help="run a subset of the experiments",
     )
     args = parser.parse_args()
@@ -44,20 +34,9 @@ def main() -> None:
         f"{len(scale.seeds)} seed(s)).  Set REPRO_SCALE to change."
     )
 
-    experiments = {
-        "fig5": lambda: run_fig5(runner=runner),
-        "fig6a": lambda: run_fig6(Mode.STRICT, runner=runner),
-        "fig6b": lambda: run_fig6(Mode.REUNION, runner=runner),
-        "table3": lambda: run_table3(runner=runner),
-        "fig7a": lambda: run_fig7a(runner=runner),
-        "fig7b": lambda: run_fig7b(runner=runner),
-        "sc": lambda: run_sc_comparison(runner=runner),
-    }
-    selected = args.only or list(experiments)
-
-    for name in selected:
+    for name in args.only or list(ARTIFACTS):
         start = time.time()
-        result = experiments[name]()
+        result = ARTIFACTS[name](runner=runner)
         print()
         print(result.render())
         print(f"[{name} took {time.time() - start:.0f}s]")

@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 from repro.campaign.plan import InjectionSpec
 from repro.core.faults import FaultInjector, attribute_detections
-from repro.exec.jobs import resolve_workload
 from repro.sim.cmp import CMPSystem
 from repro.sim.config import SystemConfig
 from repro.sim.options import SimOptions
 from repro.sim.sampling import _generated
+from repro.workloads import by_name
 
 MASKED = "masked"
 DETECTED_RECOVERED = "detected_recovered"
@@ -134,7 +134,7 @@ class _CommitProbe:
 
 
 def _build_system(config: SystemConfig, spec: InjectionSpec, trace: str) -> CMPSystem:
-    workload = resolve_workload(spec.workload_name)
+    workload = by_name(spec.workload_name)
     # The golden run builds the generation; every injected run in this
     # process, or forked from it, reuses it.
     programs, schedules = _generated(workload, config.n_logical, spec.seed)

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.exec.jobs import config_payload, resolve_workload
+from repro.exec.jobs import config_payload
 from repro.sim.config import (
     BusConfig,
     CacheStyle,
@@ -41,6 +41,7 @@ from repro.sim.config import (
     TLBConfig,
 )
 from repro.sim.sampling import prepare_sample
+from repro.workloads import by_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.base import Workload
@@ -123,7 +124,7 @@ class InjectionJob:
         before forking the run's worker.
         """
         spec = self.spec
-        prepare_sample(self.config, resolve_workload(spec.workload_name), spec.seed)
+        prepare_sample(self.config, by_name(spec.workload_name), spec.seed)
 
 
 def campaign_config(
@@ -218,7 +219,7 @@ def plan_campaign(
         raise ValueError("a campaign needs at least one injection")
     if config is None:
         config = campaign_config()
-    workload = resolve_workload(workload_name)
+    workload = by_name(workload_name)
     targets = available_targets(workload, config, seed)
     strata = [(victim, target) for victim in victims for target in targets]
     rngs = {

@@ -85,30 +85,6 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_options_args(parser: argparse.ArgumentParser) -> None:
-    """Simulation-strategy flags; unset values fall through to REPRO_* env."""
-    parser.add_argument(
-        "--kernel",
-        choices=["event", "naive"],
-        default=None,
-        help="simulation kernel (default: REPRO_KERNEL or event)",
-    )
-    parser.add_argument(
-        "--execution",
-        choices=["replay", "dual"],
-        default=None,
-        help="mute-core execution strategy (default: REPRO_EXEC or replay)",
-    )
-
-
-def _options_from_args(args, **overrides) -> SimOptions:
-    return SimOptions.from_env(
-        kernel=getattr(args, "kernel", None),
-        execution=getattr(args, "execution", None),
-        **overrides,
-    )
-
-
 def cmd_list(_args) -> int:
     print(f"{'workload':<16}{'class':<12}")
     print("-" * 28)
@@ -120,22 +96,18 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    all_workloads = {w.name.lower(): w for w in [*suite(), *micro_suite()]}
-    workload = all_workloads.get(args.workload.lower())
-    if workload is None:
-        try:
-            workload = by_name(args.workload)
-        except KeyError:
-            print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
-            return 2
+    try:
+        workload = by_name(args.workload)
+    except KeyError:
+        print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
+        return 2
     try:
         config = _config_from_args(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(args)
     sample = run_sample(
-        config, workload, args.warmup, args.measure, args.seed, options=options
+        config, workload, args.warmup, args.measure, args.seed, options=SimOptions.from_env()
     )
     print(f"workload            : {workload.name} ({workload.category})")
     print(f"mode                : {args.mode} @ {args.latency}-cycle comparison")
@@ -160,7 +132,7 @@ def cmd_asm(args) -> int:
     except (OSError, ValueError) as exc:  # AssemblerError is a ValueError
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(args, max_cycles=args.max_cycles)
+    options = SimOptions.from_env(max_cycles=args.max_cycles)
     system = CMPSystem(config, [program], options=options)
     tracer = None
     if args.trace:
@@ -188,56 +160,20 @@ def cmd_asm(args) -> int:
 def cmd_reproduce(args) -> int:
     from repro.exec.cache import default_cache
     from repro.exec.pool import ExecutionError
-    from repro.harness import (
-        Runner,
-        current_scale,
-        plan_fig5,
-        plan_fig6,
-        plan_fig7a,
-        plan_fig7b,
-        plan_sc_comparison,
-        plan_table3,
-        run_fig5,
-        run_fig6,
-        run_fig7a,
-        run_fig7b,
-        run_sc_comparison,
-        run_table3,
-        scale_by_name,
-    )
+    from repro.harness import ARTIFACTS, Runner, current_scale, plan, scale_by_name
 
     scale = scale_by_name(args.scale) if args.scale else current_scale()
     cache = None if args.no_cache else default_cache()
-    runner = Runner(scale, cache=cache, options=_options_from_args(args))
-    experiments = {
-        "fig5": (lambda: plan_fig5(scale), lambda: run_fig5(runner=runner)),
-        "fig6a": (
-            lambda: plan_fig6(Mode.STRICT, scale),
-            lambda: run_fig6(Mode.STRICT, runner=runner),
-        ),
-        "fig6b": (
-            lambda: plan_fig6(Mode.REUNION, scale),
-            lambda: run_fig6(Mode.REUNION, runner=runner),
-        ),
-        "table3": (lambda: plan_table3(scale), lambda: run_table3(runner=runner)),
-        "fig7a": (lambda: plan_fig7a(scale), lambda: run_fig7a(runner=runner)),
-        "fig7b": (lambda: plan_fig7b(scale), lambda: run_fig7b(runner=runner)),
-        "sc": (
-            lambda: plan_sc_comparison(scale),
-            lambda: run_sc_comparison(runner=runner),
-        ),
-    }
-    selected = args.only or list(experiments)
+    runner = Runner(scale, cache=cache, options=SimOptions.from_env())
+    selected = args.only or list(ARTIFACTS)
     for name in selected:
-        if name not in experiments:
+        if name not in ARTIFACTS:
             print(f"unknown experiment {name!r}", file=sys.stderr)
             return 2
 
     # Enumerate the full artifact set up front and fan it out across the
     # pool; the drivers then render from warm memoized samples.
-    requests = []
-    for name in selected:
-        requests.extend(experiments[name][0]())
+    requests = [point for name in selected for point in plan(ARTIFACTS[name], scale)]
     try:
         manifest = runner.prefetch(
             requests, jobs=args.jobs, show_progress=sys.stderr.isatty()
@@ -247,11 +183,19 @@ def cmd_reproduce(args) -> int:
         print(exc.manifest.render(), file=sys.stderr)
         return 1
 
+    failed = False
     for name in selected:
-        print(experiments[name][1]().render())
+        result = ARTIFACTS[name](runner=runner)
+        print(result.render())
+        problems = result.check()
+        for problem in problems:
+            print(f"paper shape: FAILED {problem}")
+        if not problems:
+            print("paper shape: holds")
         print()
+        failed = failed or bool(problems)
     print(manifest.render(), file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:
@@ -263,12 +207,12 @@ def cmd_trace(args) -> int:
     as an error.  An uncached run populates the cache as a side effect.
     """
     from repro.exec.cache import default_cache
-    from repro.exec.jobs import SampleJob, resolve_workload
+    from repro.exec.jobs import SampleJob
     from repro.obs.export import summarize, write_chrome_trace, write_jsonl
     from repro.sim.sampling import run_sample_system
 
     try:
-        workload = resolve_workload(args.workload)
+        workload = by_name(args.workload)
     except KeyError:
         print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
         return 2
@@ -277,7 +221,7 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(args, trace=args.level, trace_capacity=args.capacity)
+    options = SimOptions.from_env(trace=args.level, trace_capacity=args.capacity)
     job = SampleJob(
         config=config,
         workload_name=workload.name,
@@ -339,13 +283,12 @@ def cmd_campaign(args) -> int:
     from repro.campaign import plan_campaign, run_campaign
     from repro.campaign.plan import campaign_config
     from repro.campaign.report import render_report, report_payload, write_report
-    from repro.exec.jobs import resolve_workload
     from repro.exec.pool import ExecutionError
     from repro.exec.progress import Progress
     from repro.sim.config import parse_policy
 
     try:
-        workload = resolve_workload(args.workload)
+        workload = by_name(args.workload)
     except KeyError:
         print(f"unknown workload {args.workload!r}; try `repro list`", file=sys.stderr)
         return 2
@@ -432,7 +375,7 @@ def cmd_frontier(args) -> int:
         return 2
     scale = scale_by_name(args.scale) if args.scale else current_scale()
     cache = None if args.no_cache else default_cache()
-    runner = Runner(scale, cache=cache, options=_options_from_args(args))
+    runner = Runner(scale, cache=cache, options=SimOptions.from_env())
     try:
         result = run_frontier(
             scale=scale,
@@ -541,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--measure", type=int, default=3000)
     run_parser.add_argument("--seed", type=int, default=0)
     _add_system_args(run_parser)
-    _add_options_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     asm_parser = subparsers.add_parser("asm", help="assemble and run a .s file")
@@ -549,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     asm_parser.add_argument("--max-cycles", type=int, default=1_000_000)
     asm_parser.add_argument("--trace", action="store_true", help="print a pipeline waterfall")
     _add_system_args(asm_parser)
-    _add_options_args(asm_parser)
     asm_parser.set_defaults(func=cmd_asm)
 
     trace_parser = subparsers.add_parser(
@@ -584,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the persistent result cache (.repro-cache/)",
     )
     _add_system_args(trace_parser)
-    _add_options_args(trace_parser)
     trace_parser.set_defaults(func=cmd_trace)
 
     repro_parser = subparsers.add_parser(
@@ -606,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the persistent result cache (.repro-cache/)",
     )
-    _add_options_args(repro_parser)
     repro_parser.set_defaults(func=cmd_reproduce)
 
     campaign_parser = subparsers.add_parser(
@@ -730,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the persistent sample cache (.repro-cache/)",
     )
-    _add_options_args(frontier_parser)
     frontier_parser.set_defaults(func=cmd_frontier)
 
     cache_parser = subparsers.add_parser(

@@ -14,8 +14,8 @@ replay are bit-identical to a serial run (verified in ``tests/exec``).
 """
 
 from repro.exec.cache import NullCache, ResultCache, default_cache
-from repro.exec.jobs import SCHEMA_VERSION, SampleJob, resolve_workload, run_job
-from repro.exec.pool import ExecutionError, ExecutionPool, execute_jobs
+from repro.exec.jobs import SCHEMA_VERSION, SampleJob, run_job
+from repro.exec.pool import ExecutionError, ExecutionPool
 from repro.exec.progress import Progress, RunManifest
 
 __all__ = [
@@ -28,7 +28,5 @@ __all__ = [
     "SCHEMA_VERSION",
     "SampleJob",
     "default_cache",
-    "execute_jobs",
-    "resolve_workload",
     "run_job",
 ]

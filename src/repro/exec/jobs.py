@@ -21,14 +21,12 @@ import gc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.sim.config import SystemConfig
 from repro.sim.options import SimOptions
 from repro.sim.sampling import Sample, prepare_sample, run_sample
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.workloads.base import Workload
+from repro.workloads import by_name
 
 #: Version stamp folded into every job key and cache record.  Cached
 #: results from other schema versions are treated as misses.
@@ -110,32 +108,7 @@ class SampleJob:
         :func:`~repro.sim.sampling.prepare_sample`).  :func:`run_job`
         builds the same for itself when nothing was prepared.
         """
-        prepare_sample(self.config, resolve_workload(self.workload_name), self.seed)
-
-
-#: Resolved workload instances by lowercased name.  Workloads are
-#: stateless (programs are a pure function of ``seed``), so handing every
-#: job the same instance is result-neutral — and the generation memo
-#: (:mod:`repro.sim.sampling`) is keyed by instance, so it hits for the
-#: jobs of one workload that run in turn in one process: a serial batch,
-#: or the pool's parent preparing its jobs (:meth:`SampleJob.prepare`).
-_RESOLVED: dict = {}
-
-
-def resolve_workload(name: str) -> "Workload":
-    """Find a workload by name across the Table 2 suite and the micros."""
-    from repro.workloads import suite
-    from repro.workloads.micro import micro_suite
-
-    key = name.lower()
-    workload = _RESOLVED.get(key)
-    if workload is not None:
-        return workload
-    for workload in [*suite(), *micro_suite()]:
-        _RESOLVED.setdefault(workload.name.lower(), workload)
-    if key in _RESOLVED:
-        return _RESOLVED[key]
-    raise KeyError(f"unknown workload {name!r}")
+        prepare_sample(self.config, by_name(self.workload_name), self.seed)
 
 
 def run_job(job: SampleJob) -> Sample:
@@ -147,7 +120,7 @@ def run_job(job: SampleJob) -> Sample:
     is acyclic (reference counting frees them promptly), so collector
     sweeps are pure overhead on the hot loop.
     """
-    workload = resolve_workload(job.workload_name)
+    workload = by_name(job.workload_name)
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()

@@ -365,16 +365,3 @@ class ExecutionPool:
             running = still_running
         return cancelled
 
-
-def execute_jobs(
-    jobs: Iterable[SampleJob],
-    workers: int = 1,
-    cache: ResultCache | None = None,
-    timeout: float | None = None,
-    retries: int = 1,
-    progress: Progress | None = None,
-    run_job: Callable[[SampleJob], Sample] = run_job,
-) -> tuple[dict[str, Sample], RunManifest]:
-    """One-shot convenience wrapper around :class:`ExecutionPool`."""
-    pool = ExecutionPool(workers=workers, timeout=timeout, retries=retries, run_job=run_job)
-    return pool.run(jobs, cache=cache, progress=progress)

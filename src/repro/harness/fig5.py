@@ -10,9 +10,10 @@ loses 5% (commercial) / 2% (scientific) on average; Reunion loses 10% /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.harness.report import render_table
-from repro.harness.runs import Runner, Scale, category_average, current_scale
+from repro.harness.report import failed_claims, render_table
+from repro.harness.runs import Runner, Scale, current_scale, plan
 from repro.sim.config import Mode
 from repro.workloads import suite
 
@@ -40,6 +41,48 @@ class Fig5Result:
         members = [row for row in self.rows if row[1] == "Scientific"]
         return sum(row[model_index] for row in members) / len(members)
 
+    def check(self) -> list[str]:
+        """The paper's Figure 5 claims this result breaks, one line each.
+
+        Strict stays close to non-redundant and Reunion pays the relaxed-
+        input-replication overhead on top; scientific workloads lose less
+        than commercial ones under Strict, since serializing instructions
+        dominate commercial code.
+        """
+        claims = []
+        for name, _category, strict, reunion in self.rows:
+            claims += [
+                (
+                    0.4 < reunion <= strict * 1.05,
+                    f"{name}: Reunion {reunion:.3f} must lie in (0.4, Strict "
+                    f"{strict:.3f} x 1.05]",
+                ),
+                (strict <= 1.08, f"{name}: Strict {strict:.3f} is above 1.08"),
+            ]
+        strict_commercial = self.commercial_average(2)
+        strict_scientific = self.scientific_average(2)
+        reunion_commercial = self.commercial_average(3)
+        claims += [
+            (
+                strict_commercial > 0.80,
+                f"Strict commercial average {strict_commercial:.3f} is not above 0.80",
+            ),
+            (
+                strict_scientific > 0.90,
+                f"Strict scientific average {strict_scientific:.3f} is not above 0.90",
+            ),
+            (
+                reunion_commercial > 0.70,
+                f"Reunion commercial average {reunion_commercial:.3f} is not above 0.70",
+            ),
+            (
+                strict_scientific >= strict_commercial - 0.02,
+                f"Strict scientific average {strict_scientific:.3f} falls more than "
+                f"0.02 below commercial {strict_commercial:.3f}",
+            ),
+        ]
+        return failed_claims(claims)
+
     def render(self) -> str:
         note = (
             f"Strict avg: commercial {self.commercial_average(2):.3f}, "
@@ -59,16 +102,7 @@ class Fig5Result:
 
 def plan_fig5(scale: Scale, comparison_latency: int = 10):
     """Every (config, workload) point Figure 5 needs, for batch prefetch."""
-    configs = [
-        scale.config.with_redundancy(mode=Mode.NONREDUNDANT),
-        scale.config.with_redundancy(
-            mode=Mode.STRICT, comparison_latency=comparison_latency
-        ),
-        scale.config.with_redundancy(
-            mode=Mode.REUNION, comparison_latency=comparison_latency
-        ),
-    ]
-    return [(config, workload) for workload in suite() for config in configs]
+    return plan(partial(run_fig5, comparison_latency=comparison_latency), scale)
 
 
 def run_fig5(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.harness.report import render_series
+from repro.harness.report import failed_claims, format_values, render_series
 from repro.harness.runs import Runner, Scale, current_scale
 from repro.sim.config import Mode
 from repro.workloads import by_name
@@ -40,6 +40,55 @@ class Fig6Result:
     model: Mode
     latencies: tuple[int, ...]
     series: dict[str, list[float]]  # class -> normalized IPC per latency
+    #: Panel (b) only: Strict's series at the same points, which its
+    #: claims compare against.  Never rendered.
+    strict: dict[str, list[float]] | None = None
+
+    def check(self) -> list[str]:
+        """The paper's Figure 6 claims this panel breaks, one line each.
+
+        (a) Strict: essentially no penalty at zero latency, then a weakly
+        monotone decline that stays above 0.5 at 40 cycles.  (b) Reunion:
+        a weakly monotone decline that never beats Strict by more than
+        noise, and some class already pays a real penalty at zero latency
+        (the relaxed-input-replication cost).
+        """
+        claims = []
+        for category, points in self.series.items():
+            steps = list(zip(points, points[1:]))
+            shown = f"{category} ({format_values(points)})"
+            if self.model is Mode.STRICT:
+                claims += [
+                    (points[0] > 0.93, f"{shown}: Strict at 0 cycles is not above 0.93"),
+                    (points[-1] < points[0] + 0.02, f"{shown}: Strict gains from latency"),
+                    (
+                        all(later <= earlier + 0.04 for earlier, later in steps),
+                        f"{shown}: Strict rises by over 0.04 between latencies",
+                    ),
+                    (points[-1] >= 0.5, f"{shown}: Strict at 40 cycles is below 0.5"),
+                ]
+            else:
+                strict = self.strict[category]
+                claims += [
+                    (
+                        all(later <= earlier + 0.05 for earlier, later in steps),
+                        f"{shown}: Reunion rises by over 0.05 between latencies",
+                    ),
+                    (
+                        all(r <= s + 0.05 for r, s in zip(points, strict)),
+                        f"{shown}: Reunion beats Strict ({format_values(strict)}) "
+                        "by over 0.05",
+                    ),
+                ]
+        if self.model is Mode.REUNION:
+            penalty = max(1.0 - points[0] for points in self.series.values())
+            claims.append(
+                (
+                    penalty > 0.01,
+                    f"largest Reunion penalty at 0 cycles {penalty:.3f} is not above 0.01",
+                )
+            )
+        return failed_claims(claims)
 
     def render(self) -> str:
         paper = (
@@ -59,27 +108,6 @@ class Fig6Result:
         )
 
 
-def plan_fig6(
-    model: Mode,
-    scale: Scale,
-    latencies: tuple[int, ...] = DEFAULT_LATENCIES,
-    representatives: dict[str, list[str]] | None = None,
-):
-    """Every (config, workload) point one Figure 6 panel needs."""
-    representatives = representatives or DEFAULT_REPRESENTATIVES
-    workloads = [
-        by_name(name) for names in representatives.values() for name in names
-    ]
-    requests = [
-        (scale.config.with_redundancy(mode=Mode.NONREDUNDANT), workload)
-        for workload in workloads
-    ]
-    for latency in latencies:
-        config = scale.config.with_redundancy(mode=model, comparison_latency=latency)
-        requests.extend((config, workload) for workload in workloads)
-    return requests
-
-
 def run_fig6(
     model: Mode,
     scale: Scale | None = None,
@@ -87,26 +115,32 @@ def run_fig6(
     representatives: dict[str, list[str]] | None = None,
     runner: Runner | None = None,
 ) -> Fig6Result:
-    """Regenerate one panel of Figure 6 (``model`` = STRICT or REUNION)."""
+    """Regenerate one panel of Figure 6 (``model`` = STRICT or REUNION).
+
+    Panel (b) also sweeps Strict, which its claims compare against.
+    """
     if model not in (Mode.STRICT, Mode.REUNION):
         raise ValueError("Figure 6 compares the STRICT and REUNION models")
     scale = scale or (runner.scale if runner else current_scale())
     runner = runner or Runner(scale)
     representatives = representatives or DEFAULT_REPRESENTATIVES
 
-    series: dict[str, list[float]] = {}
-    for category, names in representatives.items():
-        points = []
-        for latency in latencies:
-            config = scale.config.with_redundancy(
-                mode=model, comparison_latency=latency
-            )
-            value = sum(
-                runner.normalized_ipc(config, by_name(name)) for name in names
-            ) / len(names)
-            points.append(value)
-        series[category] = points
-    return Fig6Result(model, tuple(latencies), series)
+    def sweep(mode: Mode) -> dict[str, list[float]]:
+        series: dict[str, list[float]] = {}
+        for category, names in representatives.items():
+            points = []
+            for latency in latencies:
+                config = scale.config.with_redundancy(mode=mode, comparison_latency=latency)
+                value = sum(
+                    runner.normalized_ipc(config, by_name(name)) for name in names
+                ) / len(names)
+                points.append(value)
+            series[category] = points
+        return series
+
+    series = sweep(model)
+    strict = sweep(Mode.STRICT) if model is Mode.REUNION else None
+    return Fig6Result(model, tuple(latencies), series, strict)
 
 
 if __name__ == "__main__":  # pragma: no cover

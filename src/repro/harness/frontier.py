@@ -32,11 +32,11 @@ from pathlib import Path
 
 from repro.campaign.plan import campaign_config
 from repro.campaign.run import run_campaign
-from repro.exec.jobs import resolve_workload
 from repro.exec.progress import Progress
 from repro.harness.report import render_table
 from repro.harness.runs import Runner, Scale, current_scale
 from repro.sim.config import Mode, ProtectionPolicy, parse_policy
+from repro.workloads import by_name
 
 #: The default sweep: the full-protection anchor, both heterogeneous
 #: reductions, and both partial-coverage points.
@@ -215,7 +215,7 @@ def run_frontier(
     scale = scale or (runner.scale if runner else current_scale())
     runner = runner or Runner(scale)
     resolved = _resolve_policies(policies)
-    workloads = [resolve_workload(name) for name in workload_names]
+    workloads = [by_name(name) for name in workload_names]
 
     # IPC side first: one prefetch batch across the whole grid.
     reunion = scale.config.with_redundancy(mode=Mode.REUNION)

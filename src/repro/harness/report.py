@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
+
+
+def failed_claims(claims: Iterable[tuple[bool, str]]) -> list[str]:
+    """The message of each ``(holds, message)`` claim that does not hold."""
+    return [message for holds, message in claims if not holds]
+
+
+def format_values(values: Iterable[float]) -> str:
+    """``values`` to three decimals, comma-separated, for a claim's message."""
+    return ", ".join(f"{value:.3f}" for value in values)
 
 
 def render_table(

@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, configurations, caching.
+"""Shared experiment infrastructure: scales, configurations, caching, plans.
 
 Every figure/table driver works at a chosen :class:`Scale`.  The paper
 warms for 100K cycles and measures 50K per sample at Table 1 size; a
@@ -11,8 +11,8 @@ variable ``REPRO_SCALE`` to ``quick`` (default), ``standard``, or
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from repro.exec.cache import ResultCache
 from repro.exec.jobs import SampleJob, run_job
@@ -165,14 +165,54 @@ class Runner:
         return sum(s.ipc for s in samples) / len(samples)
 
     def normalized_ipc(self, config: SystemConfig, workload: Workload) -> float:
-        """IPC normalized to the non-redundant baseline, matched by seed."""
-        base_config = self.scale.config.with_redundancy(mode=Mode.NONREDUNDANT)
+        """IPC normalized to ``config`` without redundancy, matched by seed.
+
+        The baseline is ``config`` with the scale's non-redundant
+        :class:`~repro.sim.config.RedundancyConfig`: the same core,
+        caches, TLB and consistency model, with no checking.
+        """
+        base_config = config.replace(
+            redundancy=replace(self.scale.config.redundancy, mode=Mode.NONREDUNDANT)
+        )
         ratios = []
         for seed in self.scale.seeds:
             base = self.sample(base_config, workload, seed)
             test = self.sample(config, workload, seed)
             ratios.append(test.ipc / base.ipc if base.ipc else 0.0)
         return sum(ratios) / len(ratios)
+
+
+#: What :class:`_Recorder` answers every request with: IPC 1, no events.
+_PLACEHOLDER = Sample(
+    cycles=1, user_instructions=1, recoveries=0, tlb_misses=0, sync_requests=0, serializing=0
+)
+
+
+@dataclass
+class _Recorder(Runner):
+    """A runner that notes the points a driver asks for and simulates none."""
+
+    points: dict[tuple[SystemConfig, str], tuple[SystemConfig, Workload]] = field(
+        default_factory=dict
+    )
+
+    def sample(self, config: SystemConfig, workload: Workload, seed: int) -> Sample:
+        self.points.setdefault((config, workload.name), (config, workload))
+        return _PLACEHOLDER
+
+
+def plan(driver: Callable[..., object], scale: Scale) -> list[tuple[SystemConfig, Workload]]:
+    """Every (config, workload) point ``driver`` samples at ``scale``.
+
+    Runs ``driver(runner=...)`` once against a runner that records each
+    request, in first-request order and without repeats, and answers it
+    with a placeholder.  A driver's requests must not depend on the
+    values it gets back (``tests/exec/test_runner_integration.py``
+    checks that each registered driver's plan covers its real run).
+    """
+    recorder = _Recorder(scale)
+    driver(runner=recorder)
+    return list(recorder.points.values())
 
 
 def category_average(values: dict[str, float], workloads: list[Workload], category: str) -> float:

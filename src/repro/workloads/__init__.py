@@ -17,6 +17,7 @@ from repro.workloads.commercial import (
     ZEUS,
     commercial_suite,
 )
+from repro.workloads.micro import micro_suite
 from repro.workloads.scientific import Em3d, Moldyn, Ocean, Sparse, scientific_suite
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadProfile
 
@@ -26,12 +27,24 @@ def suite() -> list[Workload]:
     return [*commercial_suite(), *scientific_suite()]
 
 
+#: One instance per lowercased name, Table 2 suite and micros alike.
+#: Workloads are stateless (programs are a pure function of ``seed``), so
+#: sharing an instance is result-neutral, and the generation memo
+#: (:mod:`repro.sim.sampling`) is keyed by instance: it hits for the jobs
+#: of one workload that run in turn in one process, a serial batch or the
+#: pool's parent preparing its jobs.
+_BY_NAME: dict[str, Workload] = {}
+
+
 def by_name(name: str) -> Workload:
-    """Look a workload up by its Table 2 name (case-insensitive)."""
-    for workload in suite():
-        if workload.name.lower() == name.lower():
-            return workload
-    raise KeyError(f"unknown workload {name!r}")
+    """Look a workload up by name (case-insensitive): Table 2 or a micro."""
+    if not _BY_NAME:
+        for workload in [*suite(), *micro_suite()]:
+            _BY_NAME[workload.name.lower()] = workload
+    try:
+        return _BY_NAME[name.lower()]
+    except KeyError:
+        raise KeyError(f"unknown workload {name!r}") from None
 
 
 __all__ = [

@@ -11,7 +11,7 @@ from repro.campaign.plan import (
     campaign_config,
     plan_campaign,
 )
-from repro.exec.jobs import resolve_workload
+from repro.workloads import by_name
 
 
 class TestSpecValidation:
@@ -79,14 +79,14 @@ class TestStratification:
 
     def test_targets_limited_to_workload_mix(self):
         config = campaign_config()
-        targets = available_targets(resolve_workload("compute-kernel"), config)
+        targets = available_targets(by_name("compute-kernel"), config)
         assert "result" in targets
         jobs = plan_campaign("compute-kernel", 12, seed=0)
         assert {job.spec.target for job in jobs} <= set(targets)
 
     def test_memory_workload_exposes_store_faults(self):
         config = campaign_config()
-        targets = available_targets(resolve_workload("stream"), config)
+        targets = available_targets(by_name("stream"), config)
         assert "store_addr" in targets
 
     def test_rejects_empty_campaign(self):

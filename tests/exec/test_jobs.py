@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.exec.jobs import SCHEMA_VERSION, SampleJob, resolve_workload, run_job
+from repro.exec.jobs import SCHEMA_VERSION, SampleJob, run_job
 from repro.sim.config import DEFAULT_CONFIG, Mode
 from repro.sim.options import SimOptions
+from repro.workloads import by_name
 
 CONFIG = DEFAULT_CONFIG.replace(n_logical=2)
 
@@ -66,20 +67,21 @@ class TestKey:
 
 
 class TestResolveWorkload:
+    """Jobs name their workload; ``by_name`` resolves it."""
+
     def test_suite_and_micro(self):
-        assert resolve_workload("ocean").name == "ocean"
-        assert resolve_workload("APACHE").name == "Apache"  # case-insensitive
-        assert resolve_workload("pointer-chase").name == "pointer-chase"
+        assert by_name("ocean").name == "ocean"
+        assert by_name("APACHE").name == "Apache"  # case-insensitive
+        assert by_name("pointer-chase").name == "pointer-chase"
 
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
-            resolve_workload("nope")
+            by_name("nope")
 
 
 class TestRunJob:
     def test_matches_direct_run_sample(self):
         from repro.sim.sampling import run_sample
-        from repro.workloads import by_name
 
         direct = run_sample(CONFIG, by_name("ocean"), 80, 160, seed=0)
         assert run_job(job()) == direct

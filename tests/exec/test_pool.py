@@ -11,15 +11,11 @@ import pytest
 
 import repro.sim.sampling as sampling
 from repro.exec.cache import ResultCache
-from repro.exec.jobs import SampleJob, resolve_workload, run_job
-from repro.exec.pool import (
-    ExecutionError,
-    ExecutionInterrupted,
-    ExecutionPool,
-    execute_jobs,
-)
+from repro.exec.jobs import SampleJob, run_job
+from repro.exec.pool import ExecutionError, ExecutionInterrupted, ExecutionPool
 from repro.isa.decode import DecodedProgram
 from repro.sim.config import DEFAULT_CONFIG, Mode
+from repro.workloads import by_name
 
 CONFIG = DEFAULT_CONFIG.replace(n_logical=2)
 REUNION = CONFIG.with_redundancy(mode=Mode.REUNION)
@@ -67,13 +63,13 @@ def signal_self_after_first_run_job(job: SampleJob):
 
 class TestDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
-        serial, serial_manifest = execute_jobs(JOBS, workers=1)
-        parallel, parallel_manifest = execute_jobs(JOBS, workers=4)
+        serial, serial_manifest = ExecutionPool(workers=1).run(JOBS)
+        parallel, parallel_manifest = ExecutionPool(workers=4).run(JOBS)
         assert serial == parallel  # full Sample field equality, every job
         assert serial_manifest.executed == parallel_manifest.executed == len(JOBS)
 
     def test_duplicate_jobs_run_once(self):
-        results, manifest = execute_jobs([JOBS[0], JOBS[0], JOBS[0]], workers=2)
+        results, manifest = ExecutionPool(workers=2).run([JOBS[0], JOBS[0], JOBS[0]])
         assert manifest.total == 1 and manifest.executed == 1
         assert len(results) == 1
 
@@ -81,9 +77,9 @@ class TestDeterminism:
 class TestCacheIntegration:
     def test_parallel_fills_cache_then_serves_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first, manifest = execute_jobs(JOBS, workers=4, cache=cache)
+        first, manifest = ExecutionPool(workers=4).run(JOBS, cache=cache)
         assert manifest.executed == len(JOBS) and manifest.hits == 0
-        again, warm = execute_jobs(JOBS, workers=4, cache=cache)
+        again, warm = ExecutionPool(workers=4).run(JOBS, cache=cache)
         assert warm.hits == len(JOBS) and warm.executed == 0
         assert warm.hit_rate == 1.0
         assert again == first
@@ -139,7 +135,7 @@ class TestPreparedInParent:
 
             return wrapper
 
-        workload_class = type(resolve_workload("ocean"))
+        workload_class = type(by_name("ocean"))
         monkeypatch.setattr(sampling, "_generation_memo", {})
         monkeypatch.setattr(
             workload_class, "programs", logged("programs", workload_class.programs)
@@ -151,7 +147,7 @@ class TestPreparedInParent:
             SampleJob(CONFIG.with_redundancy(mode=mode), "ocean", 0, warmup=80, measure=160)
             for mode in (Mode.NONREDUNDANT, Mode.STRICT, Mode.REUNION)
         ]
-        _, manifest = execute_jobs(jobs, workers=2)
+        _, manifest = ExecutionPool(workers=2).run(jobs)
         assert manifest.executed == 3
         calls = [line.split() for line in log.read_text().splitlines()]
         parent = str(os.getpid())
@@ -161,7 +157,7 @@ class TestPreparedInParent:
     def test_a_job_whose_preparation_raises_fails_after_the_batch(self):
         bad = SampleJob(CONFIG, "no-such-workload", 0, warmup=80, measure=160)
         with pytest.raises(ExecutionError) as excinfo:
-            execute_jobs([bad, JOBS[0]], workers=2)
+            ExecutionPool(workers=2).run([bad, JOBS[0]])
         manifest = excinfo.value.manifest
         assert manifest.executed == 1 and manifest.retries == 1
         assert manifest.failures == [
@@ -233,5 +229,5 @@ class TestSignalDrain:
 
     def test_handlers_restored_after_batch(self):
         before = signal.getsignal(signal.SIGTERM)
-        execute_jobs(JOBS[:1], workers=2)
+        ExecutionPool(workers=2).run(JOBS[:1])
         assert signal.getsignal(signal.SIGTERM) is before

@@ -5,24 +5,11 @@ import pytest
 import repro.harness.runs as runs
 from repro.exec.cache import ResultCache
 from repro.exec.progress import RunManifest
-from repro.harness import (
-    plan_fig5,
-    plan_fig6,
-    plan_fig7a,
-    plan_fig7b,
-    plan_sc_comparison,
-    plan_table3,
-    run_fig5,
-    run_fig6,
-    run_fig7a,
-    run_fig7b,
-    run_sc_comparison,
-    run_table3,
-    scale_by_name,
-)
+from repro.exec.jobs import SampleJob
+from repro.harness import ARTIFACTS, plan, plan_fig5, scale_by_name
 from repro.harness.runs import QUICK, Runner, Scale
-from repro.sim.config import DEFAULT_CONFIG, Mode
-from repro.workloads import by_name
+from repro.sim.config import DEFAULT_CONFIG, Consistency, Mode, TLBMode
+from repro.workloads import by_name, suite
 
 TINY = Scale(
     "tiny", warmup=80, measure=160, seeds=(0,), config=DEFAULT_CONFIG.replace(n_logical=2)
@@ -159,22 +146,76 @@ class TestPlanCompleteness:
     def test_plans_cover_every_sample_their_driver_needs(self):
         """After prefetching a driver's plan, rendering simulates nothing."""
         runner = Runner(TINY)
-        plans_and_drivers = [
-            (plan_fig5(TINY), lambda: run_fig5(runner=runner)),
-            (
-                plan_fig6(Mode.STRICT, TINY, latencies=(0, 10)),
-                lambda: run_fig6(Mode.STRICT, runner=runner, latencies=(0, 10)),
-            ),
-            (plan_table3(TINY), lambda: run_table3(runner=runner)),
-            (plan_fig7a(TINY), lambda: run_fig7a(runner=runner)),
-            (
-                plan_fig7b(TINY, latencies=(0, 10)),
-                lambda: run_fig7b(runner=runner, latencies=(0, 10)),
-            ),
-            (plan_sc_comparison(TINY), lambda: run_sc_comparison(runner=runner)),
-        ]
-        for plan, driver in plans_and_drivers:
-            runner.prefetch(plan)
+        for name, driver in ARTIFACTS.items():
+            runner.prefetch(plan(driver, TINY))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(runs, "run_job", fail_run_job)
-                assert driver().render()
+                assert driver(runner=runner).render(), name
+
+
+class TestRecordedPlans:
+    """Each artifact's plan is read from its driver's requests."""
+
+    @staticmethod
+    def keys(points):
+        return {
+            SampleJob(config, workload.name, seed, QUICK.warmup, QUICK.measure).key
+            for config, workload in points
+            for seed in QUICK.seeds
+        }
+
+    def test_quick_plans_have_the_artifacts_job_counts(self):
+        plans = {name: self.keys(plan(driver, QUICK)) for name, driver in ARTIFACTS.items()}
+        assert {name: len(keys) for name, keys in plans.items()} == {
+            "fig5": 33,
+            "fig6a": 30,
+            # Panel (b) also samples panel (a)'s 25 Strict points, which
+            # its claims compare against.
+            "fig6b": 55,
+            "table3": 33,
+            "fig7a": 44,
+            "fig7b": 36,
+            "sc": 18,
+        }
+        assert plans["fig6a"] < plans["fig6b"]
+        assert len(set().union(*plans.values())) == 122
+
+    def test_fig5_plan_is_workload_major_in_suite_order(self):
+        configs = [
+            QUICK.config.with_redundancy(mode=Mode.NONREDUNDANT),
+            QUICK.config.with_redundancy(mode=Mode.STRICT, comparison_latency=10),
+            QUICK.config.with_redundancy(mode=Mode.REUNION, comparison_latency=10),
+        ]
+        expected = [(config, workload.name) for workload in suite() for config in configs]
+        assert [(c, w.name) for c, w in plan_fig5(QUICK)] == expected
+
+    def test_each_point_is_recorded_once_in_first_request_order(self):
+        def driver(runner):
+            runner.normalized_ipc(REUNION, OCEAN)
+            runner.mean_ipc(NONRED, OCEAN)
+
+        two_seeds = Scale("two", warmup=80, measure=160, seeds=(0, 1), config=TINY.config)
+        points = plan(driver, two_seeds)
+        assert [(c, w.name) for c, w in points] == [(NONRED, "ocean"), (REUNION, "ocean")]
+
+
+class TestBaselineRule:
+    """normalized_ipc divides by the config's own non-redundant twin."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            TINY.config.with_tlb(mode=TLBMode.SOFTWARE),
+            TINY.config.replace(consistency=Consistency.SC),
+        ],
+        ids=["software-tlb", "sc"],
+    )
+    def test_baseline_keeps_tlb_mode_and_consistency(self, system):
+        config = system.with_redundancy(mode=Mode.REUNION, comparison_latency=40)
+        points = plan(lambda runner: runner.normalized_ipc(config, OCEAN), TINY)
+        # The scale's non-redundant redundancy (latency 10, not 40) on
+        # the same machine.
+        assert [c for c, _ in points] == [
+            system.with_redundancy(mode=Mode.NONREDUNDANT),
+            config,
+        ]

@@ -29,10 +29,10 @@ import functools
 
 import pytest
 
-from repro.exec.jobs import resolve_workload
 from repro.harness.runs import QUICK
 from repro.sim.config import Mode, SystemConfig, parse_policy
 from repro.sim.sampling import run_sample_system
+from repro.workloads import by_name
 
 
 def _unprotected(base: SystemConfig) -> tuple[SystemConfig, SystemConfig]:
@@ -70,7 +70,7 @@ IDENTITIES = {
 @functools.lru_cache(maxsize=None)
 def _observe(config: SystemConfig, workload: str, warmup: int, measure: int) -> dict:
     """One seed-0 sample's statistics and vocal-core end state."""
-    _, system = run_sample_system(config, resolve_workload(workload), warmup, measure)
+    _, system = run_sample_system(config, by_name(workload), warmup, measure)
     vocals = system.vocal_cores
     return {
         "stats": dict(system.collect_stats().snapshot()),

@@ -114,6 +114,21 @@ class TestReproduce:
         assert code == 0
         assert not (tmp_path / "cache").exists()
 
+    def test_a_failed_claim_is_printed_under_its_table_and_exits_1(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.harness import SCResult
+
+        monkeypatch.setattr(SCResult, "check", lambda self: ["SC beats TSO"])
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        code = main(["reproduce", "--only", "sc", "--scale", "quick", "--jobs", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[lines.index("paper shape: FAILED SC beats TSO") - 1].startswith("Paper:")
+        assert "paper shape: holds" not in captured.out
+        assert "run manifest" in captured.err
+
 
 class TestTrace:
     """``repro trace``: telemetry-armed replay of one sample."""
@@ -231,6 +246,45 @@ class TestCampaign:
             main(["campaign", "compute-kernel", "--bits", "20"])
         assert exit_info.value.code == 2
         assert "invalid choice: 20" in capsys.readouterr().err
+
+
+class TestCampaignPool:
+    def test_pool_report_equals_the_serial_one(self, capsys, monkeypatch, tmp_path):
+        """Pool workers inherit the runs their parent prepared
+        (``InjectionJob.prepare``); the serial path builds its own."""
+        reports = {}
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
+            reports[jobs] = tmp_path / f"report{jobs}.json"
+            args = ["campaign", "compute-kernel", "--injections", "4", "--commits", "120"]
+            assert main([*args, "--jobs", jobs, "--report", str(reports[jobs])]) == 0
+            assert "executed   : 4" in capsys.readouterr().err
+        assert reports["2"].read_bytes() == reports["1"].read_bytes()
+
+
+class TestFrontier:
+    def test_bad_policy_spec_is_a_usage_error(self, capsys):
+        assert main(["frontier", "--policies", "full", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bad protection spec 'bogus'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    def test_ordering_violation_exits_1(self, capsys, monkeypatch):
+        import repro.harness.frontier as frontier
+
+        def point(policy, coverage):
+            return frontier.FrontierPoint(
+                policy, "compute-kernel", 1.0, coverage, (0.0, 1.0), 10, 0, 0, 10
+            )
+
+        result = frontier.FrontierResult(
+            "quick", 0, (point("full", 0.5), point("unprotected", 0.9))
+        )
+        monkeypatch.setattr(frontier, "run_frontier", lambda **kwargs: result)
+        assert main(["frontier", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert "ORDERING VIOLATION: compute-kernel: full coverage" in captured.err
+        assert captured.out.startswith(result.render())
 
 
 class TestCache:
